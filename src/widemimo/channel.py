@@ -82,9 +82,6 @@ class RngStream:
             bits.advance(block * _BLOCK_STRIDE)
         return np.random.Generator(bits)
 
-    def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
-
 
 def _sample_cn(gen: np.random.Generator, shape) -> np.ndarray:
     """CN(0,1) array: real then imaginary normals, scaled to unit total variance."""

@@ -1,5 +1,12 @@
 """Independent Monte Carlo oracles used to validate every closed form.
 
+Each oracle samples only the statistic its estimand depends on, drawn equal in
+law to the textbook construction.  Coherent MI and the Gallager function
+depend on the r x t CN(0,1) channel H only through the smaller Gram matrix
+W ~ CW_p(q, I), p = min(t, r), q = max(t, r) (Telatar 1999), which is drawn
+through its complex Bartlett factor; the outage tail depends on k CN(0,1)
+entries only through their energy, a Gamma(k, 1) variate.
+
 Determinism contract: an estimate depends only on (seed, stream_id, n).  Work
 is cut into fixed-size chunks, each drawn from its own counter block of the
 stream, so the result is bit-identical whether chunks run on one thread or
@@ -76,22 +83,22 @@ def _check_n(n, minimum=2) -> int:
 
 
 def _collect(chunk_fn, n, rng, threads, block_base=0):
-    """Fill an n-vector from per-chunk draws; identical for any thread count."""
-    spans = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
-    out = np.empty(n)
+    """Stack per-chunk draws along axis 0; identical for any thread count.
 
-    def run(span):
-        i, m = span
-        return i, chunk_fn(rng.generator(block=block_base + i), m)
+    ``chunk_fn(gen, m)`` returns m rows: a vector for one value per sample, or
+    an (m, width) array for several values that share the draws.
+    """
+    sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+
+    def run(i):
+        return chunk_fn(rng.generator(block=block_base + i), sizes[i])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, spans))
+            parts = list(pool.map(run, range(len(sizes))))
     else:
-        results = [run(s) for s in spans]
-    for i, vals in results:
-        out[i * _CHUNK : i * _CHUNK + len(vals)] = vals
-    return out
+        parts = [run(i) for i in range(len(sizes))]
+    return np.concatenate(parts)
 
 
 def _mean_estimate(values: np.ndarray) -> OracleEstimate:
@@ -102,11 +109,32 @@ def _mean_estimate(values: np.ndarray) -> OracleEstimate:
     return OracleEstimate(mean, se, n, mean - half, mean + half)
 
 
-def _min_gram(h: np.ndarray, t: int, r: int) -> np.ndarray:
-    """Smaller-side Gram matrices of a (n, r, t) channel batch."""
-    if t <= r:
-        return np.einsum("nij,nik->njk", h.conj(), h)
-    return np.einsum("nij,nkj->nik", h, h.conj())
+def _wishart_logdet(gen, m, t, r, coeffs):
+    """log det(I + c W) for m draws of W ~ CW_p(q, I), one column per c in coeffs.
+
+    W = L L^dagger with the complex Bartlett factor L: lower triangular,
+    L_ii^2 ~ Gamma(q - i, 1) for i = 0..p-1 and L_ij ~ CN(0, 1) below the
+    diagonal.  It has the law of the smaller Gram side of an r x t CN(0, 1)
+    channel.  For p <= 2 the determinant is a polynomial in the factor's
+    entries, so no matrix is formed:
+    p = 1: 1 + c d0;  p = 2: 1 + c (d0 + d1 + |z|^2) + c^2 d0 d1.
+    The draws do not depend on coeffs, so every column shares them.
+    """
+    p, q = min(t, r), max(t, r)
+    diag = [gen.standard_gamma(q - i, m) for i in range(p)]
+    if p == 1:
+        return np.stack([np.log1p(c * diag[0]) for c in coeffs], axis=1)
+    if p == 2:
+        lin = diag[0] + diag[1] + gen.standard_exponential(m)  # |z|^2 ~ Exp(1)
+        quad = diag[0] * diag[1]
+        return np.stack([np.log1p(c * lin + (c * c) * quad) for c in coeffs], axis=1)
+    factor = np.zeros((m, p, p), dtype=complex)
+    rows, cols = np.diag_indices(p)
+    factor[:, rows, cols] = np.sqrt(np.stack(diag, axis=1))
+    rows, cols = np.tril_indices(p, -1)
+    factor[:, rows, cols] = _sample_cn(gen, (m, len(rows)))
+    lam = np.linalg.eigvalsh(factor @ factor.conj().transpose(0, 2, 1))
+    return np.stack([np.log1p(c * lam).sum(axis=1) for c in coeffs], axis=1)
 
 
 def mc_coherent_mi(
@@ -114,59 +142,32 @@ def mc_coherent_mi(
 ) -> OracleEstimate:
     """Sample mean of log det(I + (snr/t) H^dagger H) over channel draws.
 
-    The determinant is evaluated on the smaller Gram side via slogdet, which
-    stays stable for any conditioning the desk-scale dimensions can produce.
+    Samples the equal-in-law log det(I + (snr/t) W) with W the min(t, r) Gram
+    matrix drawn through its Bartlett factor (see ``_wishart_logdet``): a
+    closed form for p <= 2, eigenvalues of the p x p matrix above that.
     """
     n = _check_n(n, minimum=1000)
     if snr < 0.0:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
-    p = min(t, r)
-    eye = np.eye(p)
+    coeffs = [snr / t]
 
     def chunk(gen, m):
-        h = _sample_cn(gen, (m, r, t))
-        gram = _min_gram(h, t, r)
-        _, logdet = np.linalg.slogdet(eye + (snr / t) * gram)
-        return logdet
+        return _wishart_logdet(gen, m, t, r, coeffs)[:, 0]
 
     return _mean_estimate(_collect(chunk, n, rng, threads))
 
 
 def _e0_weights(dims, snr_b, rho_list, n, rng, threads):
-    """Per-sample det(I + c H^dagger H)^(-rho l), one column per rho, shared draws."""
+    """Per-sample det(I + c W)^(-rho l), c = snr_b/(t(1+rho)); one column per rho, shared draws."""
     t, r, l = dims.t, dims.r, dims.l
+    coeffs = [snr_b / (t * (1.0 + rho)) for rho in rho_list]
+    scales = np.array([-rho * l for rho in rho_list])
 
     def chunk(gen, m):
-        h = _sample_cn(gen, (m, r, t))
-        lam = np.linalg.eigvalsh(_min_gram(h, t, r))
-        cols = []
-        for rho in rho_list:
-            c = snr_b / (t * (1.0 + rho))
-            logdet = np.log1p(c * lam).sum(axis=1)
-            cols.append(np.exp(-rho * l * logdet))
-        return np.stack(cols, axis=1).ravel()
+        return np.exp(scales * _wishart_logdet(gen, m, t, r, coeffs))
 
-    flat = _collect_multi(chunk, n, len(rho_list), rng, threads)
-    return flat
-
-
-def _collect_multi(chunk_fn, n, width, rng, threads):
-    spans = [(i, min(_CHUNK, n - i * _CHUNK)) for i in range((n + _CHUNK - 1) // _CHUNK)]
-    out = np.empty((n, width))
-
-    def run(span):
-        i, m = span
-        return i, m, chunk_fn(rng.generator(block=i), m)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, spans))
-    else:
-        results = [run(s) for s in spans]
-    for i, m, vals in results:
-        out[i * _CHUNK : i * _CHUNK + m, :] = vals.reshape(m, width)
-    return out
+    return _collect(chunk, n, rng, threads)
 
 
 def _log_of_mean_estimate(weights: np.ndarray, rng: RngStream) -> OracleEstimate:
@@ -198,6 +199,9 @@ def mc_e0_exact(
 ) -> OracleEstimate:
     """Exact coherent Gallager function by sampling:
     -log E[det(I + snr_b/(t(1+rho)) H^dagger H)^(-rho l)].
+
+    The determinant is sampled as its equal-in-law det(I + c W), W the
+    min(t, r) Gram matrix drawn through its Bartlett factor.
     """
     n = _check_n(n, minimum=1000)
     if not 0.0 <= rho <= 1.0:
@@ -216,7 +220,7 @@ def mc_e0_curve(
     """mc_e0_exact on a rho grid sharing one set of channel draws.
 
     Sharing draws leaves each estimate identical in law to a standalone run
-    while the eigenvalue work is done once; estimates across the grid are
+    while the Gram draws are made once; estimates across the grid are
     positively correlated, which is harmless for one-sided bound checks.
     """
     n = _check_n(n, minimum=1000)
@@ -254,6 +258,11 @@ def mc_onoff_mi(
     rare crossings carry most of the variance.  Runs that happen to see none
     of them report an overconfident interval, so measured CI coverage can
     drop a few points below the nominal 99% there.
+
+    Each branch depends on y only through |y|^2, a scaled Gamma(r, 1)
+    variate, yet this oracle still draws the 2r normals: a Gamma draw of the
+    same law changes which seeds see a crossing, and the fix for the interval
+    (stratifying the crossing region) should come with that switch.
     """
     n = _check_n(n, minimum=10_000)
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
@@ -298,7 +307,8 @@ def empirical_tail_cdf(
 ) -> OracleEstimate:
     """Fraction of draws of sum_{i<=k} |CN(0,1)|^2 falling below x, with binomial CI.
 
-    The interval is the normal approximation except at 0 or n hits, where the
+    The sum is drawn directly as its equal-in-law Gamma(k, 1) variate.  The
+    interval is the normal approximation except at 0 or n hits, where the
     exact binomial bound 1 - (alpha/2)^(1/n) replaces the degenerate endpoint.
     """
     n = _check_n(n, minimum=1000)
@@ -308,9 +318,7 @@ def empirical_tail_cdf(
         raise DomainError(f"x must be >= 0, got {x}")
 
     def chunk(gen, m):
-        z = _sample_cn(gen, (m, int(k)))
-        total = (z.real**2 + z.imag**2).sum(axis=1)
-        return (total < x).astype(float)
+        return (gen.standard_gamma(k, m) < x).astype(float)
 
     hits = _collect(chunk, n, rng, threads)
     p = float(hits.mean())

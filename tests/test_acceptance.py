@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from conftest import SEED
+from conftest import SEED, cli_env
 from widemimo import (
     ChannelDims,
     RngStream,
@@ -343,6 +343,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "widemimo", *args],
             cwd=tmp_path,
+            env=cli_env(),
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode()

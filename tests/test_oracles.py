@@ -20,6 +20,8 @@ from widemimo import (
     onoff_mi_quadrature,
     slope_fit,
 )
+from widemimo.channel import _sample_cn
+from widemimo.oracles import _wishart_logdet
 
 DIMS11 = ChannelDims(1, 1, 1)
 
@@ -38,10 +40,12 @@ class TestCoherentMi:
         assert est.contains(ref)
 
     def test_tracks_expansion(self):
-        dims = ChannelDims(2, 2, 1)
-        est = mc_coherent_mi(dims, 0.01, 200_000, RngStream(SEED, 202))
-        closed = coherent_expansion(dims, 0.01).total
-        assert abs(est.mean - closed) <= est.ci99_half + 10 * 0.01**3
+        # (3, 3) takes the matrix branch of the Bartlett sampler
+        for t, r, sid in ((2, 2, 202), (3, 3, 205)):
+            dims = ChannelDims(t, r, 1)
+            est = mc_coherent_mi(dims, 0.01, 200_000, RngStream(SEED, sid))
+            closed = coherent_expansion(dims, 0.01).total
+            assert abs(est.mean - closed) <= est.ci99_half + 10 * 0.01**3, (t, r)
 
     def test_thread_invariance(self):
         a = mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, 70_000, RngStream(SEED, 203), threads=1)
@@ -131,6 +135,38 @@ class TestTailCdf:
     def test_exponential_case(self):
         est = empirical_tail_cdf(1, 0.1, 200_000, RngStream(SEED, 232))
         assert est.contains(1.0 - math.exp(-0.1))
+
+
+def _two_sample_z(a, b):
+    """z statistic for equal means of two independent samples."""
+    return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+
+
+class TestSamplerLaws:
+    """The sufficient-statistic samplers against the explicit constructions."""
+
+    @pytest.mark.parametrize("t, r", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_bartlett_logdet_matches_explicit_gram(self, t, r):
+        n, c = 200_000, 0.7
+        h = _sample_cn(RngStream(SEED, 250).generator(), (n, r, t))
+        _, explicit = np.linalg.slogdet(np.eye(t) + c * np.einsum("nij,nik->njk", h.conj(), h))
+        bartlett = _wishart_logdet(RngStream(SEED, 251).generator(), n, t, r, [c])[:, 0]
+        assert abs(_two_sample_z(bartlett, explicit)) <= 4.0
+        assert abs(_two_sample_z(bartlett**2, explicit**2)) <= 4.0
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_gamma_matches_cn_energy(self, k):
+        n = 200_000
+        z = _sample_cn(RngStream(SEED, 252).generator(), (n, k))
+        energy = (z.real**2 + z.imag**2).sum(axis=1)
+        gamma = RngStream(SEED, 253).generator().standard_gamma(k, n)
+        assert abs(_two_sample_z(gamma, energy)) <= 4.0
+        assert abs(_two_sample_z(gamma**2, energy**2)) <= 4.0
+        # the oracle's CDF at x = k against the explicit fraction below k
+        est = empirical_tail_cdf(k, float(k), n, RngStream(SEED, 254))
+        p_explicit = float((energy < k).mean())
+        se = math.sqrt(est.std_error**2 + p_explicit * (1.0 - p_explicit) / n)
+        assert abs(est.mean - p_explicit) <= 4.0 * se
 
 
 class TestSlopeFit:

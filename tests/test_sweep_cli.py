@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import cli_env
 from widemimo import ConfigError, load_config, run_sweep
 from widemimo.sweep import DEFAULT_ROW_CAP, ROW_CAP_ENV
 
@@ -167,6 +168,7 @@ def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "widemimo", *args],
         cwd=cwd,
+        env=cli_env(),
         capture_output=True,
         text=True,
     )
