@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import DimensionError, DomainError, TrainingInfeasibleError
 
@@ -176,10 +177,6 @@ def average_power_check(ensemble, l: int) -> float:
 # with k = r*t, which is why it lives next to the channel sampler.
 # ---------------------------------------------------------------------------
 
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 600
-
-
 def _check_gamma_args(k, x):
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"shape k must be a positive integer, got {k!r}")
@@ -190,63 +187,21 @@ def _check_gamma_args(k, x):
     return int(k), float(x)
 
 
-def _lower_series(k: int, x: float) -> float:
-    # DLMF 8.11.4 power series; converges fast for x < k + 1.
-    ap = float(k)
-    term = 1.0 / k
-    total = term
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + k * math.log(x) - math.lgamma(k))
-
-
-def _upper_cont_fraction(k: int, x: float) -> float:
-    # Modified Lentz evaluation of the DLMF 8.9.2 continued fraction for Q(k, x).
-    tiny = 1e-300
-    b = x + 1.0 - k
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - k)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + k * math.log(x) - math.lgamma(k))
-
-
 def gamma_lower_regularized(k: int, x: float) -> float:
     """P(k, x) = integral_0^x u^(k-1) e^(-u) du / (k-1)! for integer k >= 1.
 
-    Series branch for x < k + 1, continued fraction otherwise; relative
-    accuracy around 1e-14, comfortably inside the 1e-12 target.
+    Evaluated by ``scipy.special.gammainc``; relative accuracy around 1e-14,
+    comfortably inside the 1e-12 target.
     """
     k, x = _check_gamma_args(k, x)
     if x == 0.0:
         return 0.0
-    if x < k + 1.0:
-        return _lower_series(k, x)
-    return 1.0 - _upper_cont_fraction(k, x)
+    return float(special.gammainc(k, x))
 
 
 def gamma_upper_regularized(k: int, x: float) -> float:
-    """Q(k, x) = 1 - P(k, x), computed on the stable branch for each region."""
+    """Q(k, x) = 1 - P(k, x), by ``scipy.special.gammaincc`` (no cancellation)."""
     k, x = _check_gamma_args(k, x)
     if x == 0.0:
         return 1.0
-    if x < k + 1.0:
-        return 1.0 - _lower_series(k, x)
-    return _upper_cont_fraction(k, x)
+    return float(special.gammaincc(k, x))

@@ -12,7 +12,6 @@ output, tests) can budget slack instead of trusting loose tolerances.
 import math
 from dataclasses import dataclass
 
-from ._golden import golden_section_max
 from .capacity import RegimeParams, regime_from_coherence, regime_from_nu
 from .channel import ChannelDims, gamma_lower_regularized
 from .errors import DomainError
@@ -190,13 +189,14 @@ def _landmarks_scalar(t: int, r: int, coherence: float, snr_b: float) -> RateLan
 
 
 def _exponent_point(
-    t: int, r: int, coherence: float, regime: RegimeParams, rate: float
+    t: int, r: int, coherence: float, snr_b: float, lm: RateLandmarks, rate: float
 ) -> ExponentPoint:
+    """Exponent at one rate; ``lm`` is ``_landmarks_scalar`` at the same point,
+    computed once by the caller for every rate that shares it."""
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
     rt = r * t
-    kappa = coherence * regime.snr_b / t
-    lm = _landmarks_scalar(t, r, coherence, regime.snr_b)
+    kappa = coherence * snr_b / t
     if rate >= lm.c_block:
         return ExponentPoint(rate, 0.0, 0.0, REGION_BEYOND, lm.asymptotics_binding)
     if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
@@ -223,13 +223,18 @@ def _training_f_scalar(gamma: float, t: int, coherence: float, snr_b: float) -> 
 
 
 def _f_star_scalar(t: int, coherence: float, snr_b: float) -> tuple[float, float]:
-    gamma, value = golden_section_max(
-        lambda g: _training_f_scalar(g, t, coherence, snr_b),
-        1e-12,
-        1.0 - 1e-12,
-        tol=1e-10,
+    """Exact maximum of f over gamma, as (f_star, gamma_star); needs l > t.
+
+    With E = l snr_b, f(gamma) = E^2 gamma (1 - gamma) / (c + d gamma) where
+    c = t (E + l - t) and d = E (l - 2t), so the maximizer is the root in
+    (0, 1) of d gamma^2 + 2 c gamma - c = 0 (Hassibi & Hochwald 2003).  Written
+    as 1 / (1 + sqrt((c + d) / c)) it needs no special case for d = 0.
+    """
+    e_total = coherence * snr_b
+    gamma = 1.0 / (
+        1.0 + math.sqrt((coherence - t) * (e_total + t) / (t * (e_total + coherence - t)))
     )
-    return value, gamma
+    return _training_f_scalar(gamma, t, coherence, snr_b), gamma
 
 
 def training_f(gamma: float, dims: ChannelDims, snr_b: float) -> float:
@@ -257,11 +262,14 @@ def training_design(dims: ChannelDims, snr_b: float, gamma: float) -> TrainingDe
 def training_f_star(
     dims: ChannelDims, snr_b: float, regime: RegimeParams | None = None
 ) -> TrainingOptimum:
-    """Maximize f(gamma, snr) over the training fraction (golden section, 1e-10).
+    """Maximize f(gamma, snr) over the training fraction, in closed form.
 
-    With a regime supplied, also evaluates the leading-order closed form of
-    the maximum for asymptotic cross-checks; concrete numbers (outage, the
-    training exponent) always use the numeric maximum.
+    gamma_star = 1 / (1 + sqrt((l - t)(E + t) / (t (E + l - t)))) with
+    E = l snr_b is the exact maximizer (Hassibi & Hochwald, "How much training
+    is needed in multiple-antenna wireless links?", IEEE T-IT 2003), and
+    f_star = f(gamma_star).  With a regime supplied, also evaluates the
+    leading-order asymptotic form of the maximum for cross-checks; concrete
+    numbers (outage, the training exponent) always use the exact maximum.
     """
     dims.require_training()
     if snr_b <= 0.0:
@@ -331,7 +339,8 @@ def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
     region-C cut is skipped and the point is flagged via asymptotics_binding.
     """
     regime = regime_from_coherence(dims, snr)
-    return _exponent_point(dims.t, dims.r, dims.l, regime, rate)
+    lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
+    return _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, rate)
 
 
 def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
@@ -339,7 +348,8 @@ def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
     regime = regime_from_coherence(dims, snr)
     lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
     samples = tuple(
-        _exponent_point(dims.t, dims.r, dims.l, regime, float(rate)) for rate in rates
+        _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, float(rate))
+        for rate in rates
     )
     return ExponentCurve(
         r_critical=lm.r_critical,
@@ -358,7 +368,8 @@ def block_error_bound(dims: ChannelDims, snr: float, rate: float) -> float:
     lands in [0, 1].
     """
     regime = regime_from_coherence(dims, snr)
-    point = _exponent_point(dims.t, dims.r, dims.l, regime, rate)
+    lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
+    point = _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, rate)
     return regime.delta * math.exp(-point.value)
 
 
@@ -366,10 +377,10 @@ def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEsti
     """Probability the post-training block cannot carry ``rate`` nats.
 
     Outage of the trained channel reduces to a chi-squared-type tail:
-    P(rt, rate / (l f_star)), with f_star the numerically maximized effective
-    data SNR.  error_weighted = delta(snr) * probability is the heuristic
-    that tracks the block error bound in the rate region where outage
-    dominates.
+    P(rt, rate / (l f_star)), with f_star the closed-form maximum of the
+    effective data SNR (see ``training_f_star``).  error_weighted =
+    delta(snr) * probability is the heuristic that tracks the block error
+    bound in the rate region where outage dominates.
     """
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
@@ -410,7 +421,8 @@ def diversity_low_snr(
         regime = regime_from_nu(float(snr), nu)
         coherence = t**2 / (r + t) ** 2 * float(snr) ** (-2.0 * nu)
         rate = coherence * r * float(snr) ** kappa
-        point = _exponent_point(t, r, coherence, regime, rate)
+        lm = _landmarks_scalar(t, r, coherence, regime.snr_b)
+        point = _exponent_point(t, r, coherence, regime.snr_b, lm, rate)
         bound = regime.delta * math.exp(-point.value)
         f_star, _ = _f_star_scalar(t, coherence, regime.snr_b)
         outage = gamma_lower_regularized(rt, rate / (coherence * f_star))

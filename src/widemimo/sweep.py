@@ -4,11 +4,14 @@ Config files are flat ``key = value`` text; grids are comma-separated lists.
 Keys are validated fail-closed against the schema of the requested quantity
 (an unknown key aborts the load), SNR is always linear (no dB anywhere), and
 rows stream out in deterministic lexicographic grid order regardless of how
-many threads compute them.
+many threads compute them.  The output is opened first, so a bad path fails
+before any row is evaluated; rows are then evaluated and written in
+fixed-size chunks, and memory is bounded by one chunk, not by the grid.
 """
 
+import contextlib
 import csv
-import io
+import functools
 import itertools
 import math
 import os
@@ -194,26 +197,24 @@ def load_config(path) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# Row evaluation, one function per quantity.  Each returns an ordered dict of
-# computed columns; library errors become the per-row error column.
+# Row evaluation, one function per quantity.  Each returns its computed
+# columns as a tuple, in the order _ROW_FUNCS names them; library errors
+# become the per-row error column.  ``point`` is the sweep's memo of
+# _operating_point, which the exponent and outage rows share.
 # ---------------------------------------------------------------------------
 
 
-def _row_capacity(p, cfg, rng):
+def _row_capacity(p, cfg, rng, point):
     dims = ChannelDims(p["t"], p["r"], p["l"])
     expansion = capacity.coherent_expansion(dims, p["snr"])
     lb = capacity.gaussian_lower_bound(dims, p["snr"])
-    return {
-        "linear": expansion.linear,
-        "sublinear": expansion.sublinear,
-        "total": expansion.total,
-        "gaussian_lower_bound": lb,
-        "lb_negative": lb < 0.0,
-        "dropped": "snr^3 remainder dropped",
-    }
+    return (
+        expansion.linear, expansion.sublinear, expansion.total, lb, lb < 0.0,
+        "snr^3 remainder dropped",
+    )
 
 
-def _row_sublinear(p, cfg, rng):
+def _row_sublinear(p, cfg, rng, point):
     dims = ChannelDims(p["t"], p["r"], max(p.get("l", 1), 1))
     if "alpha" in p:
         value = capacity.sublinear_term(dims, p["snr"], alpha=p["alpha"])
@@ -221,19 +222,25 @@ def _row_sublinear(p, cfg, rng):
     else:
         value = capacity.sublinear_term(dims, p["snr"], coherence_length=p["l"])
         note = "remainder beyond snr/sqrt(l) dropped"
-    return {"value": value, "dropped": note}
+    return value, note
 
 
-def _coherence_and_regime(p):
-    t, r, snr = p["t"], p["r"], p["snr"]
-    if "l" in p:
-        dims = ChannelDims(t, r, p["l"])
-        regime = capacity.regime_from_coherence(dims, snr)
-        coherence = float(p["l"])
+def _operating_point(t, r, snr, l, nu):
+    """Everything an exponent or outage row needs that does not depend on its rate.
+
+    Returns (coherence, regime, landmarks, training), where training is
+    (f_star, gamma_star) or None when l <= t.  Exactly one of l and nu is
+    given; with nu the coherence length is real-valued.
+    """
+    if l is not None:
+        regime = capacity.regime_from_coherence(ChannelDims(t, r, l), snr)
+        coherence = float(l)
     else:
-        regime = capacity.regime_from_nu(snr, p["nu"])
+        regime = capacity.regime_from_nu(snr, nu)
         coherence = capacity.coherence_for_regime(t, r, regime)
-    return coherence, regime
+    lm = reliability._landmarks_scalar(t, r, coherence, regime.snr_b)
+    training = reliability._f_star_scalar(t, coherence, regime.snr_b) if coherence > t else None
+    return coherence, regime, lm, training
 
 
 def _resolve_rate(p, coherence, regime):
@@ -242,84 +249,56 @@ def _resolve_rate(p, coherence, regime):
     return coherence * p["r"] * regime.snr ** p["kappa"]
 
 
-def _row_exponent(p, cfg, rng):
+def _row_exponent(p, cfg, rng, point):
     t, r = p["t"], p["r"]
-    coherence, regime = _coherence_and_regime(p)
+    coherence, regime, lm, _ = point(t, r, p["snr"], p.get("l"), p.get("nu"))
     rate = _resolve_rate(p, coherence, regime)
-    lm = reliability._landmarks_scalar(t, r, coherence, regime.snr_b)
-    point = reliability._exponent_point(t, r, coherence, regime, rate)
-    return {
-        "rate_nats": rate,
-        "e_r": point.value,
-        "rho": point.rho,
-        "region": point.region,
-        "r_critical": lm.r_critical,
-        "r_cutoff": lm.r_cutoff,
-        "c_block": lm.c_block,
-        "c_block_training_lb": lm.c_block_training_lb,
-        "asymptotics_binding": lm.asymptotics_binding,
-        "dropped": point.dropped,
-    }
+    ep = reliability._exponent_point(t, r, coherence, regime.snr_b, lm, rate)
+    return (
+        rate, ep.value, ep.rho, ep.region, lm.r_critical, lm.r_cutoff, lm.c_block,
+        lm.c_block_training_lb, lm.asymptotics_binding, ep.dropped,
+    )
 
 
-def _row_outage(p, cfg, rng):
+def _row_outage(p, cfg, rng, point):
     t, r = p["t"], p["r"]
-    coherence, regime = _coherence_and_regime(p)
+    coherence, regime, lm, training = point(t, r, p["snr"], p.get("l"), p.get("nu"))
     rate = _resolve_rate(p, coherence, regime)
-    if coherence <= t:
+    if training is None:
         raise TrainingInfeasibleError(f"training needs l > t, got l={coherence:g}, t={t}")
-    f_star, gamma_star = reliability._f_star_scalar(t, coherence, regime.snr_b)
+    f_star, gamma_star = training
     prob = gamma_lower_regularized(r * t, rate / (coherence * f_star))
-    point = reliability._exponent_point(t, r, coherence, regime, rate)
-    return {
-        "rate_nats": rate,
-        "f_star": f_star,
-        "gamma_star": gamma_star,
-        "outage": prob,
-        "delta_times_outage": regime.delta * prob,
-        "block_error_bound": regime.delta * math.exp(-point.value),
-    }
+    ep = reliability._exponent_point(t, r, coherence, regime.snr_b, lm, rate)
+    return (
+        rate, f_star, gamma_star, prob, regime.delta * prob,
+        regime.delta * math.exp(-ep.value),
+    )
 
 
-def _row_iid(p, cfg, rng):
+def _row_iid(p, cfg, rng, point):
     r, snr, a = p["r"], p["snr"], p["amplitude_sq"]
     spec = iid.onoff_building_blocks(r, snr, a)
     quad = iid.onoff_mi_quadrature(r, snr, a, rel_tol=1e-10)
     expansion = iid.onoff_mi_asymptotic(r, snr, a)
     bracket = iid.iid_capacity_bracket(r, snr)
     mstar = iid.m_star(r, snr)
-    return {
-        "omega": spec.omega,
-        "divergence": spec.divergence,
-        "zeta_star": spec.zeta_star,
-        "mi_quadrature": quad,
-        "mi_asymptotic": expansion.value,
-        "zeta_ratio": expansion.zeta_ratio,
-        "bracket_lower": bracket.lower,
-        "bracket_upper": bracket.upper,
-        "delta_iid_dot": bracket.delta_iid_dot,
-        "m_star": mstar.m_star,
-        "m_star_argmin": mstar.argmin_amplitude_sq,
-    }
+    return (
+        spec.omega, spec.divergence, spec.zeta_star, quad, expansion.value,
+        expansion.zeta_ratio, bracket.lower, bracket.upper, bracket.delta_iid_dot,
+        mstar.m_star, mstar.argmin_amplitude_sq,
+    )
 
 
-def _row_oracle_check(p, cfg, rng):
+def _row_oracle_check(p, cfg, rng, point):
     dims = ChannelDims(p["t"], p["r"], p["l"])
     est = oracles.mc_coherent_mi(dims, p["snr"], cfg.n_samples, rng)
     closed = capacity.coherent_expansion(dims, p["snr"]).total
     gap = abs(est.mean - closed)
     slack = est.ci99_half + 10.0 * p["snr"] ** 3
-    return {
-        "n_samples": cfg.n_samples,
-        "mc_mean": est.mean,
-        "mc_std_error": est.std_error,
-        "ci99_low": est.ci99_low,
-        "ci99_high": est.ci99_high,
-        "closed_form": closed,
-        "abs_gap": gap,
-        "slack": slack,
-        "agree": gap <= slack,
-    }
+    return (
+        cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
+        gap, slack, gap <= slack,
+    )
 
 
 _ROW_FUNCS = {
@@ -346,6 +325,12 @@ _ROW_FUNCS = {
     ),
 }
 
+# Rows evaluated, and held, at a time: memory stays bounded by one chunk.
+_CHUNK_ROWS = 1024
+# Operating points kept by a sweep's memo; grids vary rate innermost, so one
+# entry per (t, r, snr, l | nu) in flight is enough.
+_POINT_MEMO_SIZE = 64
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -369,9 +354,11 @@ def run_sweep(
 ) -> SweepSummary:
     """Evaluate the configured quantity over the grid cross-product.
 
-    Rows are emitted in lexicographic grid order; Monte Carlo rows each get
-    their own stream id, so the CSV bytes do not depend on ``threads``.
-    Per-row library errors land in the error column and the run continues.
+    Rows are emitted in lexicographic grid order, evaluated and written one
+    chunk at a time; Monte Carlo rows each get their own stream id, so the
+    CSV bytes do not depend on ``threads``.  The destination is opened before
+    the first row is evaluated.  Per-row library errors land in the error
+    column and the run continues.
     """
     err_stream = err_stream if err_stream is not None else sys.stderr
     seed = config.seed if seed is None else seed
@@ -381,43 +368,47 @@ def run_sweep(
     row_fn, computed_cols = _ROW_FUNCS[config.quantity]
     grid_keys = list(config.grids.keys())
     header = grid_keys + computed_cols + ["error"]
-    combos = list(itertools.product(*(config.grids[k] for k in grid_keys)))
+    no_values = (None,) * len(computed_cols)
+    # Built per call, so nothing carries over between sweeps.  An exception
+    # is never cached, so every error row raises with its own message; typed,
+    # so an l of 2.0 still fails ChannelDims after an l of 2 was cached.
+    point = functools.lru_cache(maxsize=_POINT_MEMO_SIZE, typed=True)(_operating_point)
 
     def eval_row(item):
         index, combo = item
         params = dict(zip(grid_keys, combo))
-        rng = RngStream(seed, index)
         try:
-            return index, params, row_fn(params, config, rng), None
+            return combo + row_fn(params, config, RngStream(seed, index), point) + ("",)
         except WidemimoError as exc:
-            return index, params, {}, f"{type(exc).__name__}: {exc}"
+            return combo + no_values + (f"{type(exc).__name__}: {exc}",)
 
-    items = list(enumerate(combos))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_row, items))
-    else:
-        results = [eval_row(item) for item in items]
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
     summary = SweepSummary(seed=seed, output_path=path)
-    for index, params, computed, error in results:
-        row = [_fmt(params[k]) for k in grid_keys]
-        row += [_fmt(computed.get(col)) for col in computed_cols]
-        row.append("" if error is None else error)
-        writer.writerow(row)
-        summary.rows += 1
-        if error is not None:
-            summary.row_errors.append((index, error))
-
-    text = buffer.getvalue()
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    items = enumerate(itertools.product(*(config.grids[k] for k in grid_keys)))
+    # A cell whose value is the very object of the previous row's cell (an
+    # outer grid value, a memoized column) reuses its text.  Identity, not
+    # equality: 0.0 == -0.0 and True == 1 format differently.
+    prev_values = [object()] * len(header)
+    prev_texts = [""] * len(header)
+    with contextlib.ExitStack() as stack:
+        if path is None:
+            fh = sys.stdout
+        else:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads)) if threads > 1 else None
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        while chunk := list(itertools.islice(items, _CHUNK_ROWS)):
+            rows = pool.map(eval_row, chunk) if pool is not None else map(eval_row, chunk)
+            for values in rows:
+                texts = [
+                    text if value is prev else _fmt(value)
+                    for value, prev, text in zip(values, prev_values, prev_texts)
+                ]
+                writer.writerow(texts)
+                prev_values, prev_texts = values, texts
+                if values[-1]:
+                    summary.row_errors.append((summary.rows, values[-1]))
+                summary.rows += 1
 
     summary.elapsed_s = time.perf_counter() - start
     for index, error in summary.row_errors:

@@ -21,6 +21,7 @@ from widemimo import (
     training_f,
     training_f_star,
 )
+from widemimo._golden import golden_section_max
 from widemimo.reliability import _rho_one_boundary
 
 REF_DIMS = ChannelDims(1, 1, 2500)  # nu = 1 at snr = 0.01
@@ -105,6 +106,46 @@ class TestTraining:
                 rho * (dims.l - dims.t) * f_star / (dims.t * (1.0 + rho))
             )
             assert trained <= e0_upper(dims, snr_b, float(rho)) + 1e-12
+
+
+OPTIMUM_GRID = [
+    (t, l, snr_b)
+    for t in (1, 2, 4)
+    for l in (t + 1, 10 * t, 1000, 10**6)
+    for snr_b in (1e-4, 1e-2, 1.0, 10.0)
+]
+
+
+class TestTrainingOptimumClosedForm:
+    """gamma_star is the root in (0, 1) of d g^2 + 2 c g - c = 0."""
+
+    @pytest.mark.parametrize("t, l, snr_b", OPTIMUM_GRID)
+    def test_matches_golden_section(self, t, l, snr_b):
+        dims = ChannelDims(t, 1, l)
+        _, reference = golden_section_max(
+            lambda g: training_f(g, dims, snr_b), 1e-12, 1.0 - 1e-12, tol=1e-10
+        )
+        out = training_f_star(dims, snr_b)
+        assert out.f_star == pytest.approx(reference, rel=1e-14, abs=0.0)
+        assert out.f_star == training_f(out.gamma_star, dims, snr_b)
+
+    @pytest.mark.parametrize("t, l, snr_b", OPTIMUM_GRID)
+    def test_beats_dense_grid(self, t, l, snr_b):
+        dims = ChannelDims(t, 1, l)
+        out = training_f_star(dims, snr_b)
+        for gamma in np.linspace(1e-6, 1.0 - 1e-6, 4001):
+            assert training_f(float(gamma), dims, snr_b) <= out.f_star
+
+    @pytest.mark.parametrize("t, l, snr_b", OPTIMUM_GRID)
+    def test_quadratic_residual(self, t, l, snr_b):
+        g = training_f_star(ChannelDims(t, 1, l), snr_b).gamma_star
+        e_total = l * snr_b
+        c = t * (e_total + l - t)
+        d = e_total * (l - 2 * t)
+        residual = d * g * g + 2.0 * c * g - c
+        scale = abs(d) * g * g + 2.0 * c * g + c
+        assert 0.0 < g < 1.0
+        assert abs(residual) <= 8.0 * np.finfo(float).eps * scale
 
 
 class TestRhoStar:

@@ -2,12 +2,13 @@ import csv
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from conftest import cli_env
 from widemimo import ConfigError, load_config, run_sweep
-from widemimo.sweep import DEFAULT_ROW_CAP, ROW_CAP_ENV
+from widemimo.sweep import _CHUNK_ROWS, DEFAULT_ROW_CAP, ROW_CAP_ENV
 
 
 def write(tmp_path, name, text):
@@ -162,6 +163,63 @@ class TestRunSweep:
             row = next(csv.DictReader(fh))
         assert float(row["rate_nats"]) > 0.0
         assert 0.0 < float(row["outage"]) < 1.0
+
+
+class TestStreaming:
+    def test_chunk_boundary_errors_and_threads(self, tmp_path):
+        # rate -1 fails in every block and l = 1 fails at every rate; l = 1
+        # sits where the first chunk ends, so errors fall on both sides of it
+        rates = [0.5 * i for i in range(31)] + [-1.0]
+        assert _CHUNK_ROWS % len(rates) == 0
+        split = _CHUNK_ROWS // len(rates)
+        ls = [100 + i for i in range(split + 8)]
+        ls[split] = 1
+        text = (
+            "quantity = outage\nt = 1\nr = 1\nsnr = 0.01\n"
+            f"l = {', '.join(map(str, ls))}\nrate = {', '.join(map(str, rates))}\n"
+        )
+        cfg = load_config(write(tmp_path, "o.cfg", text))
+        grid = [(l, rate) for l in ls for rate in rates]
+        expected = [i for i, (l, rate) in enumerate(grid) if l == 1 or rate < 0.0]
+        assert _CHUNK_ROWS - 1 in expected and _CHUNK_ROWS in expected
+        outputs = []
+        for threads in (1, 3):
+            out = tmp_path / f"o{threads}.csv"
+            summary = run_sweep(cfg, out=str(out), threads=threads, err_stream=io.StringIO())
+            assert summary.rows == len(grid) > _CHUNK_ROWS
+            assert [i for i, _ in summary.row_errors] == expected
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(io.StringIO(outputs[0].decode())))
+        assert [i for i, row in enumerate(rows) if row["error"]] == expected
+        assert rows[_CHUNK_ROWS - 1]["error"].startswith("DomainError: ")
+        assert rows[_CHUNK_ROWS]["error"].startswith("TrainingInfeasibleError: ")
+
+    def test_signed_zero_cells_keep_their_sign(self, tmp_path):
+        text = "quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nl = 2500\nrate = 0.0, -0.0, 0.0\n"
+        cfg = load_config(write(tmp_path, "z.cfg", text))
+        out = tmp_path / "z.csv"
+        run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["rate"] for row in rows] == ["0", "-0", "0"]
+        assert [row["rate_nats"] for row in rows] == ["0", "-0", "0"]
+
+    def test_memory_bounded_by_a_chunk(self, tmp_path):
+        rates = ", ".join(str(0.25 * i) for i in range(50))
+        text = (
+            "quantity = exponent\nt = 1, 2\nr = 1, 2\nsnr = 0.01, 0.02, 0.03, 0.04, 0.05\n"
+            f"l = {', '.join(str(100 * i) for i in range(1, 21))}\nrate = {rates}\n"
+        )
+        cfg = load_config(write(tmp_path, "m.cfg", text))
+        tracemalloc.start()
+        try:
+            summary = run_sweep(cfg, out=str(tmp_path / "m.csv"), err_stream=io.StringIO())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.rows == 20_000
+        assert peak < 8 * 2**20
 
 
 def run_cli(args, cwd):
