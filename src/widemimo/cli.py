@@ -24,11 +24,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("config", help="path to a flat key = value sweep configuration file")
     sweep.add_argument("--seed", type=int, default=None, help="override the configured seed")
     sweep.add_argument("--out", default=None, help="override the configured output path")
-    sweep.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    sweep.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for oracle-check rows; other quantities run serially "
+        "(output-invariant)",
+    )
 
     check = sub.add_parser("check", help="run the oracle-vs-closed-form battery")
     check.add_argument("--seed", type=int, default=0, help="stream seed for the Monte Carlo checks")
-    check.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    check.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for the Monte Carlo sample chunks (output-invariant)",
+    )
     return parser
 
 

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .channel import ChannelDims, RngStream, _sample_cn
 from .errors import DomainError
@@ -36,10 +37,9 @@ __all__ = [
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 1 << 16
-# Counter-block offsets inside one stream: chunks of the secondary sample set
-# and the bootstrap resampler must never collide with primary chunks.
+# Counter-block offset inside one stream: chunks of the secondary sample set
+# must never collide with primary chunks.
 _BLOCK_SECONDARY = 1 << 20
-_BLOCK_BOOTSTRAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,13 @@ class OracleEstimate:
     """Monte Carlo estimate with a 99% confidence interval.
 
     estimator is "mean" for plain sample means and "log-of-mean" where the
-    reported value is -log of a mean; in the latter case std_error and the
-    interval are propagated through the log (delta method, widened by a
-    bootstrap when the sample is large enough).
+    reported value is -log of a mean.  In the latter case std_error is the
+    delta-method standard error of the log, and from n >= 1e5 on the
+    interval is the wider of the delta interval and the 99% percentile
+    interval of the bootstrap with infinitely many resamples.  That bootstrap
+    law is taken in closed form by the saddlepoint method of Davison &
+    Hinkley (1988, Biometrika 75:417-431) with the tail formula of Lugannani
+    & Rice (1980), so no resampling is done.
     """
 
     mean: float
@@ -170,12 +174,92 @@ def _e0_weights(dims, snr_b, rho_list, n, rng, threads):
     return _collect(chunk, n, rng, threads)
 
 
-def _log_of_mean_estimate(weights: np.ndarray, rng: RngStream) -> OracleEstimate:
-    """-log(mean) with a delta-method CI, widened by a bootstrap when n >= 1e5.
+def _tail_excess(s, prob, n, tilt):
+    """Lugannani-Rice P(mean of n draws <= K'(s)) minus prob.
 
-    The weights can spread over many orders of magnitude for long blocks, so
-    a 200-resample bootstrap percentile interval is taken alongside the delta
-    interval and the wider of the two is reported.
+    ``tilt`` is the moment function of ``_bootstrap_mean_quantiles``.  It is
+    module level, with the sample reached only through the call's
+    arguments: brentq keeps the function it solves in a reference cycle, and
+    a closure over the n-length buffers would hold them until the next
+    garbage collection.
+    """
+    legendre, variance, _ = tilt(s)
+    r = math.copysign(math.sqrt(2.0 * n * max(legendre, 0.0)), s)
+    v = s * math.sqrt(n * variance)
+    density = math.exp(-0.5 * r * r) / math.sqrt(2.0 * math.pi)
+    return 0.5 * math.erfc(-r / math.sqrt(2.0)) + density * (1.0 / r - 1.0 / v) - prob
+
+
+def _bootstrap_mean_quantiles(weights: np.ndarray, se_mean: float) -> tuple[float, float]:
+    """0.5% and 99.5% quantiles of the bootstrap law of the mean of weights.
+
+    The law is that of the mean of n draws with replacement from the n
+    weights, i.e. the bootstrap with infinitely many resamples.  Its tails
+    follow Davison & Hinkley (1988), "Saddlepoint approximations in
+    resampling methods": the Lugannani & Rice (1980) formula applied to the
+    empirical cumulant generating function K(s) = log mean exp(s (w - mean)).
+    Each quantile is the mean of the weights exponentially tilted by the root
+    s of "tail = alpha".  The root is bracketed from the normal-limit guess
+    z_alpha / (se_mean n), se_mean > 0 the standard error of the sample mean,
+    by doubling or halving s until the sign changes, then refined by Brent's
+    method.  One evaluation is a few passes over the sample through two
+    reused n-length buffers.
+    """
+    n = len(weights)
+    w_lo, w_hi = float(weights.min()), float(weights.max())
+    offset, factor = np.empty(n), np.empty(n)
+
+    tilts = {}  # s -> tilt(s); Brent's method re-evaluates the bracket ends
+
+    def tilt(s):
+        """(s K'(s) - K(s), K''(s), tilted mean) from moments about the extreme s favours.
+
+        Offsets from that extreme have one sign, so exp(s offset) <= 1 never
+        overflows and the variance is a sum of non-negative terms.
+        """
+        if s not in tilts:
+            edge = w_hi if s > 0.0 else w_lo
+            np.subtract(weights, edge, out=offset)
+            np.multiply(offset, s, out=factor)
+            np.exp(factor, out=factor)
+            total = float(factor.sum())
+            shift = float(offset @ factor) / total
+            np.subtract(offset, shift, out=offset)
+            np.multiply(factor, offset, out=factor)
+            variance = float(offset @ factor) / total
+            tilts[s] = (s * shift - math.log(total / n), variance, edge + shift)
+        return tilts[s]
+
+    quantiles = []
+    for prob, z, extreme in ((0.005, -_Z99, w_lo), (0.995, _Z99, w_hi)):
+        args = (prob, n, tilt)
+        inner = z / (se_mean * n)
+        below = _tail_excess(inner, *args) < 0.0
+        step = 2.0 if below == (inner > 0.0) else 0.5
+        outer = inner * step
+        while tilt(outer)[1] > 0.0 and (_tail_excess(outer, *args) < 0.0) == below:
+            inner, outer = outer, outer * step
+        if tilt(outer)[1] > 0.0:
+            root = optimize.brentq(_tail_excess, *sorted((inner, outer)), args=args, rtol=1e-8)
+            quantiles.append(tilt(root)[2])
+        else:
+            # The tilt collapsed onto the extreme value before the tail
+            # reached alpha: the atom there holds more than alpha of the law.
+            quantiles.append(extreme)
+    return quantiles[0], quantiles[1]
+
+
+def _log_of_mean_estimate(weights: np.ndarray) -> OracleEstimate:
+    """-log(mean) with a delta-method CI, widened by the bootstrap when n >= 1e5.
+
+    The weights can spread over many orders of magnitude for long blocks,
+    where the delta interval is too symmetric.  From n >= 1e5 on, the 99%
+    percentile interval of the bootstrap with infinitely many resamples is
+    taken alongside the delta interval, and the wider of the two is
+    reported.  That bootstrap law comes from the saddlepoint method of
+    Davison & Hinkley (1988) with the Lugannani & Rice (1980) tail formula
+    (see ``_bootstrap_mean_quantiles``); -log maps its 99.5% quantile to the
+    interval's low end.
     """
     n = len(weights)
     mean = float(weights.mean())
@@ -184,13 +268,9 @@ def _log_of_mean_estimate(weights: np.ndarray, rng: RngStream) -> OracleEstimate
     se = se_mean / mean
     lo, hi = value - _Z99 * se, value + _Z99 * se
     if n >= 100_000 and se_mean > 0.0:
-        gen = rng.generator(block=_BLOCK_BOOTSTRAP)
-        stats = np.empty(200)
-        for b in range(200):
-            idx = gen.integers(0, n, n)
-            stats[b] = -math.log(weights[idx].mean())
-        blo, bhi = np.percentile(stats, [0.5, 99.5])
-        lo, hi = min(lo, float(blo)), max(hi, float(bhi))
+        q_lo, q_hi = _bootstrap_mean_quantiles(weights, se_mean)
+        lo = min(lo, -math.log(q_hi))
+        hi = max(hi, -math.log(q_lo) if q_lo > 0.0 else math.inf)
     return OracleEstimate(value, se, n, lo, hi, estimator="log-of-mean")
 
 
@@ -211,7 +291,7 @@ def mc_e0_exact(
     if rho == 0.0:
         return OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean")
     weights = _e0_weights(dims, snr_b, [rho], n, rng, threads)[:, 0]
-    return _log_of_mean_estimate(weights, rng)
+    return _log_of_mean_estimate(weights)
 
 
 def mc_e0_curve(
@@ -238,7 +318,7 @@ def mc_e0_curve(
         if rho == 0.0:
             out.append(OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean"))
         else:
-            out.append(_log_of_mean_estimate(weights[:, col], rng))
+            out.append(_log_of_mean_estimate(weights[:, col]))
             col += 1
     return out
 

@@ -18,11 +18,11 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import capacity, iid, oracles, reliability
 from .channel import ChannelDims, RngStream, gamma_lower_regularized
-from .errors import ConfigError, TrainingInfeasibleError, WidemimoError
+from .errors import ConfigError, DomainError, TrainingInfeasibleError, WidemimoError
 
 __all__ = ["SweepConfig", "SweepSummary", "load_config", "run_sweep", "DEFAULT_ROW_CAP"]
 
@@ -199,12 +199,13 @@ def load_config(path) -> SweepConfig:
 # ---------------------------------------------------------------------------
 # Row evaluation, one function per quantity.  Each returns its computed
 # columns as a tuple, in the order _ROW_FUNCS names them; library errors
-# become the per-row error column.  ``point`` is the sweep's memo of
-# _operating_point, which the exponent and outage rows share.
+# become the per-row error column.  ``index`` is the row's position in the
+# grid, which Monte Carlo rows use as their stream id; ``point`` is the
+# sweep's memo of _operating_point, which the exponent and outage rows share.
 # ---------------------------------------------------------------------------
 
 
-def _row_capacity(p, cfg, rng, point):
+def _row_capacity(p, cfg, index, point):
     dims = ChannelDims(p["t"], p["r"], p["l"])
     expansion = capacity.coherent_expansion(dims, p["snr"])
     lb = capacity.gaussian_lower_bound(dims, p["snr"])
@@ -214,7 +215,7 @@ def _row_capacity(p, cfg, rng, point):
     )
 
 
-def _row_sublinear(p, cfg, rng, point):
+def _row_sublinear(p, cfg, index, point):
     dims = ChannelDims(p["t"], p["r"], max(p.get("l", 1), 1))
     if "alpha" in p:
         value = capacity.sublinear_term(dims, p["snr"], alpha=p["alpha"])
@@ -246,10 +247,18 @@ def _operating_point(t, r, snr, l, nu):
 def _resolve_rate(p, coherence, regime):
     if "rate" in p:
         return float(p["rate"])
-    return coherence * p["r"] * regime.snr ** p["kappa"]
+    try:
+        rate = coherence * p["r"] * regime.snr ** p["kappa"]
+    except OverflowError:  # the power overflows; the product only rounds to inf
+        rate = math.inf
+    if math.isinf(rate):
+        raise DomainError(
+            f"rate = l r snr^kappa overflows at snr={regime.snr:g}, kappa={p['kappa']:g}"
+        )
+    return rate
 
 
-def _row_exponent(p, cfg, rng, point):
+def _row_exponent(p, cfg, index, point):
     t, r = p["t"], p["r"]
     coherence, regime, lm, _ = point(t, r, p["snr"], p.get("l"), p.get("nu"))
     rate = _resolve_rate(p, coherence, regime)
@@ -260,7 +269,7 @@ def _row_exponent(p, cfg, rng, point):
     )
 
 
-def _row_outage(p, cfg, rng, point):
+def _row_outage(p, cfg, index, point):
     t, r = p["t"], p["r"]
     coherence, regime, lm, training = point(t, r, p["snr"], p.get("l"), p.get("nu"))
     rate = _resolve_rate(p, coherence, regime)
@@ -275,7 +284,7 @@ def _row_outage(p, cfg, rng, point):
     )
 
 
-def _row_iid(p, cfg, rng, point):
+def _row_iid(p, cfg, index, point):
     r, snr, a = p["r"], p["snr"], p["amplitude_sq"]
     spec = iid.onoff_building_blocks(r, snr, a)
     quad = iid.onoff_mi_quadrature(r, snr, a, rel_tol=1e-10)
@@ -289,9 +298,9 @@ def _row_iid(p, cfg, rng, point):
     )
 
 
-def _row_oracle_check(p, cfg, rng, point):
+def _row_oracle_check(p, cfg, index, point):
     dims = ChannelDims(p["t"], p["r"], p["l"])
-    est = oracles.mc_coherent_mi(dims, p["snr"], cfg.n_samples, rng)
+    est = oracles.mc_coherent_mi(dims, p["snr"], cfg.n_samples, RngStream(cfg.seed, index))
     closed = capacity.coherent_expansion(dims, p["snr"]).total
     gap = abs(est.mean - closed)
     slack = est.ci99_half + 10.0 * p["snr"] ** 3
@@ -327,6 +336,11 @@ _ROW_FUNCS = {
 
 # Rows evaluated, and held, at a time: memory stays bounded by one chunk.
 _CHUNK_ROWS = 1024
+# The one quantity whose rows run on worker threads when threads > 1: its
+# time goes to numpy sampling, which releases the interpreter lock.  The
+# other rows hold the lock, in pure Python or in the Python integrands of
+# scipy's quad, so threads only add hand-offs and they always run serially.
+_THREADED = "oracle-check"
 # Operating points kept by a sweep's memo; grids vary rate innermost, so one
 # entry per (t, r, snr, l | nu) in flight is enough.
 _POINT_MEMO_SIZE = 64
@@ -356,12 +370,15 @@ def run_sweep(
 
     Rows are emitted in lexicographic grid order, evaluated and written one
     chunk at a time; Monte Carlo rows each get their own stream id, so the
-    CSV bytes do not depend on ``threads``.  The destination is opened before
-    the first row is evaluated.  Per-row library errors land in the error
-    column and the run continues.
+    CSV bytes do not depend on ``threads``.  ``threads`` applies to the
+    oracle-check quantity; the other quantities run serially.  The
+    destination is opened before the first row is evaluated.  Per-row
+    library errors land in the error column and the run continues.
     """
     err_stream = err_stream if err_stream is not None else sys.stderr
-    seed = config.seed if seed is None else seed
+    if seed is not None:
+        config = replace(config, seed=seed)
+    seed = config.seed
     path = out if out is not None else config.output_path
     start = time.perf_counter()
 
@@ -378,7 +395,7 @@ def run_sweep(
         index, combo = item
         params = dict(zip(grid_keys, combo))
         try:
-            return combo + row_fn(params, config, RngStream(seed, index), point) + ("",)
+            return combo + row_fn(params, config, index, point) + ("",)
         except WidemimoError as exc:
             return combo + no_values + (f"{type(exc).__name__}: {exc}",)
 
@@ -394,7 +411,9 @@ def run_sweep(
             fh = sys.stdout
         else:
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-        pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads)) if threads > 1 else None
+        pool = None
+        if threads > 1 and config.quantity == _THREADED:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         while chunk := list(itertools.islice(items, _CHUNK_ROWS)):

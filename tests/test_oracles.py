@@ -1,8 +1,10 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from conftest import SEED
 from widemimo import (
@@ -21,7 +23,12 @@ from widemimo import (
     slope_fit,
 )
 from widemimo.channel import _sample_cn
-from widemimo.oracles import _wishart_logdet
+from widemimo.oracles import (
+    _bootstrap_mean_quantiles,
+    _e0_weights,
+    _log_of_mean_estimate,
+    _wishart_logdet,
+)
 
 DIMS11 = ChannelDims(1, 1, 1)
 
@@ -98,6 +105,92 @@ class TestE0Exact:
 
 def _Z99_HALF(est):
     return 2.5758293035489004 * est.std_error
+
+
+def _quantiles(weights):
+    return _bootstrap_mean_quantiles(weights, weights.std(ddof=1) / math.sqrt(len(weights)))
+
+
+class TestBootstrapSaddlepoint:
+    """The B = infinity bootstrap quantiles of a mean, against exact and resampled laws."""
+
+    # 2e-5 puts more than 0.5% of the bootstrap law on the all-zero resample
+    @pytest.mark.parametrize("p_hat", [2e-5, 0.01, 0.3])
+    def test_bernoulli_weights_match_binomial(self, p_hat):
+        # a resampled Bernoulli mean is exactly Binomial(n, p_hat) / n
+        n = 100_000
+        weights = np.zeros(n)
+        weights[: round(p_hat * n)] = 1.0
+        exact = stats.binom.ppf([0.005, 0.995], n, p_hat) / n
+        assert np.abs(np.array(_quantiles(weights)) - exact).max() <= 2.0 / n
+
+    def test_atom_at_zero_leaves_the_interval_unbounded(self):
+        # two nonzero weights in 1e5: the all-zero resample, whose -log is
+        # +inf, holds e^-2 of the bootstrap law
+        weights = np.zeros(100_000)
+        weights[:2] = 1.0
+        est = _log_of_mean_estimate(weights)
+        assert est.mean == -math.log(2e-5) and est.ci99_high == math.inf
+        assert est.ci99_low <= est.mean - _Z99_HALF(est)
+
+    def test_three_point_weights_match_multinomial(self):
+        # Values 0, 1, pi: the resampled mean takes ~80k distinct values, so
+        # its law is near-continuous, and is exact by enumerating the
+        # multinomial counts.  Dropping the Lugannani-Rice correction term
+        # moves the quantiles by 0.023-0.038 se; the helper is within 0.01.
+        counts, values = np.array([340, 40, 20]), np.array([0.0, 1.0, math.pi])
+        n = int(counts.sum())
+        weights = np.repeat(values, counts)
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
+        i, j = i[i + j <= n], j[i + j <= n]
+        log_pmf = stats.multinomial.logpmf(np.stack([n - i - j, i, j], axis=1), n, counts / n)
+        order = np.argsort(i * values[1] + j * values[2])
+        means = (i * values[1] + j * values[2])[order] / n
+        cdf = np.cumsum(np.exp(log_pmf[order]))
+        exact = means[np.searchsorted(cdf, [0.005, 0.995])]
+        se = weights.std() / math.sqrt(n)
+        assert np.abs(np.array(_quantiles(weights)) - exact).max() <= 0.015 * se
+
+    def test_heavy_weights_match_resampling(self):
+        # l = 1000 weights: most of the mean sits in a few samples near 1
+        n, resamples = 10_000, 4000
+        weights = _e0_weights(ChannelDims(1, 1, 1000), 1.0, [1.0], n, RngStream(SEED, 260), 1)[:, 0]
+        gen = RngStream(SEED, 261).generator()
+        means = np.sort([weights[gen.integers(0, n, n)].mean() for _ in range(resamples)])
+        for alpha, quantile in zip((0.005, 0.995), _quantiles(weights)):
+            # resampled means below the true quantile ~ Binomial(resamples, alpha)
+            k_lo, k_hi = stats.binom.ppf([0.0005, 0.9995], resamples, alpha).astype(int)
+            assert means[k_lo - 1] <= quantile <= means[k_hi], alpha
+
+    def test_releases_the_sample_without_garbage_collection(self):
+        # the solver keeps its function in a reference cycle; the sample must
+        # not hang off it, or each n=1e6 call would hold ~24 MB until a collection
+        weights = RngStream(SEED, 264).generator().random(100_000)
+        ref = weakref.ref(weights)
+        gc.disable()
+        try:
+            _quantiles(weights)
+            del weights
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_thread_invariance_with_bootstrap(self):
+        dims = ChannelDims(2, 2, 10)
+        a = mc_e0_exact(dims, 0.1, 1.0, 100_000, RngStream(SEED, 262), threads=1)
+        b = mc_e0_exact(dims, 0.1, 1.0, 100_000, RngStream(SEED, 262), threads=3)
+        assert a == b
+
+    def test_point_estimate_from_weights(self):
+        dims, n = ChannelDims(2, 2, 10), 100_000
+        weights = _e0_weights(dims, 0.1, [0.5], n, RngStream(SEED, 263), 1)[:, 0]
+        est = mc_e0_exact(dims, 0.1, 0.5, n, RngStream(SEED, 263))
+        mean = float(weights.mean())
+        se = float(weights.std(ddof=1) / math.sqrt(n)) / mean
+        assert est.mean == -math.log(mean) and est.std_error == se and est.n_samples == n
+        # the reported interval contains the delta interval
+        assert est.ci99_low <= est.mean - _Z99_HALF(est)
+        assert est.ci99_high >= est.mean + _Z99_HALF(est)
 
 
 class TestOnOffMi:

@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -205,6 +206,50 @@ class TestStreaming:
         assert [row["rate"] for row in rows] == ["0", "-0", "0"]
         assert [row["rate_nats"] for row in rows] == ["0", "-0", "0"]
 
+    def test_threaded_rows_cross_chunks_in_order(self, tmp_path):
+        # oracle-check rows go through the pool; l = 0 fails at every snr and
+        # sits where the first chunk ends, snr -1 fails in every block
+        snrs = [0.01 * (i + 1) for i in range(31)] + [-1.0]
+        split = _CHUNK_ROWS // len(snrs)
+        ls = [1] * (split + 2)
+        ls[split] = 0
+        text = (
+            "quantity = oracle-check\nt = 1\nr = 1\nn_samples = 1000\n"
+            f"l = {', '.join(map(str, ls))}\nsnr = {', '.join(map(str, snrs))}\n"
+        )
+        cfg = load_config(write(tmp_path, "oc.cfg", text))
+        grid = [(l, snr) for l in ls for snr in snrs]
+        expected = [i for i, (l, snr) in enumerate(grid) if l == 0 or snr < 0.0]
+        assert _CHUNK_ROWS - 1 in expected and _CHUNK_ROWS in expected
+        outputs = []
+        for threads in (1, 3):
+            out = tmp_path / f"oc{threads}.csv"
+            summary = run_sweep(cfg, out=str(out), threads=threads, err_stream=io.StringIO())
+            assert [i for i, _ in summary.row_errors] == expected
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_threads_apply_only_to_oracle_check(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("widemimo.sweep.ThreadPoolExecutor", RecordingPool)
+        cap = load_config(write(tmp_path, "cap.cfg", CAPACITY_CFG))
+        run_sweep(cap, out=str(tmp_path / "cap.csv"), threads=3, err_stream=io.StringIO())
+        assert pools == []
+        text = "quantity = iid\nr = 1\nsnr = 0.01\namplitude_sq = 20\n"
+        iid_cfg = load_config(write(tmp_path, "i.cfg", text))
+        run_sweep(iid_cfg, out=str(tmp_path / "i.csv"), threads=3, err_stream=io.StringIO())
+        assert pools == []
+        text = "quantity = oracle-check\nt = 1\nr = 1\nl = 1\nsnr = 0.01\nn_samples = 1000\n"
+        oc_cfg = load_config(write(tmp_path, "oc.cfg", text))
+        run_sweep(oc_cfg, out=str(tmp_path / "oc.csv"), threads=3, err_stream=io.StringIO())
+        assert pools == [3]
+
     def test_memory_bounded_by_a_chunk(self, tmp_path):
         rates = ", ".join(str(0.25 * i) for i in range(50))
         text = (
@@ -282,6 +327,20 @@ class TestCli:
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("t,r,l,snr,")
         assert len(lines) == 9  # header + 8 rows
+
+    @pytest.mark.parametrize("kappa", ["-500", "-153.6"])
+    def test_rate_overflow_is_a_row_error(self, tmp_path, kappa):
+        # snr^-500 overflows the power; snr^-153.6 only the product l r snr^kappa
+        text = f"quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nnu = 1\nkappa = 1.5, {kappa}\n"
+        cfg = write(tmp_path, "k.cfg", text)
+        proc = run_cli(["sweep", str(cfg), "--out", "k.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        with open(tmp_path / "k.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert float(rows[0]["rate_nats"]) == pytest.approx(2.5, rel=1e-12) and not rows[0]["error"]
+        assert rows[1]["rate_nats"] == "" and rows[1]["error"].startswith("DomainError: ")
 
     def test_check_subcommand_fast_smoke(self, tmp_path):
         # full determinism of `check` is exercised in the acceptance suite;
