@@ -57,13 +57,11 @@ from .iid import (
 )
 from .oracles import (
     OracleEstimate,
-    SlopeFit,
     empirical_tail_cdf,
     mc_coherent_mi,
     mc_e0_curve,
     mc_e0_exact,
     mc_onoff_mi,
-    slope_fit,
 )
 from .reliability import (
     DiversityEstimate,
@@ -71,6 +69,7 @@ from .reliability import (
     ExponentPoint,
     OutageEstimate,
     RateLandmarks,
+    SlopeFit,
     TrainingDesign,
     TrainingOptimum,
     block_error_bound,
@@ -80,7 +79,9 @@ from .reliability import (
     exponent_curve,
     outage_probability,
     rate_landmarks,
+    rho_one_rate,
     rho_star,
+    slope_fit,
     training_design,
     training_f,
     training_f_star,

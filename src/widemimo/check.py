@@ -147,8 +147,7 @@ def _checks(seed: int, threads: int):
 
     # 12. exponent continuity where the maximizing rho leaves 1
     regime = capacity.regime_from_coherence(dims, 0.01)
-    kappa = dims.l * regime.snr_b / dims.t
-    boundary = reliability._rho_one_boundary(dims.r * dims.t, kappa)
+    boundary = reliability.rho_one_rate(dims, regime)
     a_branch = reliability.e0_upper(dims, regime.snr_b, 1.0) - boundary
     b_point = reliability.error_exponent(dims, 0.01, boundary)
     yield _line(

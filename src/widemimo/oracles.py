@@ -26,13 +26,11 @@ from .errors import DomainError
 
 __all__ = [
     "OracleEstimate",
-    "SlopeFit",
     "mc_coherent_mi",
     "mc_e0_exact",
     "mc_e0_curve",
     "mc_onoff_mi",
     "empirical_tail_cdf",
-    "slope_fit",
 ]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -69,15 +67,6 @@ class OracleEstimate:
 
     def contains(self, value: float) -> bool:
         return self.ci99_low <= value <= self.ci99_high
-
-
-@dataclass(frozen=True)
-class SlopeFit:
-    """Ordinary least squares line fit; residual is the sum of squared errors."""
-
-    slope: float
-    intercept: float
-    residual: float
 
 
 def _check_n(n, minimum=2) -> int:
@@ -411,15 +400,3 @@ def empirical_tail_cdf(
     else:
         lo, hi = p - _Z99 * se, p + _Z99 * se
     return OracleEstimate(p, se, n, lo, hi)
-
-
-def slope_fit(points) -> SlopeFit:
-    """Least-squares line through (x, y) pairs; needs two distinct abscissae."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if len({x for x, _ in pts}) < 2:
-        raise DomainError("slope_fit needs at least 2 distinct abscissae")
-    xs = np.array([x for x, _ in pts])
-    ys = np.array([y for _, y in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(((ys - (slope * xs + intercept)) ** 2).sum())
-    return SlopeFit(slope=float(slope), intercept=float(intercept), residual=resid)

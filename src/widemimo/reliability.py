@@ -4,6 +4,11 @@ Random-coding error exponent over coherence blocks, the pilot-based training
 scheme that lower-bounds it, rate landmarks, the block error bound, outage,
 and the low-SNR diversity order.
 
+The operating-point layer, ``operating_point(t, r, snr, l=... | nu=...)``,
+builds the rate-independent state of a point once; its methods evaluate the
+exponent, the block error bound and the outage at one rate.  The public
+functions, ``diversity_low_snr`` and the sweep rows all go through it.
+
 Every additive o(1) term in the source expressions is dropped; results carry
 a ``dropped`` note naming what was discarded so downstream consumers (CSV
 output, tests) can budget slack instead of trusting loose tolerances.
@@ -12,10 +17,11 @@ output, tests) can budget slack instead of trusting loose tolerances.
 import math
 from dataclasses import dataclass
 
-from .capacity import RegimeParams, regime_from_coherence, regime_from_nu
+import numpy as np
+
+from .capacity import RegimeParams, coherence_for_regime, regime_from_coherence, regime_from_nu
 from .channel import ChannelDims, gamma_lower_regularized
-from .errors import DomainError
-from .oracles import SlopeFit, slope_fit
+from .errors import DomainError, TrainingInfeasibleError
 
 __all__ = [
     "TrainingDesign",
@@ -25,17 +31,22 @@ __all__ = [
     "ExponentCurve",
     "OutageEstimate",
     "DiversityEstimate",
+    "SlopeFit",
+    "OperatingPoint",
     "e0_upper",
     "training_design",
     "training_f",
     "training_f_star",
     "rho_star",
+    "rho_one_rate",
+    "operating_point",
     "rate_landmarks",
     "error_exponent",
     "exponent_curve",
     "block_error_bound",
     "outage_probability",
     "diversity_low_snr",
+    "slope_fit",
 ]
 
 REGION_A = "A"
@@ -122,6 +133,15 @@ class OutageEstimate:
 
 
 @dataclass(frozen=True)
+class SlopeFit:
+    """Ordinary least squares line fit; residual is the sum of squared errors."""
+
+    slope: float
+    intercept: float
+    residual: float
+
+
+@dataclass(frozen=True)
 class DiversityEstimate:
     """Closed-form low-SNR diversity order with optional empirical slopes."""
 
@@ -134,12 +154,8 @@ class DiversityEstimate:
 # Scalar layer: everything expressed through (rt, kappa, rate) where
 # kappa = l snr_b / t is the per-antenna block SNR entering the Gallager
 # objective rt log(1 + kappa rho / (1 + rho)) - rho R.  Real-valued coherence
-# is allowed here; the public wrappers feed integer l from ChannelDims.
+# is allowed here and in the operating-point layer below.
 # ---------------------------------------------------------------------------
-
-
-def _gallager_value(rt: int, kappa: float, rho: float, rate: float) -> float:
-    return rt * math.log1p(kappa * rho / (1.0 + rho)) - rho * rate
 
 
 def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
@@ -159,51 +175,6 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     disc = kappa * kappa + 4.0 * a * rt * kappa / rate
     rho = (math.sqrt(disc) - b) / (2.0 * a)
     return min(1.0, max(0.0, rho))
-
-
-def _exponent_scalar(rt: int, kappa: float, rate: float) -> tuple[float, float]:
-    rho = _rho_star_scalar(rt, kappa, rate)
-    return _gallager_value(rt, kappa, rho, rate), rho
-
-
-def _rho_one_boundary(rt: int, kappa: float) -> float:
-    """Rate at which the clipped maximizer leaves rho = 1: rt kappa / (2 (2 + kappa))."""
-    return rt * kappa / (2.0 * (2.0 + kappa))
-
-
-def _landmarks_scalar(t: int, r: int, coherence: float, snr_b: float) -> RateLandmarks:
-    rt = r * t
-    kappa = coherence * snr_b / t
-    r_cutoff = rt * math.log1p(0.5 * kappa)
-    c_block = coherence * (r * snr_b - r * (r + t) / (2.0 * t) * snr_b**2)
-    c_tlb = c_block - 2.0 * r * math.sqrt(t * snr_b * coherence)
-    r_critical = rt / 2.0
-    binding = c_tlb > max(r_critical, 0.0)
-    return RateLandmarks(
-        r_critical=r_critical,
-        r_cutoff=r_cutoff,
-        c_block=c_block,
-        c_block_training_lb=c_tlb,
-        asymptotics_binding=binding,
-    )
-
-
-def _exponent_point(
-    t: int, r: int, coherence: float, snr_b: float, lm: RateLandmarks, rate: float
-) -> ExponentPoint:
-    """Exponent at one rate; ``lm`` is ``_landmarks_scalar`` at the same point,
-    computed once by the caller for every rate that shares it."""
-    if rate < 0.0:
-        raise DomainError(f"rate must be >= 0, got {rate}")
-    rt = r * t
-    kappa = coherence * snr_b / t
-    if rate >= lm.c_block:
-        return ExponentPoint(rate, 0.0, 0.0, REGION_BEYOND, lm.asymptotics_binding)
-    if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
-        return ExponentPoint(rate, 0.0, 0.0, REGION_C, lm.asymptotics_binding)
-    value, rho = _exponent_scalar(rt, kappa, rate)
-    region = REGION_A if rho >= 1.0 else REGION_B
-    return ExponentPoint(rate, value, rho, region, lm.asymptotics_binding)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +255,102 @@ def training_f_star(
 
 
 # ---------------------------------------------------------------------------
+# Operating-point layer: the rate-independent state of (t, r, coherence,
+# regime), built once, and the per-rate evaluations on top of it.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Rate-independent state of one point, built by ``operating_point``.
+
+    training is None when coherence <= t leaves no symbol for data.
+    """
+
+    t: int
+    r: int
+    coherence: float
+    regime: RegimeParams
+    landmarks: RateLandmarks
+    training: TrainingOptimum | None
+
+    def rate_for_kappa(self, kappa: float) -> float:
+        """Rate R = l r snr^kappa of the low-SNR scaling path; overflow is a DomainError."""
+        try:
+            rate = self.coherence * self.r * self.regime.snr**kappa
+        except OverflowError:  # the power overflows; the product only rounds to inf
+            rate = math.inf
+        if math.isinf(rate):
+            raise DomainError(
+                f"rate = l r snr^kappa overflows at snr={self.regime.snr:g}, kappa={kappa:g}"
+            )
+        return rate
+
+    def exponent(self, rate: float) -> ExponentPoint:
+        """Error exponent at one rate; see ``error_exponent``."""
+        if rate < 0.0:
+            raise DomainError(f"rate must be >= 0, got {rate}")
+        lm = self.landmarks
+        if rate >= lm.c_block:
+            return ExponentPoint(rate, 0.0, 0.0, REGION_BEYOND, lm.asymptotics_binding)
+        if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
+            return ExponentPoint(rate, 0.0, 0.0, REGION_C, lm.asymptotics_binding)
+        rt = self.r * self.t
+        kappa = self.coherence * self.regime.snr_b / self.t
+        rho = _rho_star_scalar(rt, kappa, rate)
+        value = rt * math.log1p(kappa * rho / (1.0 + rho)) - rho * rate
+        region = REGION_A if rho >= 1.0 else REGION_B
+        return ExponentPoint(rate, value, rho, region, lm.asymptotics_binding)
+
+    def block_error_bound(self, rate: float) -> float:
+        """delta exp(-E_r(rate)); see ``block_error_bound``."""
+        return self.regime.delta * math.exp(-self.exponent(rate).value)
+
+    def outage(self, rate: float) -> OutageEstimate:
+        """P(rt, rate / (coherence f_star)); see ``outage_probability``."""
+        if self.training is None:
+            raise TrainingInfeasibleError(
+                f"training needs l > t, got l={self.coherence:g}, t={self.t}"
+            )
+        f_star = self.training.f_star
+        prob = gamma_lower_regularized(self.r * self.t, rate / (self.coherence * f_star))
+        return OutageEstimate(probability=prob, error_weighted=self.regime.delta * prob)
+
+
+def operating_point(
+    t: int, r: int, snr: float, *, l: int | None = None, nu: float | None = None
+) -> OperatingPoint:
+    """Rate-independent state at (t, r, snr), given exactly one of l and nu.
+
+    With nu the coherence length t^2/(r+t)^2 snr^(-2 nu) is real-valued.
+    ChannelDims checks t and r on both paths.  The landmarks are those of
+    ``rate_landmarks``, the training optimum that of ``training_f_star``.
+    """
+    if nu is None:
+        regime = regime_from_coherence(ChannelDims(t, r, l), snr)
+        coherence = float(l)
+    else:
+        ChannelDims(t, r, 1)  # no integer l on this path: checks t and r only
+        regime = regime_from_nu(snr, nu)
+        coherence = coherence_for_regime(t, r, regime)
+    snr_b = regime.snr_b
+    rt = r * t
+    c_block = coherence * (r * snr_b - r * (r + t) / (2.0 * t) * snr_b**2)
+    c_tlb = c_block - 2.0 * r * math.sqrt(t * snr_b * coherence)
+    r_critical = rt / 2.0
+    kappa = coherence * snr_b / t
+    landmarks = RateLandmarks(
+        r_critical=r_critical,
+        r_cutoff=rt * math.log1p(0.5 * kappa),
+        c_block=c_block,
+        c_block_training_lb=c_tlb,
+        asymptotics_binding=c_tlb > max(r_critical, 0.0),
+    )
+    training = TrainingOptimum(*_f_star_scalar(t, coherence, snr_b)) if coherence > t else None
+    return OperatingPoint(t, r, coherence, regime, landmarks, training)
+
+
+# ---------------------------------------------------------------------------
 # Public Gallager-exponent surface.
 # ---------------------------------------------------------------------------
 
@@ -318,14 +385,22 @@ def rho_star(dims: ChannelDims, regime: RegimeParams, rate: float) -> float:
     return _rho_star_scalar(dims.r * dims.t, kappa, rate)
 
 
+def rho_one_rate(dims: ChannelDims, regime: RegimeParams) -> float:
+    """Rate at which ``rho_star`` leaves 1: the boundary between regions A and B.
+
+    rt kappa / (2 (2 + kappa)) with kappa = l snr_b / t.
+    """
+    kappa = dims.l * regime.snr_b / dims.t
+    return dims.r * dims.t * kappa / (2.0 * (2.0 + kappa))
+
+
 def rate_landmarks(dims: ChannelDims, snr: float) -> RateLandmarks:
     """Critical rate, cut-off rate, block capacity, and its training lower bound.
 
     r_critical = rt/2 with its o(1) dropped; the other three come from the
     block-SNR closed forms with curvature remainders dropped.
     """
-    regime = regime_from_coherence(dims, snr)
-    return _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
+    return operating_point(dims.t, dims.r, snr, l=dims.l).landmarks
 
 
 def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
@@ -338,25 +413,19 @@ def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
     exponent is 0.  When the training bound is degenerate at this snr the
     region-C cut is skipped and the point is flagged via asymptotics_binding.
     """
-    regime = regime_from_coherence(dims, snr)
-    lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
-    return _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, rate)
+    return operating_point(dims.t, dims.r, snr, l=dims.l).exponent(rate)
 
 
 def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
     """Evaluate the exponent on a rate grid and attach the landmarks."""
-    regime = regime_from_coherence(dims, snr)
-    lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
-    samples = tuple(
-        _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, float(rate))
-        for rate in rates
-    )
+    point = operating_point(dims.t, dims.r, snr, l=dims.l)
+    lm = point.landmarks
     return ExponentCurve(
         r_critical=lm.r_critical,
         r_cutoff=lm.r_cutoff,
         c_block=lm.c_block,
         c_block_training_lb=lm.c_block_training_lb,
-        samples=samples,
+        samples=tuple(point.exponent(float(rate)) for rate in rates),
     )
 
 
@@ -367,10 +436,7 @@ def block_error_bound(dims: ChannelDims, snr: float, rate: float) -> float:
     all.  Since the exponent is nonnegative and delta <= 1, the bound always
     lands in [0, 1].
     """
-    regime = regime_from_coherence(dims, snr)
-    lm = _landmarks_scalar(dims.t, dims.r, dims.l, regime.snr_b)
-    point = _exponent_point(dims.t, dims.r, dims.l, regime.snr_b, lm, rate)
-    return regime.delta * math.exp(-point.value)
+    return operating_point(dims.t, dims.r, snr, l=dims.l).block_error_bound(rate)
 
 
 def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEstimate:
@@ -385,10 +451,19 @@ def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEsti
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
     dims.require_training()
-    regime = regime_from_coherence(dims, snr)
-    f_star, _ = _f_star_scalar(dims.t, dims.l, regime.snr_b)
-    prob = gamma_lower_regularized(dims.r * dims.t, rate / (dims.l * f_star))
-    return OutageEstimate(probability=prob, error_weighted=regime.delta * prob)
+    return operating_point(dims.t, dims.r, snr, l=dims.l).outage(rate)
+
+
+def slope_fit(points) -> SlopeFit:
+    """Least-squares line through (x, y) pairs; needs two distinct abscissae."""
+    pts = [(float(x), float(y)) for x, y in points]
+    if len({x for x, _ in pts}) < 2:
+        raise DomainError("slope_fit needs at least 2 distinct abscissae")
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(((ys - (slope * xs + intercept)) ** 2).sum())
+    return SlopeFit(slope=float(slope), intercept=float(intercept), residual=resid)
 
 
 def diversity_low_snr(
@@ -400,7 +475,9 @@ def diversity_low_snr(
     is supplied, two empirical estimates come along: least-squares slopes of
     log block_error_bound and of log(delta * outage) against log snr, with
     the coherence length re-derived from nu at every grid point (it is
-    real-valued along this scaling path, so dims.l is not used).
+    real-valued along this scaling path, so dims.l is not used).  A grid
+    point whose coherence length is <= t cannot train and raises
+    TrainingInfeasibleError.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
@@ -409,26 +486,18 @@ def diversity_low_snr(
         raise DomainError(
             f"kappa must lie in (min(1, nu), 2 nu) = ({mn}, {2.0 * nu}), got {kappa}"
         )
-    t, r = dims.t, dims.r
-    rt = r * t
-    order = rt * (kappa - mn) + 1.0 - mn
+    order = dims.r * dims.t * (kappa - mn) + 1.0 - mn
     if snr_grid is None:
         return DiversityEstimate(order=order)
 
     bound_pts = []
     outage_pts = []
     for snr in snr_grid:
-        regime = regime_from_nu(float(snr), nu)
-        coherence = t**2 / (r + t) ** 2 * float(snr) ** (-2.0 * nu)
-        rate = coherence * r * float(snr) ** kappa
-        lm = _landmarks_scalar(t, r, coherence, regime.snr_b)
-        point = _exponent_point(t, r, coherence, regime.snr_b, lm, rate)
-        bound = regime.delta * math.exp(-point.value)
-        f_star, _ = _f_star_scalar(t, coherence, regime.snr_b)
-        outage = gamma_lower_regularized(rt, rate / (coherence * f_star))
+        point = operating_point(dims.t, dims.r, float(snr), nu=nu)
+        rate = point.rate_for_kappa(kappa)
         x = math.log(float(snr))
-        bound_pts.append((x, math.log(bound)))
-        outage_pts.append((x, math.log(regime.delta * outage)))
+        bound_pts.append((x, math.log(point.block_error_bound(rate))))
+        outage_pts.append((x, math.log(point.outage(rate).error_weighted)))
     return DiversityEstimate(
         order=order,
         bound_fit=slope_fit(bound_pts),

@@ -21,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import capacity, iid, oracles, reliability
-from .channel import ChannelDims, RngStream, gamma_lower_regularized
-from .errors import ConfigError, DomainError, TrainingInfeasibleError, WidemimoError
+from .channel import ChannelDims, RngStream
+from .errors import ConfigError, WidemimoError
 
 __all__ = ["SweepConfig", "SweepSummary", "load_config", "run_sweep", "DEFAULT_ROW_CAP"]
 
@@ -32,27 +32,23 @@ ROW_CAP_ENV = "WIDEMIMO_ROW_CAP"
 _QUANTITIES = ("capacity", "sublinear", "exponent", "outage", "iid", "oracle-check")
 
 # grid schema: ordered (key, type) pairs; groups are sets of mutually
-# exclusive alternatives of which exactly one must be present.
+# exclusive alternatives of which exactly one must be present.  Exponent and
+# outage rows share the grid of one reliability.operating_point and a rate.
+_POINT_SCHEMA = {
+    "keys": (
+        ("t", int), ("r", int), ("snr", float),
+        ("l", int), ("nu", float), ("rate", float), ("kappa", float),
+    ),
+    "groups": (("l", "nu"), ("rate", "kappa")),
+}
 _SCHEMAS = {
     "capacity": {"keys": (("t", int), ("r", int), ("l", int), ("snr", float)), "groups": ()},
     "sublinear": {
         "keys": (("t", int), ("r", int), ("snr", float), ("alpha", float), ("l", int)),
         "groups": (("alpha", "l"),),
     },
-    "exponent": {
-        "keys": (
-            ("t", int), ("r", int), ("snr", float),
-            ("l", int), ("nu", float), ("rate", float), ("kappa", float),
-        ),
-        "groups": (("l", "nu"), ("rate", "kappa")),
-    },
-    "outage": {
-        "keys": (
-            ("t", int), ("r", int), ("snr", float),
-            ("l", int), ("nu", float), ("rate", float), ("kappa", float),
-        ),
-        "groups": (("l", "nu"), ("rate", "kappa")),
-    },
+    "exponent": _POINT_SCHEMA,
+    "outage": _POINT_SCHEMA,
     "iid": {"keys": (("r", int), ("snr", float), ("amplitude_sq", float)), "groups": ()},
     "oracle-check": {"keys": (("t", int), ("r", int), ("l", int), ("snr", float)), "groups": ()},
 }
@@ -201,7 +197,8 @@ def load_config(path) -> SweepConfig:
 # columns as a tuple, in the order _ROW_FUNCS names them; library errors
 # become the per-row error column.  ``index`` is the row's position in the
 # grid, which Monte Carlo rows use as their stream id; ``point`` is the
-# sweep's memo of _operating_point, which the exponent and outage rows share.
+# sweep's memo of reliability.operating_point, which the exponent and outage
+# rows share.
 # ---------------------------------------------------------------------------
 
 
@@ -226,43 +223,15 @@ def _row_sublinear(p, cfg, index, point):
     return value, note
 
 
-def _operating_point(t, r, snr, l, nu):
-    """Everything an exponent or outage row needs that does not depend on its rate.
-
-    Returns (coherence, regime, landmarks, training), where training is
-    (f_star, gamma_star) or None when l <= t.  Exactly one of l and nu is
-    given; with nu the coherence length is real-valued.
-    """
-    if l is not None:
-        regime = capacity.regime_from_coherence(ChannelDims(t, r, l), snr)
-        coherence = float(l)
-    else:
-        regime = capacity.regime_from_nu(snr, nu)
-        coherence = capacity.coherence_for_regime(t, r, regime)
-    lm = reliability._landmarks_scalar(t, r, coherence, regime.snr_b)
-    training = reliability._f_star_scalar(t, coherence, regime.snr_b) if coherence > t else None
-    return coherence, regime, lm, training
-
-
-def _resolve_rate(p, coherence, regime):
-    if "rate" in p:
-        return float(p["rate"])
-    try:
-        rate = coherence * p["r"] * regime.snr ** p["kappa"]
-    except OverflowError:  # the power overflows; the product only rounds to inf
-        rate = math.inf
-    if math.isinf(rate):
-        raise DomainError(
-            f"rate = l r snr^kappa overflows at snr={regime.snr:g}, kappa={p['kappa']:g}"
-        )
-    return rate
+def _point_and_rate(p, point):
+    op = point(p["t"], p["r"], p["snr"], l=p.get("l"), nu=p.get("nu"))
+    return op, float(p["rate"]) if "rate" in p else op.rate_for_kappa(p["kappa"])
 
 
 def _row_exponent(p, cfg, index, point):
-    t, r = p["t"], p["r"]
-    coherence, regime, lm, _ = point(t, r, p["snr"], p.get("l"), p.get("nu"))
-    rate = _resolve_rate(p, coherence, regime)
-    ep = reliability._exponent_point(t, r, coherence, regime.snr_b, lm, rate)
+    op, rate = _point_and_rate(p, point)
+    ep = op.exponent(rate)
+    lm = op.landmarks
     return (
         rate, ep.value, ep.rho, ep.region, lm.r_critical, lm.r_cutoff, lm.c_block,
         lm.c_block_training_lb, lm.asymptotics_binding, ep.dropped,
@@ -270,17 +239,11 @@ def _row_exponent(p, cfg, index, point):
 
 
 def _row_outage(p, cfg, index, point):
-    t, r = p["t"], p["r"]
-    coherence, regime, lm, training = point(t, r, p["snr"], p.get("l"), p.get("nu"))
-    rate = _resolve_rate(p, coherence, regime)
-    if training is None:
-        raise TrainingInfeasibleError(f"training needs l > t, got l={coherence:g}, t={t}")
-    f_star, gamma_star = training
-    prob = gamma_lower_regularized(r * t, rate / (coherence * f_star))
-    ep = reliability._exponent_point(t, r, coherence, regime.snr_b, lm, rate)
+    op, rate = _point_and_rate(p, point)
+    outage = op.outage(rate)
     return (
-        rate, f_star, gamma_star, prob, regime.delta * prob,
-        regime.delta * math.exp(-ep.value),
+        rate, op.training.f_star, op.training.gamma_star, outage.probability,
+        outage.error_weighted, op.block_error_bound(rate),
     )
 
 
@@ -389,7 +352,7 @@ def run_sweep(
     # Built per call, so nothing carries over between sweeps.  An exception
     # is never cached, so every error row raises with its own message; typed,
     # so an l of 2.0 still fails ChannelDims after an l of 2 was cached.
-    point = functools.lru_cache(maxsize=_POINT_MEMO_SIZE, typed=True)(_operating_point)
+    point = functools.lru_cache(maxsize=_POINT_MEMO_SIZE, typed=True)(reliability.operating_point)
 
     def eval_row(item):
         index, combo = item

@@ -44,7 +44,7 @@ from widemimo import (
     rho_star,
     surrogate_m,
 )
-from widemimo.reliability import _rho_one_boundary
+from widemimo.reliability import rho_one_rate
 
 THREADS = 4
 
@@ -159,7 +159,7 @@ def test_criterion_04_exponent_structure():
     monotone_ok = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     kappa = dims.l * regime.snr_b / dims.t
-    junction = _rho_one_boundary(dims.r * dims.t, kappa)
+    junction = rho_one_rate(dims, regime)
     via_a = e0_upper(dims, regime.snr_b, 1.0) - junction
     via_b = error_exponent(dims, snr, junction).value
     junction_ok = abs(via_a - via_b) <= 1e-9

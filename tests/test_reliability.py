@@ -22,7 +22,7 @@ from widemimo import (
     training_f_star,
 )
 from widemimo._golden import golden_section_max
-from widemimo.reliability import _rho_one_boundary
+from widemimo.reliability import rho_one_rate
 
 REF_DIMS = ChannelDims(1, 1, 2500)  # nu = 1 at snr = 0.01
 REF_SNR = 0.01
@@ -155,7 +155,7 @@ class TestRhoStar:
 
     def test_clips_to_one_below_critical(self):
         regime = regime_from_coherence(REF_DIMS, REF_SNR)
-        boundary = _rho_one_boundary(1, 25.0)
+        boundary = rho_one_rate(REF_DIMS, regime)
         assert rho_star(REF_DIMS, regime, boundary * 0.9) == 1.0
         assert rho_star(REF_DIMS, regime, boundary) == pytest.approx(1.0, abs=1e-12)
         assert rho_star(REF_DIMS, regime, boundary * 1.1) < 1.0
@@ -236,8 +236,7 @@ class TestErrorExponent:
 
     def test_continuity_at_region_junction(self):
         regime = regime_from_coherence(REF_DIMS, REF_SNR)
-        kappa = REF_DIMS.l * regime.snr_b / REF_DIMS.t
-        boundary = _rho_one_boundary(1, kappa)
+        boundary = rho_one_rate(REF_DIMS, regime)
         via_a = e0_upper(REF_DIMS, regime.snr_b, 1.0) - boundary
         via_b = error_exponent(REF_DIMS, REF_SNR, boundary).value
         assert abs(via_a - via_b) <= 1e-9
@@ -347,3 +346,16 @@ class TestDiversity:
         assert est.bound_fit.slope == pytest.approx(0.5262572588819386, rel=1e-9)
         assert est.outage_fit.slope == pytest.approx(0.594, abs=2e-3)
         assert est.order == 0.5
+
+    @pytest.mark.parametrize(
+        "dims,nu,kappa,grid",
+        [
+            # coherence 1.5 <= t = 2 at snr 0.5: the training root is imaginary
+            (ChannelDims(2, 1, 100), 0.877, 1.2, [0.5, 0.1]),
+            # coherence 0.5 and 0.625 <= t = 2: the training optimum turns negative
+            (ChannelDims(2, 2, 100), 0.5, 0.75, [0.5, 0.4]),
+        ],
+    )
+    def test_grid_point_that_cannot_train(self, dims, nu, kappa, grid):
+        with pytest.raises(TrainingInfeasibleError, match="training needs l > t"):
+            diversity_low_snr(dims, nu, kappa, snr_grid=grid)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import cli_env
-from widemimo import ConfigError, load_config, run_sweep
+from widemimo import ChannelDims, ConfigError, DimensionError, load_config, run_sweep
 from widemimo.sweep import _CHUNK_ROWS, DEFAULT_ROW_CAP, ROW_CAP_ENV
 
 
@@ -341,6 +341,25 @@ class TestCli:
         assert len(rows) == 2
         assert float(rows[0]["rate_nats"]) == pytest.approx(2.5, rel=1e-12) and not rows[0]["error"]
         assert rows[1]["rate_nats"] == "" and rows[1]["error"].startswith("DomainError: ")
+
+    @pytest.mark.parametrize(
+        "quantity,counts",
+        [("exponent", "t = 0, 1\nr = 1\n"), ("outage", "t = 1\nr = -1, 1\n")],
+    )
+    def test_nu_path_checks_antenna_counts(self, tmp_path, quantity, counts):
+        # the l path gets these rows from ChannelDims; the nu path must too
+        text = f"quantity = {quantity}\n{counts}snr = 0.01\nnu = 1\nrate = 1\n"
+        cfg = write(tmp_path, "n.cfg", text)
+        proc = run_cli(["sweep", str(cfg), "--out", "n.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        with open(tmp_path / "n.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with pytest.raises(DimensionError) as exc:
+            ChannelDims(int(rows[0]["t"]), int(rows[0]["r"]), 1)
+        assert rows[0]["error"] == f"DimensionError: {exc.value}"
+        assert rows[0]["rate_nats"] == ""
+        assert rows[1]["error"] == "" and float(rows[1]["rate_nats"]) == 1.0
 
     def test_check_subcommand_fast_smoke(self, tmp_path):
         # full determinism of `check` is exercised in the acceptance suite;
