@@ -8,7 +8,7 @@ rather than hiding them in loose tolerances.
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelDims
+from .channel import ChannelDims, _positive_int
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -105,9 +105,26 @@ def regime_from_coherence(dims: ChannelDims, snr: float) -> RegimeParams:
     return regime_from_nu(snr, nu)
 
 
+def _coherence_length(t: int, r: int, snr: float, nu: float) -> float:
+    """The coherence map l(nu) = t^2/(r+t)^2 snr^(-2 nu), real-valued.
+
+    A length past the float range is a DomainError: the power raises
+    OverflowError, or returns inf once -2 nu itself overflows.
+    """
+    try:
+        length = t**2 / (r + t) ** 2 * snr ** (-2.0 * nu)
+    except OverflowError:
+        length = math.inf
+    if math.isinf(length):
+        raise DomainError(
+            f"coherence length t^2/(r+t)^2 snr^(-2 nu) overflows at snr={snr:g}, nu={nu:g}"
+        )
+    return length
+
+
 def coherence_for_regime(t: int, r: int, regime: RegimeParams) -> float:
     """Real-valued coherence length implied by the regime's nu."""
-    return t**2 / (r + t) ** 2 * regime.snr ** (-2.0 * regime.nu)
+    return _coherence_length(t, r, regime.snr, regime.nu)
 
 
 def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
@@ -153,10 +170,10 @@ def coherence_thresholds(
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     if not 0.0 < epsilon < alpha:
         raise DomainError(f"epsilon must be in (0, alpha), got {epsilon}")
-    base = dims.t**2 / (dims.r + dims.t) ** 2
+    t, r = dims.t, dims.r
     return CoherenceThresholds(
-        l_min=base * snr ** (-2.0 * alpha),
-        l_gaussian=base * snr ** (-2.0 * (alpha + epsilon)),
+        l_min=_coherence_length(t, r, snr, alpha),
+        l_gaussian=_coherence_length(t, r, snr, alpha + epsilon),
     )
 
 
@@ -187,7 +204,10 @@ def sublinear_term(
         raise DomainError(f"coherence_length must be >= 1, got {coherence_length}")
     if snr == 0.0:
         return 0.0
-    saturation = t**2 / (t + r) ** 2 * snr**-2
+    try:
+        saturation = _coherence_length(t, r, snr, 1.0)
+    except DomainError:  # no finite coherence length saturates the gap
+        saturation = math.inf
     if coherence_length >= saturation:
         return r * (r + t) / (2.0 * t) * snr**2
     return r * snr / (2.0 * math.sqrt(coherence_length))
@@ -200,8 +220,7 @@ def energy_per_nat(r: int, snr: float, delta_term: float) -> EnergyPerNat:
     log_approx = delta_term / (r snr) - log r is the first-order form whose
     error the tests bound against log_ratio.
     """
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
+    r = _positive_int("r", r)
     if snr <= 0.0:
         raise DomainError(f"snr must be > 0, got {snr}")
     if delta_term < 0.0:

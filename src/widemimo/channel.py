@@ -43,6 +43,13 @@ def _as_count(name, value, minimum=1):
     return int(value)
 
 
+def _positive_int(name, value) -> int:
+    """A count argument such as r or k, as an int; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelDims:
     """Antenna counts and coherence length: t transmit, r receive, l symbols per block."""

@@ -1,211 +1,190 @@
 """Built-in oracle-vs-closed-form battery behind the ``check`` subcommand.
 
 Each check compares one closed form against an independent route (Monte
-Carlo, quadrature, series, or an algebraic identity) and prints a PASS/FAIL
-line.  Everything is driven by counter-based streams, so the printed table is
-byte-identical across runs and thread counts for a fixed seed.
+Carlo, quadrature, series, or an algebraic identity) and returns one
+verdict: the gap between the two and the slack the claim allows.  It passes
+when gap <= slack, and its margin (slack - gap)/slack is the share of the
+slack left, so drift shows before a failure.  A check over a grid reports
+its worst verdict.  Everything is driven by counter-based streams, so the
+printed table is byte-identical across runs and thread counts for a fixed
+seed.
 """
 
 import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from . import capacity, iid, reliability
 from .channel import ChannelDims, RngStream, gamma_lower_regularized
-from .oracles import (
-    empirical_tail_cdf,
-    mc_coherent_mi,
-    mc_e0_curve,
-    mc_e0_exact,
-    mc_onoff_mi,
-)
+from .oracles import empirical_tail_cdf, mc_coherent_mi, mc_e0_curve, mc_e0_exact, mc_onoff_mi
 
 __all__ = ["run_check"]
 
 _N_MC = 120_000
 
 
-def _line(name: str, ok: bool, detail: str) -> str:
-    return f"{'PASS' if ok else 'FAIL'}  {name:<26} {detail}"
+@dataclass(frozen=True)
+class Verdict:
+    """One check's outcome: it passes when gap <= slack."""
+
+    gap: float
+    slack: float
+
+    @property
+    def ok(self) -> bool:
+        return self.gap <= self.slack
+
+    @property
+    def margin(self) -> float:
+        """(slack - gap)/slack, written so that an infinite slack gives 1, not nan."""
+        return 1.0 - self.gap / self.slack
+
+
+def contains(est, ref: float) -> Verdict:
+    """Is ref inside est's 99% interval?  The same verdict as ``est.contains(ref)``.
+
+    The gap is |ref - mean|; the slack is the distance from the mean to the
+    interval's end on ref's side, so asymmetric intervals keep their shape.
+    """
+    end = est.ci99_high if ref >= est.mean else est.ci99_low
+    gap, slack = abs(ref - est.mean), abs(end - est.mean)
+    if gap == slack and not est.contains(ref):  # rounding merged a miss into the end
+        gap = math.nextafter(gap, math.inf)
+    return Verdict(gap, slack)
+
+
+def expansion_gap(est, closed: float, snr: float) -> Verdict:
+    """Coherent expansion ``closed`` against the sampled coherent MI ``est``.
+
+    The budget is the interval's half-width plus 10 snr^3 for the cubic
+    remainder the expansion drops.
+    """
+    return Verdict(abs(est.mean - closed), est.ci99_half + 10.0 * snr**3)
+
+
+def _worst(verdicts) -> Verdict:
+    """The failing verdict if there is one, else the one with the least margin."""
+    return min(verdicts, key=lambda v: (v.ok, v.margin))
 
 
 def _checks(seed: int, threads: int):
+    """(name, verdict) for each check, in table order."""
     stream = lambda sid: RngStream(seed, sid)
 
-    # 1. lower incomplete gamma against its finite series at integer shape
+    # lower incomplete gamma against its finite series at integer shape
     series = 1.0 - math.exp(-1.0) * (1.0 + 1.0 + 0.5 + 1.0 / 6.0)
-    value = gamma_lower_regularized(4, 1.0)
-    yield _line(
-        "gamma-series-anchor",
-        abs(value - series) <= 1e-12,
-        f"P(4,1)={value:.12g} series={series:.12g}",
-    )
+    yield "gamma-series-anchor", Verdict(abs(gamma_lower_regularized(4, 1.0) - series), 1e-12)
 
-    # 2. lower + Poisson upper tail must give 1
+    # lower + Poisson upper tail must give 1
     k, x = 9, 7.5
     upper = math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k))
-    total = gamma_lower_regularized(k, x) + upper
-    yield _line(
-        "gamma-tail-complement",
-        abs(total - 1.0) <= 1e-12,
-        f"P(9,7.5)+Q_series={total:.15g}",
-    )
+    yield "gamma-tail-complement", Verdict(abs(gamma_lower_regularized(k, x) + upper - 1.0), 1e-12)
 
-    # 3. gamma CDF against sampled chi-squared-type tail
+    # gamma CDF against the sampled Gamma(4, 1) tail
     est = empirical_tail_cdf(4, 1.0, _N_MC, stream(1), threads)
-    closed = gamma_lower_regularized(4, 1.0)
-    yield _line(
-        "gamma-vs-empirical",
-        est.contains(closed),
-        f"mc={est.mean:.6g} closed={closed:.6g} ci=[{est.ci99_low:.6g},{est.ci99_high:.6g}]",
-    )
+    yield "gamma-vs-empirical", contains(est, gamma_lower_regularized(4, 1.0))
 
-    # 4. coherent MI sampler against 1-D quadrature at t=r=1, snr=1
+    # coherent MI sampler against 1-D quadrature at t=r=1, snr=1
     ref, _ = integrate.quad(lambda u: math.exp(-u) * math.log1p(u), 0.0, np.inf)
     est = mc_coherent_mi(ChannelDims(1, 1, 1), 1.0, _N_MC, stream(2), threads)
-    yield _line(
-        "coherent-mi-anchor",
-        est.contains(ref),
-        f"mc={est.mean:.6g} quadrature={ref:.6g} ci_half={est.ci99_half:.3g}",
-    )
+    yield "coherent-mi-anchor", contains(est, ref)
 
-    # 5. coherent expansion inside CI plus cubic-remainder budget
-    dims = ChannelDims(2, 2, 1)
-    snr = 0.02
+    # coherent expansion at t=r=2, snr=0.02
+    dims, snr = ChannelDims(2, 2, 1), 0.02
     est = mc_coherent_mi(dims, snr, _N_MC, stream(3), threads)
     closed = capacity.coherent_expansion(dims, snr).total
-    gap = abs(est.mean - closed)
-    slack = est.ci99_half + 10.0 * snr**3
-    yield _line(
-        "coherent-expansion-gap",
-        gap <= slack,
-        f"gap={gap:.3g} slack={slack:.3g} (t=r=2, snr={snr})",
-    )
+    yield "coherent-expansion-gap", expansion_gap(est, closed, snr)
 
-    # 6. exact Gallager sampler against the -log(e E1(1)) anchor
+    # exact Gallager sampler against the -log(e E1(1)) anchor
     ref, _ = integrate.quad(lambda u: math.exp(-u) / (1.0 + u), 0.0, np.inf)
-    anchor = -math.log(ref)
     est = mc_e0_exact(ChannelDims(1, 1, 1), 2.0, 1.0, _N_MC, stream(4), threads)
-    yield _line(
-        "e0-exact-anchor",
-        est.contains(anchor),
-        f"mc={est.mean:.6g} anchor={anchor:.6g} ci=[{est.ci99_low:.6g},{est.ci99_high:.6g}]",
-    )
+    yield "e0-exact-anchor", contains(est, -math.log(ref))
 
-    # 7. Gallager closed-form bound direction on a rho grid
-    dims = ChannelDims(2, 2, 10)
-    snr_b = 0.1
-    rhos = (0.25, 0.5, 0.75, 1.0)
+    # the closed-form Gallager bound lies above the sampled one, within 3 half-widths;
+    # the gap is signed, negative while the sample sits below the bound
+    dims, snr_b, rhos = ChannelDims(2, 2, 10), 0.1, (0.25, 0.5, 0.75, 1.0)
     ests = mc_e0_curve(dims, snr_b, rhos, 40_000, stream(5), threads)
-    ok = True
-    worst = math.inf
-    for rho, est in zip(rhos, ests):
-        bound = reliability.e0_upper(dims, snr_b, rho)
-        margin = bound + 3.0 * est.ci99_half - est.mean
-        worst = min(worst, margin)
-        ok = ok and margin >= 0.0
-    yield _line("e0-bound-direction", ok, f"min margin={worst:.3g} over rho grid")
-
-    # 8/9. on-off mutual information triple agreement at r=1, snr=0.01, A=10
-    r_, snr, amp = 1, 0.01, 10.0
-    quad = iid.onoff_mi_quadrature(r_, snr, amp, rel_tol=1e-10)
-    est = mc_onoff_mi(r_, snr, amp, _N_MC, stream(6), threads)
-    yield _line(
-        "onoff-mc-vs-quadrature",
-        est.contains(quad),
-        f"mc={est.mean:.8g} quad={quad:.8g} ci_half={est.ci99_half:.3g}",
-    )
-    expansion = iid.onoff_mi_asymptotic(r_, snr, amp)
-    gap = abs(quad - expansion.value)
-    yield _line(
-        "onoff-quad-vs-asym",
-        gap <= 10.0 * snr**2,
-        f"gap={gap:.3g} budget={10.0 * snr ** 2:.3g}",
+    yield "e0-bound-direction", _worst(
+        Verdict(est.mean - reliability.e0_upper(dims, snr_b, rho), 3.0 * est.ci99_half)
+        for rho, est in zip(rhos, ests)
     )
 
-    # 10. surrogate minimum inside its proved sandwich
+    # on-off mutual information: sampler and expansion against quadrature at r=1, snr=0.01, A=10
+    r, snr, amp = 1, 0.01, 10.0
+    quad = iid.onoff_mi_quadrature(r, snr, amp, rel_tol=1e-10)
+    est = mc_onoff_mi(r, snr, amp, _N_MC, stream(6), threads)
+    yield "onoff-mc-vs-quadrature", contains(est, quad)
+    expansion = iid.onoff_mi_asymptotic(r, snr, amp).value
+    yield "onoff-quad-vs-asym", Verdict(abs(quad - expansion), 10.0 * snr**2)
+
+    # surrogate minimum inside its proved sandwich
     res = iid.m_star(1, 1e-4)
-    yield _line(
-        "mstar-sandwich",
-        res.lower_bound <= res.m_star <= res.upper_bound,
-        f"m*={res.m_star:.8g} in [{res.lower_bound:.6g},{res.upper_bound:.6g}]",
-    )
+    mid = 0.5 * (res.lower_bound + res.upper_bound)
+    half = 0.5 * (res.upper_bound - res.lower_bound)
+    yield "mstar-sandwich", Verdict(abs(res.m_star - mid), half)
 
-    # 11. rate landmarks at t=r=1, nu=1, snr=0.01
+    # rate landmarks at t=r=1, nu=1, snr=0.01
     dims = ChannelDims(1, 1, 2500)
     lm = reliability.rate_landmarks(dims, 0.01)
     refs = (0.5, math.log(13.5), 24.75 - 10.0, 24.75)
     got = (lm.r_critical, lm.r_cutoff, lm.c_block_training_lb, lm.c_block)
-    ok = all(abs(g - ref) <= 1e-9 * abs(ref) for g, ref in zip(got, refs))
-    yield _line(
-        "rate-landmarks",
-        ok,
-        f"critical={lm.r_critical:.10g} cutoff={lm.r_cutoff:.10g} "
-        f"train_lb={lm.c_block_training_lb:.10g} c_block={lm.c_block:.10g}",
+    yield "rate-landmarks", _worst(
+        Verdict(abs(g - ref), 1e-9 * abs(ref)) for g, ref in zip(got, refs)
     )
 
-    # 12. exponent continuity where the maximizing rho leaves 1
+    # exponent continuity where the maximizing rho leaves 1
     regime = capacity.regime_from_coherence(dims, 0.01)
     boundary = reliability.rho_one_rate(dims, regime)
     a_branch = reliability.e0_upper(dims, regime.snr_b, 1.0) - boundary
-    b_point = reliability.error_exponent(dims, 0.01, boundary)
-    yield _line(
-        "exponent-junction",
-        abs(a_branch - b_point.value) <= 1e-9,
-        f"|A-branch - B-branch|={abs(a_branch - b_point.value):.3g} at R={boundary:.6g}",
-    )
+    b_branch = reliability.error_exponent(dims, 0.01, boundary).value
+    yield "exponent-junction", Verdict(abs(a_branch - b_branch), 1e-9)
 
-    # 13. on-off crossing radius satisfies its defining identity
+    # on-off crossing radius satisfies its defining identity
     spec = iid.onoff_building_blocks(1, 0.01, 10.0)
     a = spec.amplitude_sq
-    residual = abs(
-        spec.omega * (1.0 + a) ** -1 * math.exp(a * spec.zeta_star / (1.0 + a)) - 1.0
-    )
-    yield _line("zeta-star-identity", residual <= 1e-10, f"residual={residual:.3g}")
+    residual = abs(spec.omega * (1.0 + a) ** -1 * math.exp(a * spec.zeta_star / (1.0 + a)) - 1.0)
+    yield "zeta-star-identity", Verdict(residual, 1e-10)
 
-    # 14. regime round trip and duty-cycle product
-    dims = ChannelDims(1, 1, 10)
-    regime = capacity.regime_from_coherence(dims, 0.1)
+    # regime round trip (relative) and duty-cycle product
+    regime = capacity.regime_from_coherence(ChannelDims(1, 1, 10), 0.1)
     l_back = capacity.coherence_for_regime(1, 1, regime)
-    duty = abs(regime.delta * regime.snr_b - 0.1) / 0.1
-    ok = abs(l_back - 10.0) / 10.0 <= 1e-9 and duty <= 1e-12
-    yield _line(
-        "regime-roundtrip",
-        ok,
-        f"l_back={l_back:.12g} duty_residual={duty:.3g}",
-    )
+    yield "regime-roundtrip", _worst((
+        Verdict(abs(l_back - 10.0) / 10.0, 1e-9),
+        Verdict(abs(regime.delta * regime.snr_b - 0.1) / 0.1, 1e-12),
+    ))
 
-    # 15. converse threshold always below the Gaussian-scheme threshold
-    gen = RngStream(seed, 7).generator()
-    ok = True
-    for _ in range(20):
-        alpha = float(gen.uniform(0.05, 1.0))
-        eps = alpha * float(gen.uniform(0.001, 0.999))
-        th = capacity.coherence_thresholds(ChannelDims(2, 3, 1), 0.05, alpha, eps)
-        ok = ok and th.l_min < th.l_gaussian
-    yield _line("threshold-order", ok, "l_min < l_gaussian on 20 sampled (alpha, eps)")
+    # converse threshold below the Gaussian-scheme threshold on 20 sampled (alpha, eps)
+    gen = stream(7).generator()
+    draws = [(float(gen.uniform(0.05, 1.0)), float(gen.uniform(0.001, 0.999))) for _ in range(20)]
+    dims = ChannelDims(2, 3, 1)
+    ths = [capacity.coherence_thresholds(dims, 0.05, alpha, alpha * u) for alpha, u in draws]
+    yield "threshold-order", _worst(Verdict(th.l_min, th.l_gaussian) for th in ths)
 
-    # 16. stream reproducibility: same (seed, stream) twice, bit-identical
+    # stream reproducibility: the same (seed, stream) at two thread counts, bit-identical
     est_a = mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, 2000, stream(8), threads)
     est_b = mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, 2000, stream(8), 1)
-    yield _line(
-        "stream-reproducibility",
-        est_a.mean == est_b.mean and est_a.std_error == est_b.std_error,
-        f"mean={est_a.mean:.12g} reproduced across thread counts",
+    diff = abs(est_a.mean - est_b.mean) + abs(est_a.std_error - est_b.std_error)
+    yield "stream-reproducibility", Verdict(diff, 0.0)
+
+
+def _line(name: str, v: Verdict) -> str:
+    margin = "exact" if v.slack == 0.0 else f"{v.margin:.3f}"
+    return (
+        f"{'PASS' if v.ok else 'FAIL'}  {name:<26} "
+        f"gap={v.gap:.3g} slack={v.slack:.3g} margin={margin}"
     )
 
 
 def run_check(seed: int = 0, threads: int = 1, out=None) -> int:
     """Run the battery; print one line per check; return a process exit code."""
-    import sys
-
     out = out if out is not None else sys.stdout
     failures = 0
-    for line in _checks(seed, threads):
-        print(line, file=out)
-        if line.startswith("FAIL"):
-            failures += 1
-    verdict = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
-    print(f"check summary: {verdict}", file=out)
+    for name, verdict in _checks(seed, threads):
+        print(_line(name, verdict), file=out)
+        failures += not verdict.ok
+    summary = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
+    print(f"check summary: {summary}", file=out)
     return 0 if failures == 0 else 1

@@ -10,10 +10,10 @@ minimum governs the capacity gap, and the resulting capacity sandwich.
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from ._golden import golden_section_min
+from .channel import _positive_int
 from .errors import ConsistencyError, DomainError, QuadratureError
 
 __all__ = [
@@ -31,12 +31,6 @@ __all__ = [
 
 # log(1 + e^s) switches to its linear form once e^(-s) is below double rounding.
 _LOG1P_EXP_CUT = 30.0
-
-
-def _check_r(r) -> int:
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
-    return int(r)
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def zeta_star(r: int, snr: float, amplitude_sq: float) -> float:
 
 def onoff_building_blocks(r: int, snr: float, amplitude_sq: float) -> OnOffSpec:
     """Assemble (omega, divergence, zeta_star) for on-off signaling at peak A."""
-    r = _check_r(r)
+    r = _positive_int("r", r)
     if not snr > 0.0:
         raise DomainError(f"snr must be > 0, got {snr}")
     if amplitude_sq < snr:
@@ -121,7 +115,7 @@ def onoff_mi_asymptotic(r: int, snr: float, amplitude_sq: float) -> MiExpansion:
     value = r snr - r snr log(1+A)/A - r A^(-(r+1)/A) snr^(1 + 1/A); the
     remainder (nominally o(snr^2) as A grows with 1/snr) is dropped.
     """
-    r = _check_r(r)
+    r = _positive_int("r", r)
     a = float(amplitude_sq)
     if a < 1.0:
         raise DomainError(f"amplitude_sq must be >= 1 for the expansion, got {a}")
@@ -179,7 +173,7 @@ def onoff_mi_quadrature(
     (rescaled so the on branch shares the Gamma(r,1) weight) and the truncated
     tail is bounded analytically against rel_tol.
     """
-    r = _check_r(r)
+    r = _positive_int("r", r)
     if snr < 0.0 or snr >= amplitude_sq:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
@@ -231,7 +225,7 @@ def onoff_mi_quadrature(
 
 def surrogate_m(r: int, snr: float, amplitude_sq: float) -> float:
     """Surrogate gap objective M(A, snr) = log(A)/A + A^(-(r+1)/A) snr^(1/A)."""
-    r = _check_r(r)
+    r = _positive_int("r", r)
     a = float(amplitude_sq)
     if a <= 1.0:
         raise DomainError(f"amplitude_sq must be > 1, got {a}")
@@ -251,7 +245,7 @@ def m_star(
         loglog(r/snr)/log(r/snr) <= m_star <= (loglog(r/snr)^2 + 1)/log(r/snr)
     and a ConsistencyError signals a mis-set domain.
     """
-    r = _check_r(r)
+    r = _positive_int("r", r)
     if not 0.0 < snr < r / math.e**2:
         raise DomainError(f"need snr < r/e^2 so that loglog(r/snr) > 0, got snr={snr}")
     big_l = math.log(r / snr)
@@ -281,7 +275,7 @@ def iid_capacity_bracket(r: int, snr: float) -> CapacitySandwich:
     lower = r snr (1 - (loglog(r/snr)^2 + 1)/log(r/snr)),
     upper = r snr (1 - loglog(r/snr)/log(r/snr)).
     """
-    r = _check_r(r)
+    r = _positive_int("r", r)
     if not 0.0 < snr < r / math.e**2:
         raise DomainError(f"need snr < r/e^2, got snr={snr}")
     big_l = math.log(r / snr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .channel import ChannelDims, RngStream, _sample_cn
+from .channel import ChannelDims, RngStream, _positive_int, _sample_cn
 from .errors import DomainError
 
 __all__ = [
@@ -272,21 +272,13 @@ def mc_e0_exact(
     The determinant is sampled as its equal-in-law det(I + c W), W the
     min(t, r) Gram matrix drawn through its Bartlett factor.
     """
-    n = _check_n(n, minimum=1000)
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"rho must be in [0, 1], got {rho}")
-    if snr_b <= 0.0:
-        raise DomainError(f"snr_b must be > 0, got {snr_b}")
-    if rho == 0.0:
-        return OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean")
-    weights = _e0_weights(dims, snr_b, [rho], n, rng, threads)[:, 0]
-    return _log_of_mean_estimate(weights)
+    return mc_e0_curve(dims, snr_b, [rho], n, rng, threads)[0]
 
 
 def mc_e0_curve(
     dims: ChannelDims, snr_b: float, rhos, n: int, rng: RngStream, threads: int = 1
 ) -> list[OracleEstimate]:
-    """mc_e0_exact on a rho grid sharing one set of channel draws.
+    """The sampled Gallager function of ``mc_e0_exact`` on a rho grid, one set of draws.
 
     Sharing draws leaves each estimate identical in law to a standalone run
     while the Gram draws are made once; estimates across the grid are
@@ -300,16 +292,9 @@ def mc_e0_curve(
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"rho must be in [0, 1], got {rho}")
     live = [rho for rho in rho_list if rho > 0.0]
-    weights = _e0_weights(dims, snr_b, live, n, rng, threads) if live else None
-    out = []
-    col = 0
-    for rho in rho_list:
-        if rho == 0.0:
-            out.append(OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean"))
-        else:
-            out.append(_log_of_mean_estimate(weights[:, col]))
-            col += 1
-    return out
+    columns = iter(_e0_weights(dims, snr_b, live, n, rng, threads).T if live else ())
+    zero = OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean")
+    return [_log_of_mean_estimate(next(columns)) if rho > 0.0 else zero for rho in rho_list]
 
 
 def mc_onoff_mi(
@@ -334,8 +319,7 @@ def mc_onoff_mi(
     (stratifying the crossing region) should come with that switch.
     """
     n = _check_n(n, minimum=10_000)
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
+    r = _positive_int("r", r)
     if snr < 0.0 or (snr > 0.0 and not snr < amplitude_sq):
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
@@ -350,7 +334,7 @@ def mc_onoff_mi(
         scale = 1.0 + a if on else 1.0
 
         def chunk(gen, m):
-            y = _sample_cn(gen, (m, int(r))) * math.sqrt(scale)
+            y = _sample_cn(gen, (m, r)) * math.sqrt(scale)
             norm2 = (y.real**2 + y.imag**2).sum(axis=1)
             # log densities up to the common -r log(pi), which cancels
             lp_off = -norm2
@@ -381,8 +365,7 @@ def empirical_tail_cdf(
     exact binomial bound 1 - (alpha/2)^(1/n) replaces the degenerate endpoint.
     """
     n = _check_n(n, minimum=1000)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    k = _positive_int("k", k)
     if x < 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from . import capacity, iid, oracles, reliability
 from .channel import ChannelDims, RngStream
+from .check import expansion_gap
 from .errors import ConfigError, WidemimoError
 
 __all__ = ["SweepConfig", "SweepSummary", "load_config", "run_sweep", "DEFAULT_ROW_CAP"]
@@ -265,11 +266,10 @@ def _row_oracle_check(p, cfg, index, point):
     dims = ChannelDims(p["t"], p["r"], p["l"])
     est = oracles.mc_coherent_mi(dims, p["snr"], cfg.n_samples, RngStream(cfg.seed, index))
     closed = capacity.coherent_expansion(dims, p["snr"]).total
-    gap = abs(est.mean - closed)
-    slack = est.ci99_half + 10.0 * p["snr"] ** 3
+    verdict = expansion_gap(est, closed, p["snr"])
     return (
         cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
-        gap, slack, gap <= slack,
+        verdict.gap, verdict.slack, verdict.ok,
     )
 
 

@@ -142,6 +142,16 @@ class TestThresholds:
         with pytest.raises(DomainError):
             coherence_thresholds(dims, 0.1, alpha=0.5, epsilon=0.5)
 
+    def test_overflowing_threshold_is_a_domain_error(self):
+        # 1e-200 ** -2 overflows a float; the map raises its own error
+        with pytest.raises(DomainError, match="overflows"):
+            coherence_thresholds(ChannelDims(1, 1, 1), 1e-200, 1.0, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            coherence_for_regime(1, 1, regime_from_nu(1e-200, 1.0))
+        # here -2 nu overflows first and the power returns inf without raising
+        with pytest.raises(DomainError, match="overflows"):
+            coherence_for_regime(1, 1, regime_from_nu(0.01, 1e308))
+
 
 class TestSublinearTerm:
     def test_alpha_form_hand_value(self):
@@ -171,6 +181,11 @@ class TestSublinearTerm:
         # continuous at the switch point
         at = sublinear_term(dims, snr, coherence_length=saturation)
         assert at == pytest.approx(sublinear_term(dims, snr, alpha=1.0), rel=1e-12)
+
+    def test_saturation_beyond_float_range(self):
+        # the saturation length overflows, so every finite l is below it
+        dims, snr = ChannelDims(1, 1, 1), 1e-200
+        assert sublinear_term(dims, snr, coherence_length=10) == snr / (2.0 * math.sqrt(10))
 
     def test_exactly_one_parameterization(self):
         with pytest.raises(DomainError):

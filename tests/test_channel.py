@@ -13,8 +13,12 @@ from widemimo import (
     TrainingInfeasibleError,
     apply_block_channel,
     average_power_check,
+    empirical_tail_cdf,
+    energy_per_nat,
     gamma_lower_regularized,
     gamma_upper_regularized,
+    mc_onoff_mi,
+    onoff_building_blocks,
     sample_channel_matrix,
     sample_peaky_gaussian,
 )
@@ -31,6 +35,25 @@ def test_dims_validation():
     with pytest.raises(TrainingInfeasibleError):
         ChannelDims(2, 2, 2).require_training()
     ChannelDims(2, 2, 3).require_training()
+
+
+# Every count argument (r, or the tail's k) goes through one check: numpy
+# integers count, bools and non-positive values do not.
+COUNT_CALLS = {
+    "energy_per_nat": lambda r: energy_per_nat(r, 0.01, 0.002),
+    "onoff_building_blocks": lambda r: onoff_building_blocks(r, 0.01, 10.0),
+    "mc_onoff_mi": lambda r: mc_onoff_mi(r, 0.01, 10.0, 10_000, RngStream(SEED, 140)),
+    "empirical_tail_cdf": lambda k: empirical_tail_cdf(k, 1.0, 1000, RngStream(SEED, 141)),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+def test_count_arguments_share_one_check(name):
+    call = COUNT_CALLS[name]
+    assert call(np.int64(2)) == call(2)
+    for bad in (True, 0):
+        with pytest.raises(DomainError, match=f"must be a positive integer, got {bad!r}$"):
+            call(bad)
 
 
 class TestSampler:

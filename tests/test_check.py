@@ -1,0 +1,101 @@
+"""The verdicts behind ``widemimo check`` and the oracle-check sweep cells.
+
+A verdict is a (gap, slack) pair that passes when gap <= slack; its margin is
+(slack - gap)/slack.  ``contains`` must give the same verdict as
+``OracleEstimate.contains`` at and next to both interval ends, and the
+oracle-check row must carry exactly the cells of ``expansion_gap``.
+"""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+
+from widemimo import (
+    ChannelDims,
+    RngStream,
+    coherent_expansion,
+    load_config,
+    mc_coherent_mi,
+    run_sweep,
+)
+from widemimo.check import Verdict, _line, _worst, contains, expansion_gap
+from widemimo.oracles import OracleEstimate, _log_of_mean_estimate
+
+ESTIMATES = [
+    OracleEstimate(0.5, 0.01, 1000, 0.47, 0.53),
+    # asymmetric log-of-mean intervals, and one left unbounded above
+    OracleEstimate(0.31, 0.004, 200_000, 0.295, 0.342, estimator="log-of-mean"),
+    OracleEstimate(2.0, 0.3, 100_000, 1.1, math.inf, estimator="log-of-mean"),
+    # a saddlepoint-widened interval from heavy-tailed weights
+    _log_of_mean_estimate(np.random.default_rng(7).pareto(2.5, 100_000) + 1e-3),
+    # an estimate below zero, straddled by its interval
+    OracleEstimate(-1e-4, 1e-4, 1000, -3.6e-4, 1.6e-4),
+]
+
+
+def _refs(est):
+    """References at, just inside and just outside both ends, and at the mean."""
+    refs = [est.mean]
+    for end, inward in ((est.ci99_low, math.inf), (est.ci99_high, -math.inf)):
+        if math.isfinite(end):
+            refs += [end, np.nextafter(end, inward), np.nextafter(end, -inward)]
+    return [float(ref) for ref in refs]
+
+
+@pytest.mark.parametrize("est", ESTIMATES, ids=range(len(ESTIMATES)))
+def test_contains_matches_the_interval(est):
+    assert est.ci99_low < est.mean < est.ci99_high
+    for ref in _refs(est) + [est.mean + 1e6]:
+        verdict = contains(est, ref)
+        assert verdict.ok == est.contains(ref), ref
+        assert not math.isnan(verdict.margin), ref
+
+
+def test_unbounded_interval_keeps_a_full_margin():
+    est = ESTIMATES[2]
+    assert contains(est, 1e300).margin == 1.0
+    assert contains(est, 1.1).margin == 0.0
+    assert not contains(est, np.nextafter(1.1, 0.0)).ok
+
+
+def test_line_format():
+    assert _line("gamma-vs-empirical", Verdict(1e-4, 4e-4)) == (
+        "PASS  gamma-vs-empirical         gap=0.0001 slack=0.0004 margin=0.750"
+    )
+    assert _line("e0-exact-anchor", Verdict(0.003, 0.002)).startswith("FAIL")
+    assert _line("e0-exact-anchor", Verdict(0.003, 0.002)).endswith("margin=-0.500")
+    # an exact-equality claim has no slack to spend
+    assert _line("stream-reproducibility", Verdict(0.0, 0.0)).endswith("margin=exact")
+    assert _line("stream-reproducibility", Verdict(1e-17, 0.0)).startswith("FAIL")
+
+
+def test_worst_verdict_prefers_a_failure():
+    passing, tight, failing = Verdict(0.1, 1.0), Verdict(0.9, 1.0), Verdict(2.0, 1.0)
+    assert _worst([passing, tight]) == tight
+    assert _worst([passing, failing, tight]) == failing
+    # a signed gap below zero leaves more than the whole slack
+    assert _worst([Verdict(-0.5, 1.0), passing]) == passing
+
+
+def test_oracle_check_cells_are_the_expansion_verdict(tmp_path):
+    cfg_path = tmp_path / "oc.cfg"
+    cfg_path.write_text(
+        "quantity = oracle-check\nt = 1, 2\nr = 2\nl = 1\nsnr = 0.05, 0.3\n"
+        "n_samples = 2000\nseed = 9\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "oc.csv"
+    run_sweep(load_config(cfg_path), out=str(out), err_stream=io.StringIO())
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for index, row in enumerate(rows):
+        dims, snr = ChannelDims(int(row["t"]), int(row["r"]), int(row["l"])), float(row["snr"])
+        est = mc_coherent_mi(dims, snr, 2000, RngStream(9, index))
+        verdict = expansion_gap(est, coherent_expansion(dims, snr).total, snr)
+        assert float(row["abs_gap"]) == verdict.gap
+        assert float(row["slack"]) == verdict.slack
+        assert row["agree"] == ("true" if verdict.ok else "false")

@@ -359,3 +359,8 @@ class TestDiversity:
     def test_grid_point_that_cannot_train(self, dims, nu, kappa, grid):
         with pytest.raises(TrainingInfeasibleError, match="training needs l > t"):
             diversity_low_snr(dims, nu, kappa, snr_grid=grid)
+
+    def test_grid_point_whose_coherence_overflows(self):
+        # 1e-200 ** -2 overflows the coherence map: a library error, not OverflowError
+        with pytest.raises(DomainError, match="coherence length .* overflows"):
+            diversity_low_snr(ChannelDims(1, 1, 10), 1.0, 1.5, snr_grid=[1e-2, 1e-200])

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +19,9 @@ def write(tmp_path, name, text):
     path.write_text(text, encoding="utf-8")
     return path
 
+
+# One line of the `check` table: verdict, name, gap, slack and margin.
+CHECK_LINE = re.compile(r"^(PASS|FAIL)  \S+ +gap=\S+ slack=\S+ margin=\S+$")
 
 CAPACITY_CFG = """\
 # minimal capacity sweep
@@ -164,6 +169,16 @@ class TestRunSweep:
             row = next(csv.DictReader(fh))
         assert float(row["rate_nats"]) > 0.0
         assert 0.0 < float(row["outage"]) < 1.0
+
+    def test_sublinear_row_past_float_saturation(self, tmp_path):
+        # the saturation length 0.25 snr^-2 overflows at snr = 1e-200: a value row
+        text = "quantity = sublinear\nt = 1\nr = 1\nsnr = 1e-200\nl = 10\n"
+        cfg = load_config(write(tmp_path, "s.cfg", text))
+        summary = run_sweep(cfg, out=str(tmp_path / "s.csv"), err_stream=io.StringIO())
+        assert summary.row_errors == []
+        with open(tmp_path / "s.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["value"]) == 1e-200 / (2.0 * math.sqrt(10))
 
 
 class TestStreaming:
@@ -328,10 +343,19 @@ class TestCli:
         assert lines[0].startswith("t,r,l,snr,")
         assert len(lines) == 9  # header + 8 rows
 
-    @pytest.mark.parametrize("kappa", ["-500", "-153.6"])
-    def test_rate_overflow_is_a_row_error(self, tmp_path, kappa):
-        # snr^-500 overflows the power; snr^-153.6 only the product l r snr^kappa
-        text = f"quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nnu = 1\nkappa = 1.5, {kappa}\n"
+    @pytest.mark.parametrize(
+        "quantity,grid",
+        [
+            pytest.param("exponent", "snr = 0.01\nkappa = 1.5, -500", id="-500"),
+            pytest.param("exponent", "snr = 0.01\nkappa = 1.5, -153.6", id="-153.6"),
+            pytest.param("exponent", "snr = 0.01, 1e-200\nkappa = 1.5", id="exponent-coherence"),
+            pytest.param("outage", "snr = 0.01, 1e-200\nkappa = 1.5", id="outage-coherence"),
+        ],
+    )
+    def test_rate_overflow_is_a_row_error(self, tmp_path, quantity, grid):
+        # snr^-500 overflows the power; snr^-153.6 only the product l r snr^kappa;
+        # at snr = 1e-200 the coherence length snr^(-2 nu) overflows before the rate
+        text = f"quantity = {quantity}\nt = 1\nr = 1\nnu = 1\n{grid}\n"
         cfg = write(tmp_path, "k.cfg", text)
         proc = run_cli(["sweep", str(cfg), "--out", "k.csv"], tmp_path)
         assert proc.returncode == 1
@@ -368,4 +392,9 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert lines[-1].startswith("check summary: all checks passed")
-        assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-1])
+        body = lines[:-1]
+        assert len(body) == 16
+        for line in body:
+            assert CHECK_LINE.match(line) and "nan" not in line, line
+        fails = sum(line.startswith("FAIL") for line in body)
+        assert (fails == 0) == (proc.returncode == 0)
