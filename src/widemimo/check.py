@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import capacity, iid, reliability
 from .channel import ChannelDims, RngStream, gamma_lower_regularized
@@ -72,6 +71,8 @@ def _worst(verdicts) -> Verdict:
 
 def _checks(seed: int, threads: int):
     """(name, verdict) for each check, in table order."""
+    from scipy import integrate
+
     stream = lambda sid: RngStream(seed, sid)
 
     # lower incomplete gamma against its finite series at integer shape
@@ -156,12 +157,17 @@ def _checks(seed: int, threads: int):
         Verdict(abs(regime.delta * regime.snr_b - 0.1) / 0.1, 1e-12),
     ))
 
-    # converse threshold below the Gaussian-scheme threshold on 20 sampled (alpha, eps)
+    # converse threshold below the Gaussian-scheme threshold on 20 sampled (alpha, eps):
+    # log(l_gaussian / l_min) = 2 eps log(1/snr) > 0, so a pass at this slack implies the order
     gen = stream(7).generator()
     draws = [(float(gen.uniform(0.05, 1.0)), float(gen.uniform(0.001, 0.999))) for _ in range(20)]
-    dims = ChannelDims(2, 3, 1)
-    ths = [capacity.coherence_thresholds(dims, 0.05, alpha, alpha * u) for alpha, u in draws]
-    yield "threshold-order", _worst(Verdict(th.l_min, th.l_gaussian) for th in ths)
+    dims, snr = ChannelDims(2, 3, 1), 0.05
+    verdicts = []
+    for alpha, u in draws:
+        th = capacity.coherence_thresholds(dims, snr, alpha, alpha * u)
+        exact = 2.0 * alpha * u * math.log(1.0 / snr)
+        verdicts.append(Verdict(abs(math.log(th.l_gaussian / th.l_min) - exact), 1e-9 * exact))
+    yield "threshold-order", _worst(verdicts)
 
     # stream reproducibility: the same (seed, stream) at two thread counts, bit-identical
     est_a = mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, 2000, stream(8), threads)

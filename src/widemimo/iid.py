@@ -10,8 +10,6 @@ minimum governs the capacity gap, and the resulting capacity sandwich.
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from ._golden import golden_section_min
 from .channel import _positive_int
 from .errors import ConsistencyError, DomainError, QuadratureError
@@ -180,6 +178,8 @@ def onoff_mi_quadrature(
         return 0.0
     if not 1e-13 <= rel_tol < 1.0:
         raise DomainError(f"rel_tol must be in [1e-13, 1), got {rel_tol}")
+    from scipy import integrate
+
     a = float(amplitude_sq)
     omega = snr / a
     zs = zeta_star(r, snr, a)

@@ -5,15 +5,17 @@ scheme that lower-bounds it, rate landmarks, the block error bound, outage,
 and the low-SNR diversity order.
 
 The operating-point layer, ``operating_point(t, r, snr, l=... | nu=...)``,
-builds the rate-independent state of a point once; its methods evaluate the
-exponent, the block error bound and the outage at one rate.  The public
-functions, ``diversity_low_snr`` and the sweep rows all go through it.
+builds the rate-independent state of a point once (the training optimum on
+first use); its methods evaluate the exponent, the block error bound and the
+outage at one rate.  The public functions, ``diversity_low_snr`` and the sweep
+rows all go through it.
 
 Every additive o(1) term in the source expressions is dropped; results carry
 a ``dropped`` note naming what was discarded so downstream consumers (CSV
 output, tests) can budget slack instead of trusting loose tolerances.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,7 +266,8 @@ def training_f_star(
 class OperatingPoint:
     """Rate-independent state of one point, built by ``operating_point``.
 
-    training is None when coherence <= t leaves no symbol for data.
+    training is computed on first use; it is None when coherence <= t leaves
+    no symbol for data.
     """
 
     t: int
@@ -272,7 +275,12 @@ class OperatingPoint:
     coherence: float
     regime: RegimeParams
     landmarks: RateLandmarks
-    training: TrainingOptimum | None
+
+    @functools.cached_property
+    def training(self) -> TrainingOptimum | None:
+        if self.coherence <= self.t:
+            return None
+        return TrainingOptimum(*_f_star_scalar(self.t, self.coherence, self.regime.snr_b))
 
     def rate_for_kappa(self, kappa: float) -> float:
         """Rate R = l r snr^kappa of the low-SNR scaling path; overflow is a DomainError."""
@@ -317,22 +325,8 @@ class OperatingPoint:
         return OutageEstimate(probability=prob, error_weighted=self.regime.delta * prob)
 
 
-def operating_point(
-    t: int, r: int, snr: float, *, l: int | None = None, nu: float | None = None
-) -> OperatingPoint:
-    """Rate-independent state at (t, r, snr), given exactly one of l and nu.
-
-    With nu the coherence length t^2/(r+t)^2 snr^(-2 nu) is real-valued.
-    ChannelDims checks t and r on both paths.  The landmarks are those of
-    ``rate_landmarks``, the training optimum that of ``training_f_star``.
-    """
-    if nu is None:
-        regime = regime_from_coherence(ChannelDims(t, r, l), snr)
-        coherence = float(l)
-    else:
-        ChannelDims(t, r, 1)  # no integer l on this path: checks t and r only
-        regime = regime_from_nu(snr, nu)
-        coherence = coherence_for_regime(t, r, regime)
+def _point(t: int, r: int, coherence: float, regime: RegimeParams) -> OperatingPoint:
+    """The operating point of checked (t, r) at a known coherence length and regime."""
     snr_b = regime.snr_b
     rt = r * t
     c_block = coherence * (r * snr_b - r * (r + t) / (2.0 * t) * snr_b**2)
@@ -346,8 +340,28 @@ def operating_point(
         c_block_training_lb=c_tlb,
         asymptotics_binding=c_tlb > max(r_critical, 0.0),
     )
-    training = TrainingOptimum(*_f_star_scalar(t, coherence, snr_b)) if coherence > t else None
-    return OperatingPoint(t, r, coherence, regime, landmarks, training)
+    return OperatingPoint(t, r, coherence, regime, landmarks)
+
+
+def _point_at(dims: ChannelDims, snr: float) -> OperatingPoint:
+    """``operating_point`` on the l path, for dims the caller has already checked."""
+    return _point(dims.t, dims.r, float(dims.l), regime_from_coherence(dims, snr))
+
+
+def operating_point(
+    t: int, r: int, snr: float, *, l: int | None = None, nu: float | None = None
+) -> OperatingPoint:
+    """Rate-independent state at (t, r, snr), given exactly one of l and nu.
+
+    With nu the coherence length t^2/(r+t)^2 snr^(-2 nu) is real-valued.
+    ChannelDims checks t and r on both paths.  The landmarks are those of
+    ``rate_landmarks``, the training optimum that of ``training_f_star``.
+    """
+    if nu is None:
+        return _point_at(ChannelDims(t, r, l), snr)
+    ChannelDims(t, r, 1)  # no integer l on this path: checks t and r only
+    regime = regime_from_nu(snr, nu)
+    return _point(t, r, coherence_for_regime(t, r, regime), regime)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +414,7 @@ def rate_landmarks(dims: ChannelDims, snr: float) -> RateLandmarks:
     r_critical = rt/2 with its o(1) dropped; the other three come from the
     block-SNR closed forms with curvature remainders dropped.
     """
-    return operating_point(dims.t, dims.r, snr, l=dims.l).landmarks
+    return _point_at(dims, snr).landmarks
 
 
 def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
@@ -413,12 +427,12 @@ def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
     exponent is 0.  When the training bound is degenerate at this snr the
     region-C cut is skipped and the point is flagged via asymptotics_binding.
     """
-    return operating_point(dims.t, dims.r, snr, l=dims.l).exponent(rate)
+    return _point_at(dims, snr).exponent(rate)
 
 
 def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
     """Evaluate the exponent on a rate grid and attach the landmarks."""
-    point = operating_point(dims.t, dims.r, snr, l=dims.l)
+    point = _point_at(dims, snr)
     lm = point.landmarks
     return ExponentCurve(
         r_critical=lm.r_critical,
@@ -436,7 +450,7 @@ def block_error_bound(dims: ChannelDims, snr: float, rate: float) -> float:
     all.  Since the exponent is nonnegative and delta <= 1, the bound always
     lands in [0, 1].
     """
-    return operating_point(dims.t, dims.r, snr, l=dims.l).block_error_bound(rate)
+    return _point_at(dims, snr).block_error_bound(rate)
 
 
 def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEstimate:
@@ -451,7 +465,7 @@ def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEsti
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
     dims.require_training()
-    return operating_point(dims.t, dims.r, snr, l=dims.l).outage(rate)
+    return _point_at(dims, snr).outage(rate)
 
 
 def slope_fit(points) -> SlopeFit:

@@ -158,7 +158,7 @@ class TestQuadratureMi:
             value, abserr, info = real_quad(*args, **kwargs)[:3]
             return value, abserr, info, "roundoff error is detected"
 
-        monkeypatch.setattr("widemimo.iid.integrate.quad", flaky_quad)
+        monkeypatch.setattr("scipy.integrate.quad", flaky_quad)
         with pytest.raises(QuadratureError) as exc:
             onoff_mi_quadrature(1, 0.01, 10.0)
         assert exc.value.estimate is not None

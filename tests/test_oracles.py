@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from conftest import SEED
 from widemimo import (
@@ -26,6 +26,8 @@ from widemimo.channel import _sample_cn
 from widemimo.oracles import (
     _bootstrap_mean_quantiles,
     _e0_weights,
+    _gamma_above,
+    _gamma_below,
     _log_of_mean_estimate,
     _wishart_logdet,
 )
@@ -214,6 +216,52 @@ class TestOnOffMi:
         a = mc_onoff_mi(1, 0.1, 2.0, 100_000, RngStream(SEED, 223))
         b = mc_onoff_mi(1, 0.1, 2.0, 200_000, RngStream(SEED, 223))
         assert b.std_error == pytest.approx(a.std_error / math.sqrt(2), rel=0.1)
+
+    def test_thread_invariance(self):
+        # n_off / 8 > 2^16: the tail stratum spans two chunks, the bulk eight
+        a = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=1)
+        b = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=3)
+        assert a == b
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_strata_sit_on_their_side_of_the_cut(self, r):
+        cut = 2.0 * r + 3.0
+        gen = RngStream(SEED, 225).generator()
+        bulk = _gamma_below(r, cut, gamma_lower_regularized(r, cut))(gen, 50_000)
+        tail = _gamma_above(r, cut)(gen, 50_000)
+        assert len(bulk) == len(tail) == 50_000
+        assert bulk.max() <= cut < tail.min()
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_strata_laws(self, r):
+        # P(z > cut + x | z > cut) = Q(r, cut + x)/Q(r, cut) for the shifted
+        # mixture, and P(z <= x | z <= cut) = P(r, x)/P(r, cut) for the bulk
+        n, cut = 200_000, 6.0
+        tail = _gamma_above(r, cut)(RngStream(SEED, 226).generator(), n)
+        bulk = _gamma_below(r, cut, special.gammainc(r, cut))(RngStream(SEED, 227).generator(), n)
+        for x in (0.25, 1.0, 3.0):
+            for draws, z, exact in (
+                (tail, cut + x, special.gammaincc(r, cut + x) / special.gammaincc(r, cut)),
+                (bulk, x, 1.0 - special.gammainc(r, x) / special.gammainc(r, cut)),
+            ):
+                frac = float((draws > z).mean())
+                assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n), (z, exact)
+
+    @pytest.mark.parametrize(
+        "r, snr, a",
+        [
+            (3, 0.99, 1.0),  # snr close to A: the weighted crossing radius is < 0
+            (1, 9.99, 10.0),
+            (2, 0.5, 2.0),  # crossing not rare: one plain off stratum
+            (3, 1e-3, 50.0),  # three-component tail mixture
+            (1, 1e-12, 1e4),  # tail weight Q ~ 1e-12
+        ],
+    )
+    def test_edge_points_finite(self, r, snr, a):
+        est = mc_onoff_mi(r, snr, a, 10_001, RngStream(SEED, 228))
+        assert est.n_samples == 10_001
+        assert all(map(math.isfinite, (est.mean, est.std_error, est.ci99_low, est.ci99_high)))
+        assert est.ci99_low <= est.mean <= est.ci99_high
 
 
 class TestTailCdf:

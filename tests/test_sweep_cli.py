@@ -293,6 +293,20 @@ def run_cli(args, cwd):
 
 
 class TestCli:
+    def test_import_leaves_quadrature_and_root_finding_unloaded(self, tmp_path):
+        # scipy.integrate and scipy.optimize are imported where they are used,
+        # so a CLI process that runs neither pays nothing for them at startup
+        code = (
+            "import sys, widemimo; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=cli_env(),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_sweep_deterministic_across_runs_and_threads(self, tmp_path):
         cfg = write(tmp_path, "cap.cfg", CAPACITY_CFG + "seed = 11\n")
         for name, threads in (("a.csv", "1"), ("b.csv", "4"), ("c.csv", "1")):
