@@ -25,6 +25,7 @@ from .channel import (
     RngStream,
     _positive_int,
     _sample_cn,
+    gamma_lower_regularized,
     gamma_upper_regularized,
 )
 from .errors import DomainError
@@ -47,10 +48,10 @@ _BLOCK_TAIL = 2 * _BLOCK_SECONDARY
 # Off-branch strata of ``mc_onoff_mi``: the cut as a fraction of the crossing
 # radius, and the share of the off draws that goes past the cut.  Chosen from
 # the 99% interval's coverage over 200 seeds at n = 1e5 on r in {1, 2},
-# snr in {1e-2, 1e-3}, A in {10, 20, 50}: fractions 0.4 to 0.7 and shares
-# 1/16 to 1/4 missed 0.9% to 3.6% of (point, seed) pairs, and this pair missed
-# 1.2% with the narrowest mean interval among the 1/8 shares.
-_CUT_FRACTION = 0.6
+# snr in {1e-2, 1e-3}, A in {10, 20, 50}: fractions 0.6 to 0.8 with shares
+# 1/8 to 1/2 missed 0.8% to 1.9% of (point, seed) pairs, and this pair missed
+# 1.2% with the least skewed standardized error (skewness +0.05).
+_CUT_FRACTION = 0.7
 _TAIL_SHARE = 1 / 8
 
 
@@ -355,12 +356,13 @@ def _gamma_above(r: int, cut: float):
     return chunk
 
 
-def _stratified_estimate(strata, n: int) -> OracleEstimate:
-    """Weighted sum of stratum means; the variance adds with the squared weights.
+def _stratified_estimate(strata, n: int, exact: float = 0.0) -> OracleEstimate:
+    """exact plus the weighted sum of stratum means; the variance adds with the
+    squared weights.
 
-    strata holds (weight, values) pairs whose weights sum to 1.
+    strata holds (weight, values) pairs.
     """
-    mean = sum(w * float(v.mean()) for w, v in strata)
+    mean = exact + sum(w * float(v.mean()) for w, v in strata)
     se = math.sqrt(sum(w * w * float(v.var(ddof=1)) / len(v) for w, v in strata))
     half = _Z99 * se
     return OracleEstimate(mean, se, n, mean - half, mean + half)
@@ -373,17 +375,22 @@ def mc_onoff_mi(
 
     Per sample the estimate is log p(y|x) - log p(y).  Both branches depend
     on y only through z = |y|^2: Gamma(r, 1) when off, (1 + A) Gamma(r, 1)
-    when on, drawn as Gamma variates.  With the log-ratio
-    d(z) = log p_on(z) - log p_off(z) = -r log(1 + A) + z A/(1 + A), each
-    branch's value is one log-sum-exp of a constant and d.
+    when on, drawn as Gamma variates.  With the weighted log-ratio
+    u(z) = log(omega p_on(z) / ((1 - omega) p_off(z))) = (z - z_x) A/(1 + A),
+    zero at the crossing radius z_x, the off value is
+    -log(1 - omega) - log(1 + e^u) and the on value -log(omega) - log(1 + e^-u).
+    Each log(1 + e^(+-u)) is the hinge max(+-u, 0), whose mean is exact
+    (``_mean_excess``), plus the remainder log(1 + e^-|u|) in (0, log 2],
+    which is the only sampled part.
 
     The two branches get half the budget each and are recombined with their
-    probabilities 1 - omega and omega.  The off branch is heavy where its
-    weighted density meets the on branch's, at the crossing radius
-    z_x = (r log(1 + A) + log((1 - omega)/omega)) (1 + A)/A; past a cut
-    c = _CUT_FRACTION z_x those draws are rare but carry most of the
-    variance.  The off branch is therefore split at c into two strata:
-    - bulk, z <= c: Gamma draws with in-chunk rejection;
+    probabilities 1 - omega and omega.  The remainder peaks at z_x, which the
+    off branch rarely reaches, so the off branch is split at a cut
+    c = _CUT_FRACTION z_x into two strata:
+    - bulk, z <= c: Gamma draws with in-chunk rejection.  There u < 0 and the
+      remainder is e^u - (e^u - log(1 + e^u)); the first term's mean is exact,
+      (1 - omega) E[e^u; z <= c] = omega P(r, c/(1 + A)), so only the second,
+      below e^(2u)/2, is sampled;
     - tail, z > c: _TAIL_SHARE of the off draws, drawn exactly as c plus a
       Gamma mixture (see ``_gamma_above``).
     The strata are weighted by Q = Q(r, c) and 1 - Q, and their variances add
@@ -398,37 +405,51 @@ def mc_onoff_mi(
         return OracleEstimate(0.0, 0.0, n, 0.0, 0.0)
     a = float(amplitude_sq)
     omega = snr / a
-    log_off, log_on = math.log1p(-omega), math.log(omega)
-    log_det = r * math.log1p(a)
     slope = a / (1.0 + a)
+    # u = slope z - lam off, and a g - lam on with z = (1 + A) g
+    lam = r * math.log1p(a) + math.log1p(-omega) - math.log(omega)
+    z_x, g_x = lam / slope, lam / a
     n_on = n // 2
     n_off = n - n_on
+    hinge_on = g_x - r + _mean_excess(r, g_x) if g_x > 0.0 else 0.0
+    exact = (
+        -(1.0 - omega) * (math.log1p(-omega) + slope * _mean_excess(r, z_x))
+        - omega * (math.log(omega) + a * hinge_on)
+    )
 
     def plain(gen, m):
         return gen.standard_gamma(r, m)
 
-    def off_values(z):
-        # -log(1 - omega + omega e^d(z)), z the off-branch draws
-        z *= slope
-        z += log_on - log_det
-        return np.negative(np.logaddexp(z, log_off, out=z), out=z)
+    def remainder(x, scale):
+        # log(1 + e^-|u|), u = scale x - lam, in place
+        x *= scale
+        x -= lam
+        x = np.negative(np.abs(x, out=x), out=x)
+        return np.log1p(np.exp(x, out=x), out=x)
 
-    cut = _CUT_FRACTION * (log_det + log_off - log_on) / slope
+    cut = _CUT_FRACTION * z_x
     q = gamma_upper_regularized(r, cut) if cut > 0.0 else 1.0
     if q < _TAIL_SHARE:
         n_tail = int(n_off * _TAIL_SHARE)
         bulk = _collect(_gamma_below(r, cut, 1.0 - q), n_off - n_tail, rng, threads)
         tail = _collect(_gamma_above(r, cut), n_tail, rng, threads, block_base=_BLOCK_TAIL)
-        off = [(1.0 - q, off_values(bulk)), (q, off_values(tail))]
+        bulk *= slope
+        bulk -= lam
+        e_u = np.exp(bulk, out=bulk)
+        exact -= omega * gamma_lower_regularized(r, cut / (1.0 + a))
+        off = [(-(1.0 - q), e_u - np.log1p(e_u)), (q, remainder(tail, slope))]
     else:
-        off = [(1.0, off_values(_collect(plain, n_off, rng, threads)))]
-    # -log(omega + (1 - omega) e^(-d(z))), z = (1 + A) g with g the on-branch draws
-    g = _collect(plain, n_on, rng, threads, block_base=_BLOCK_SECONDARY)
-    g *= -a
-    g += log_off + log_det
-    on = np.negative(np.logaddexp(g, log_on, out=g), out=g)
-    strata = [((1.0 - omega) * w, v) for w, v in off] + [(omega, on)]
-    return _stratified_estimate(strata, n)
+        off = [(1.0, remainder(_collect(plain, n_off, rng, threads), slope))]
+    on = remainder(_collect(plain, n_on, rng, threads, block_base=_BLOCK_SECONDARY), a)
+    strata = [(-(1.0 - omega) * w, v) for w, v in off] + [(-omega, on)]
+    return _stratified_estimate(strata, n, exact)
+
+
+def _mean_excess(r: int, x: float) -> float:
+    """E[max(z - x, 0)] for z ~ Gamma(r, 1): sum_{k=1..r} Q(k, x) when x > 0."""
+    if x <= 0.0:
+        return r - x
+    return sum(gamma_upper_regularized(k, x) for k in range(1, r + 1))
 
 
 def empirical_tail_cdf(

@@ -251,11 +251,11 @@ def test_criterion_07_onoff_triple_agreement():
         "these fixed peak powers (for r=2 the gap exceeds the budget ~30x), so "
         "the budget, not the implementation, is what fails. "
         f"Quadrature-vs-MC legs outside their CI: {[c for c, okc in mc_ok if not okc]} "
-        "-- the sampler stratifies the off branch past its density-crossing "
-        "region, where the rare draws that carry most of the variance live; "
-        "over 200 seeds at n = 1e5 on these 12 cells its 99% interval missed "
-        "28 of 2400 (cell, seed) pairs (1.2%), so a miss here is seed luck at "
-        "about the nominal rate, not a bias"
+        "-- the sampler takes each branch's hinge term exactly and stratifies "
+        "the off branch past its density-crossing region, where the rare draws "
+        "that carry the sampled remainder live; over 200 seeds at n = 1e5 on "
+        "these 12 cells its 99% interval missed 29 of 2400 (cell, seed) pairs "
+        "(1.2%), so a miss here is seed luck at about the nominal rate, not a bias"
     )
 
 

@@ -29,6 +29,7 @@ from widemimo.oracles import (
     _gamma_above,
     _gamma_below,
     _log_of_mean_estimate,
+    _mean_excess,
     _wishart_logdet,
 )
 
@@ -246,6 +247,16 @@ class TestOnOffMi:
             ):
                 frac = float((draws > z).mean())
                 assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n), (z, exact)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_mean_excess_matches_quadrature(self, r):
+        # the exact hinge mean E[max(z - x, 0)], z ~ Gamma(r, 1)
+        for x in (0.5, 3.0, 12.0):
+            ref, _ = integrate.quad(
+                lambda z: (z - x) * stats.gamma.pdf(z, r), x, math.inf, epsabs=0.0, epsrel=1e-12
+            )
+            assert _mean_excess(r, x) == pytest.approx(ref, rel=1e-9), x
+        assert _mean_excess(r, -2.0) == r + 2.0
 
     @pytest.mark.parametrize(
         "r, snr, a",
