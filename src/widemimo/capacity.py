@@ -127,6 +127,11 @@ def coherence_for_regime(t: int, r: int, regime: RegimeParams) -> float:
     return _coherence_length(t, r, regime.snr, regime.nu)
 
 
+def _second_order(t: int, r: int, snr: float, power: float) -> float:
+    """r (r+t)/(2t) snr^power; power 2 gives the coherent expansion's second-order term."""
+    return r * (r + t) / (2.0 * t) * snr**power
+
+
 def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
     """Second-order expansion of the coherent capacity per channel use.
 
@@ -137,7 +142,7 @@ def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
     if snr < 0.0:
         raise DomainError(f"snr must be >= 0, got {snr}")
     linear = dims.r * snr
-    sub = dims.r * (dims.r + dims.t) / (2.0 * dims.t) * snr**2
+    sub = _second_order(dims.t, dims.r, snr, 2.0)
     return CapacityBreakdown(linear=linear, sublinear=sub, total=linear - sub)
 
 
@@ -148,10 +153,8 @@ def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
     r (t/l) log(1 + l snr / t).  Cubic remainder dropped.  The value can be
     negative for short blocks and is returned as-is; sweep output flags it.
     """
-    if snr < 0.0:
-        raise DomainError(f"snr must be >= 0, got {snr}")
     t, r, l = dims.t, dims.r, dims.l
-    expansion = coherent_expansion(dims, snr)
+    expansion = coherent_expansion(dims, snr)  # checks snr >= 0
     penalty = r * t / l * math.log1p(l * snr / t)
     return expansion.total - penalty
 
@@ -199,7 +202,7 @@ def sublinear_term(
     if alpha is not None:
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-        return r * (r + t) / (2.0 * t) * snr ** (1.0 + alpha)
+        return _second_order(t, r, snr, 1.0 + alpha)
     if not coherence_length >= 1.0:
         raise DomainError(f"coherence_length must be >= 1, got {coherence_length}")
     if snr == 0.0:
@@ -209,7 +212,7 @@ def sublinear_term(
     except DomainError:  # no finite coherence length saturates the gap
         saturation = math.inf
     if coherence_length >= saturation:
-        return r * (r + t) / (2.0 * t) * snr**2
+        return _second_order(t, r, snr, 2.0)
     return r * snr / (2.0 * math.sqrt(coherence_length))
 
 

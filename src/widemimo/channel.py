@@ -185,13 +185,10 @@ def average_power_check(ensemble, l: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_gamma_args(k, x):
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"shape k must be a positive integer, got {k!r}")
-    if k < 1:
-        raise DomainError(f"shape k must be >= 1, got {k}")
+    k = _positive_int("k", k)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x}")
-    return int(k), float(x)
+    return k, float(x)
 
 
 def gamma_lower_regularized(k: int, x: float) -> float:
@@ -201,14 +198,10 @@ def gamma_lower_regularized(k: int, x: float) -> float:
     comfortably inside the 1e-12 target.
     """
     k, x = _check_gamma_args(k, x)
-    if x == 0.0:
-        return 0.0
     return float(special.gammainc(k, x))
 
 
 def gamma_upper_regularized(k: int, x: float) -> float:
     """Q(k, x) = 1 - P(k, x), by ``scipy.special.gammaincc`` (no cancellation)."""
     k, x = _check_gamma_args(k, x)
-    if x == 0.0:
-        return 1.0
     return float(special.gammaincc(k, x))

@@ -88,10 +88,10 @@ def _checks(seed: int, threads: int):
     est = empirical_tail_cdf(4, 1.0, _N_MC, stream(1), threads)
     yield "gamma-vs-empirical", contains(est, gamma_lower_regularized(4, 1.0))
 
-    # coherent MI sampler against 1-D quadrature at t=r=1, snr=1
-    ref, _ = integrate.quad(lambda u: math.exp(-u) * math.log1p(u), 0.0, np.inf)
+    # coherent MI sampler against e E1(1) = int e^-u log(1+u) du at t=r=1, snr=1
+    e_e1, _ = integrate.quad(lambda u: math.exp(-u) * math.log1p(u), 0.0, np.inf)
     est = mc_coherent_mi(ChannelDims(1, 1, 1), 1.0, _N_MC, stream(2), threads)
-    yield "coherent-mi-anchor", contains(est, ref)
+    yield "coherent-mi-anchor", contains(est, e_e1)
 
     # coherent expansion at t=r=2, snr=0.02
     dims, snr = ChannelDims(2, 2, 1), 0.02
@@ -99,10 +99,9 @@ def _checks(seed: int, threads: int):
     closed = capacity.coherent_expansion(dims, snr).total
     yield "coherent-expansion-gap", expansion_gap(est, closed, snr)
 
-    # exact Gallager sampler against the -log(e E1(1)) anchor
-    ref, _ = integrate.quad(lambda u: math.exp(-u) / (1.0 + u), 0.0, np.inf)
+    # exact Gallager sampler against -log(e E1(1)); by parts e E1(1) = int e^-u / (1+u) du too
     est = mc_e0_exact(ChannelDims(1, 1, 1), 2.0, 1.0, _N_MC, stream(4), threads)
-    yield "e0-exact-anchor", contains(est, -math.log(ref))
+    yield "e0-exact-anchor", contains(est, -math.log(e_e1))
 
     # the closed-form Gallager bound lies above the sampled one, within 3 half-widths;
     # the gap is signed, negative while the sample sits below the bound

@@ -53,10 +53,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         summary = run_sweep(config, out=args.out, seed=args.seed, threads=args.threads)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WidemimoError as exc:
+    except (OSError, WidemimoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if not summary.row_errors else 1

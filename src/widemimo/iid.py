@@ -232,6 +232,16 @@ def surrogate_m(r: int, snr: float, amplitude_sq: float) -> float:
     return math.log(a) / a + a ** (-(r + 1.0) / a) * snr ** (1.0 / a)
 
 
+def _sandwich(r: int, snr: float) -> tuple[int, float, float, float]:
+    """(r, L, lower, upper) with L = log(r/snr) and the proved bounds on m_star."""
+    r = _positive_int("r", r)
+    if not 0.0 < snr < r / math.e**2:
+        raise DomainError(f"need snr < r/e^2 so that loglog(r/snr) > 0, got snr={snr}")
+    big_l = math.log(r / snr)
+    loglog = math.log(big_l)
+    return r, big_l, loglog / big_l, (loglog**2 + 1.0) / big_l
+
+
 def m_star(
     r: int, snr: float, a_domain: tuple[float, float] | None = None
 ) -> MStarResult:
@@ -245,10 +255,7 @@ def m_star(
         loglog(r/snr)/log(r/snr) <= m_star <= (loglog(r/snr)^2 + 1)/log(r/snr)
     and a ConsistencyError signals a mis-set domain.
     """
-    r = _positive_int("r", r)
-    if not 0.0 < snr < r / math.e**2:
-        raise DomainError(f"need snr < r/e^2 so that loglog(r/snr) > 0, got snr={snr}")
-    big_l = math.log(r / snr)
+    r, big_l, lower, upper = _sandwich(r, snr)
     if a_domain is None:
         a_domain = (big_l, big_l**3)
     a_lo, a_hi = float(a_domain[0]), float(a_domain[1])
@@ -257,8 +264,6 @@ def m_star(
     argmin, value = golden_section_min(
         lambda a: surrogate_m(r, snr, a), a_lo, a_hi, tol=1e-10
     )
-    lower = math.log(big_l) / big_l
-    upper = (math.log(big_l) ** 2 + 1.0) / big_l
     if not lower <= value <= upper:
         raise ConsistencyError(
             f"m_star={value:g} escaped its sandwich [{lower:g}, {upper:g}]; "
@@ -273,15 +278,11 @@ def iid_capacity_bracket(r: int, snr: float) -> CapacitySandwich:
     """Two-sided capacity bracket at the i.i.d. extreme (o(snr^2) terms dropped).
 
     lower = r snr (1 - (loglog(r/snr)^2 + 1)/log(r/snr)),
-    upper = r snr (1 - loglog(r/snr)/log(r/snr)).
+    upper = r snr (1 - loglog(r/snr)/log(r/snr)), that is r snr (1 - the m_star bounds).
     """
-    r = _positive_int("r", r)
-    if not 0.0 < snr < r / math.e**2:
-        raise DomainError(f"need snr < r/e^2, got snr={snr}")
-    big_l = math.log(r / snr)
-    loglog = math.log(big_l)
+    r, big_l, m_lower, m_upper = _sandwich(r, snr)
     return CapacitySandwich(
-        lower=r * snr * (1.0 - (loglog**2 + 1.0) / big_l),
-        upper=r * snr * (1.0 - loglog / big_l),
+        lower=r * snr * (1.0 - m_upper),
+        upper=r * snr * (1.0 - m_lower),
         delta_iid_dot=r * snr / big_l,
     )

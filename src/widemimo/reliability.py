@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import RegimeParams, coherence_for_regime, regime_from_coherence, regime_from_nu
+from .capacity import RegimeParams, coherence_for_regime, coherent_expansion
+from .capacity import regime_from_coherence, regime_from_nu
 from .channel import ChannelDims, gamma_lower_regularized
 from .errors import DomainError, TrainingInfeasibleError
 
@@ -158,6 +159,15 @@ class DiversityEstimate:
 # objective rt log(1 + kappa rho / (1 + rho)) - rho R.  Real-valued coherence
 # is allowed here and in the operating-point layer below.
 # ---------------------------------------------------------------------------
+
+
+def _kappa(t: int, coherence: float, snr_b: float) -> float:
+    return coherence * snr_b / t
+
+
+def _e0(rt: int, kappa: float, rho: float) -> float:
+    """The block Gallager function rt log(1 + kappa rho / (1 + rho)) (Gallager 1968)."""
+    return rt * math.log1p(kappa * rho / (1.0 + rho))
 
 
 def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
@@ -304,9 +314,9 @@ class OperatingPoint:
         if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
             return ExponentPoint(rate, 0.0, 0.0, REGION_C, lm.asymptotics_binding)
         rt = self.r * self.t
-        kappa = self.coherence * self.regime.snr_b / self.t
+        kappa = _kappa(self.t, self.coherence, self.regime.snr_b)
         rho = _rho_star_scalar(rt, kappa, rate)
-        value = rt * math.log1p(kappa * rho / (1.0 + rho)) - rho * rate
+        value = _e0(rt, kappa, rho) - rho * rate
         region = REGION_A if rho >= 1.0 else REGION_B
         return ExponentPoint(rate, value, rho, region, lm.asymptotics_binding)
 
@@ -316,6 +326,8 @@ class OperatingPoint:
 
     def outage(self, rate: float) -> OutageEstimate:
         """P(rt, rate / (coherence f_star)); see ``outage_probability``."""
+        if rate < 0.0:
+            raise DomainError(f"rate must be >= 0, got {rate}")
         if self.training is None:
             raise TrainingInfeasibleError(
                 f"training needs l > t, got l={self.coherence:g}, t={self.t}"
@@ -325,17 +337,16 @@ class OperatingPoint:
         return OutageEstimate(probability=prob, error_weighted=self.regime.delta * prob)
 
 
-def _point(t: int, r: int, coherence: float, regime: RegimeParams) -> OperatingPoint:
-    """The operating point of checked (t, r) at a known coherence length and regime."""
-    snr_b = regime.snr_b
+def _point(dims: ChannelDims, coherence: float, regime: RegimeParams) -> OperatingPoint:
+    """The operating point of checked dims at a coherence length that stands in for dims.l."""
+    t, r, snr_b = dims.t, dims.r, regime.snr_b
     rt = r * t
-    c_block = coherence * (r * snr_b - r * (r + t) / (2.0 * t) * snr_b**2)
+    c_block = coherence * coherent_expansion(dims, snr_b).total
     c_tlb = c_block - 2.0 * r * math.sqrt(t * snr_b * coherence)
     r_critical = rt / 2.0
-    kappa = coherence * snr_b / t
     landmarks = RateLandmarks(
         r_critical=r_critical,
-        r_cutoff=rt * math.log1p(0.5 * kappa),
+        r_cutoff=_e0(rt, _kappa(t, coherence, snr_b), 1.0),
         c_block=c_block,
         c_block_training_lb=c_tlb,
         asymptotics_binding=c_tlb > max(r_critical, 0.0),
@@ -345,7 +356,7 @@ def _point(t: int, r: int, coherence: float, regime: RegimeParams) -> OperatingP
 
 def _point_at(dims: ChannelDims, snr: float) -> OperatingPoint:
     """``operating_point`` on the l path, for dims the caller has already checked."""
-    return _point(dims.t, dims.r, float(dims.l), regime_from_coherence(dims, snr))
+    return _point(dims, float(dims.l), regime_from_coherence(dims, snr))
 
 
 def operating_point(
@@ -359,9 +370,9 @@ def operating_point(
     """
     if nu is None:
         return _point_at(ChannelDims(t, r, l), snr)
-    ChannelDims(t, r, 1)  # no integer l on this path: checks t and r only
+    dims = ChannelDims(t, r, 1)  # no integer l on this path: checks t and r only
     regime = regime_from_nu(snr, nu)
-    return _point(t, r, coherence_for_regime(t, r, regime), regime)
+    return _point(dims, coherence_for_regime(t, r, regime), regime)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +392,7 @@ def e0_upper(dims: ChannelDims, snr_b: float, rho: float) -> float:
         raise DomainError(f"rho must be in [0, 1], got {rho}")
     if snr_b <= 0.0:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
-    return dims.r * dims.t * math.log1p(
-        rho * dims.l * snr_b / (dims.t * (1.0 + rho))
-    )
+    return _e0(dims.r * dims.t, _kappa(dims.t, dims.l, snr_b), rho)
 
 
 def rho_star(dims: ChannelDims, regime: RegimeParams, rate: float) -> float:
@@ -395,8 +404,7 @@ def rho_star(dims: ChannelDims, regime: RegimeParams, rate: float) -> float:
     """
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
-    kappa = dims.l * regime.snr_b / dims.t
-    return _rho_star_scalar(dims.r * dims.t, kappa, rate)
+    return _rho_star_scalar(dims.r * dims.t, _kappa(dims.t, dims.l, regime.snr_b), rate)
 
 
 def rho_one_rate(dims: ChannelDims, regime: RegimeParams) -> float:
@@ -404,7 +412,7 @@ def rho_one_rate(dims: ChannelDims, regime: RegimeParams) -> float:
 
     rt kappa / (2 (2 + kappa)) with kappa = l snr_b / t.
     """
-    kappa = dims.l * regime.snr_b / dims.t
+    kappa = _kappa(dims.t, dims.l, regime.snr_b)
     return dims.r * dims.t * kappa / (2.0 * (2.0 + kappa))
 
 
@@ -462,9 +470,6 @@ def outage_probability(dims: ChannelDims, snr: float, rate: float) -> OutageEsti
     delta(snr) * probability is the heuristic that tracks the block error
     bound in the rate region where outage dominates.
     """
-    if rate < 0.0:
-        raise DomainError(f"rate must be >= 0, got {rate}")
-    dims.require_training()
     return _point_at(dims, snr).outage(rate)
 
 

@@ -113,6 +113,8 @@ def _parse_grid(key, kind, raw, line_no):
             raise ConfigError(
                 f"line {line_no}: grid '{key}' expects {kind.__name__} values, got {tok!r}"
             ) from exc
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"line {line_no}: grid '{key}' expects finite values, got {tok!r}")
     return tuple(values)
 
 

@@ -44,6 +44,7 @@ COUNT_CALLS = {
     "onoff_building_blocks": lambda r: onoff_building_blocks(r, 0.01, 10.0),
     "mc_onoff_mi": lambda r: mc_onoff_mi(r, 0.01, 10.0, 10_000, RngStream(SEED, 140)),
     "empirical_tail_cdf": lambda k: empirical_tail_cdf(k, 1.0, 1000, RngStream(SEED, 141)),
+    "gamma_lower_regularized": lambda k: gamma_lower_regularized(k, 1.0),
 }
 
 

@@ -264,3 +264,17 @@ class TestCapacityBracket:
     def test_domain(self):
         with pytest.raises(DomainError):
             iid_capacity_bracket(1, 0.5)
+
+    def test_is_r_snr_times_one_minus_the_mstar_bounds(self):
+        for r in (1, 2, 4):
+            for snr in (1e-8, 1e-4, 1e-2, 0.1 * r / math.e**2):
+                bounds, out = m_star(r, snr), iid_capacity_bracket(r, snr)
+                assert out.lower == r * snr * (1.0 - bounds.upper_bound)
+                assert out.upper == r * snr * (1.0 - bounds.lower_bound)
+
+    def test_domain_message_matches_m_star(self):
+        with pytest.raises(DomainError) as bracket:
+            iid_capacity_bracket(1, 0.5)
+        with pytest.raises(DomainError) as mstar:
+            m_star(1, 0.5)
+        assert str(bracket.value) == str(mstar.value)

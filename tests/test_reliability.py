@@ -8,6 +8,7 @@ from widemimo import (
     DomainError,
     TrainingInfeasibleError,
     block_error_bound,
+    coherent_expansion,
     diversity_low_snr,
     e0_upper,
     error_exponent,
@@ -26,6 +27,11 @@ from widemimo.reliability import rho_one_rate
 
 REF_DIMS = ChannelDims(1, 1, 2500)  # nu = 1 at snr = 0.01
 REF_SNR = 0.01
+
+# (l, snr) points, per (t, r), on which the exponent, the landmarks and the
+# public formulas must agree exactly, not only to a tolerance.
+IDENTITY_POINTS = [(l, snr) for l in (5, 50, 2500, 100_000) for snr in (1e-3, 1e-2, 0.1)]
+IDENTITY_COUNTS = [(t, r) for t in (1, 2, 4) for r in (1, 2, 3)]
 
 
 class TestE0Upper:
@@ -204,6 +210,16 @@ class TestLandmarks:
     def test_critical_rate_scales_with_antennas(self):
         assert rate_landmarks(ChannelDims(2, 3, 40000), 0.01).r_critical == 3.0
 
+    @pytest.mark.parametrize("t,r", IDENTITY_COUNTS)
+    def test_built_from_e0_and_the_coherent_expansion(self, t, r):
+        # r_cutoff is E0(1) and c_block is l times the coherent expansion at snr_b, bit for bit
+        for l, snr in IDENTITY_POINTS:
+            dims = ChannelDims(t, r, l)
+            snr_b = regime_from_coherence(dims, snr).snr_b
+            lm = rate_landmarks(dims, snr)
+            assert lm.r_cutoff == e0_upper(dims, snr_b, 1.0)
+            assert lm.c_block == l * coherent_expansion(dims, snr_b).total
+
     def test_degenerate_regime_flagged(self):
         # nu = 0.5 at snr = 0.01: the training bound has not opened region B yet
         lm = rate_landmarks(ChannelDims(1, 1, 25), 0.01)
@@ -240,6 +256,18 @@ class TestErrorExponent:
         via_a = e0_upper(REF_DIMS, regime.snr_b, 1.0) - boundary
         via_b = error_exponent(REF_DIMS, REF_SNR, boundary).value
         assert abs(via_a - via_b) <= 1e-9
+
+    @pytest.mark.parametrize("t,r", IDENTITY_COUNTS)
+    def test_regions_a_b_are_e0_upper_at_rho_star(self, t, r):
+        # one Gallager function: E_r(R) = E0(rho*) - rho* R exactly in regions A and B
+        for l, snr in IDENTITY_POINTS:
+            dims = ChannelDims(t, r, l)
+            regime = regime_from_coherence(dims, snr)
+            for rate in (0.0, 0.5, 2.0, 10.0):
+                point = error_exponent(dims, snr, rate)
+                if point.region in ("A", "B"):
+                    rho = rho_star(dims, regime, rate)
+                    assert point.value == e0_upper(dims, regime.snr_b, rho) - rho * rate
 
     @pytest.mark.parametrize("t,r", [(1, 1), (1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])

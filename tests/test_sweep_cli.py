@@ -10,7 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import cli_env
-from widemimo import ChannelDims, ConfigError, DimensionError, load_config, run_sweep
+from widemimo import (
+    ChannelDims, ConfigError, DimensionError, WidemimoError, load_config, outage_probability,
+    run_sweep,
+)
 from widemimo.sweep import _CHUNK_ROWS, DEFAULT_ROW_CAP, ROW_CAP_ENV
 
 
@@ -68,6 +71,12 @@ class TestLoadConfig:
         bad = "quantity = capacity\nt = 1\nr = 1\nl = 2.5\nsnr = 0.01\n"
         with pytest.raises(ConfigError, match="line 4"):
             load_config(write(tmp_path, "c.cfg", bad))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_values_rejected(self, tmp_path, bad):
+        text = f"quantity = capacity\nt = 1\nr = 1\nl = 10\nsnr = 0.01, {bad}\n"
+        with pytest.raises(ConfigError, match=f"line 5: grid 'snr' expects finite values, got '{bad}'"):
+            load_config(write(tmp_path, "c.cfg", text))
 
     def test_row_cap_refusal(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ROW_CAP_ENV, "4")
@@ -132,6 +141,17 @@ class TestRunSweep:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] != "" and rows[0]["outage"] == ""
         assert rows[1]["error"] == "" and rows[1]["outage"] != ""
+
+    @pytest.mark.parametrize("t,l,rate", [(1, 100, -1.0), (2, 2, 1.0)])
+    def test_outage_row_error_is_the_api_error(self, tmp_path, t, l, rate):
+        text = f"quantity = outage\nt = {t}\nr = 1\nsnr = 0.01\nl = {l}\nrate = {rate}\n"
+        out = tmp_path / "o.csv"
+        run_sweep(load_config(write(tmp_path, "o.cfg", text)), out=str(out), err_stream=io.StringIO())
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        with pytest.raises(WidemimoError) as exc:
+            outage_probability(ChannelDims(t, 1, l), 0.01, rate)
+        assert row["error"] == f"{type(exc.value).__name__}: {exc.value}"
 
     def test_iid_sweep_row(self, tmp_path):
         text = "quantity = iid\nr = 1, 4\nsnr = 0.01\namplitude_sq = 20\n"
