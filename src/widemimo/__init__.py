@@ -26,12 +26,9 @@ from .capacity import (
 from .channel import (
     ChannelDims,
     RngStream,
-    apply_block_channel,
-    average_power_check,
     gamma_lower_regularized,
     gamma_upper_regularized,
     sample_channel_matrix,
-    sample_peaky_gaussian,
 )
 from .errors import (
     ConfigError,
@@ -70,7 +67,6 @@ from .reliability import (
     OutageEstimate,
     RateLandmarks,
     SlopeFit,
-    TrainingDesign,
     TrainingOptimum,
     block_error_bound,
     diversity_low_snr,
@@ -82,7 +78,6 @@ from .reliability import (
     rho_one_rate,
     rho_star,
     slope_fit,
-    training_design,
     training_f,
     training_f_star,
 )

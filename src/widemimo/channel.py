@@ -1,8 +1,7 @@
 """Rayleigh block-fading channel kernel.
 
-Everything downstream rests on three things defined here: the complex-Gaussian
-convention, the block channel map ``Y = H X + W``, and the regularized lower
-incomplete gamma function.
+Everything downstream rests on two things defined here: the complex-Gaussian
+convention and the regularized lower incomplete gamma function.
 
 Convention, fixed once for the whole package: CN(0, 1) means a circularly
 symmetric complex Gaussian with *total* variance 1, i.e. independent real and
@@ -22,9 +21,6 @@ __all__ = [
     "ChannelDims",
     "RngStream",
     "sample_channel_matrix",
-    "sample_peaky_gaussian",
-    "apply_block_channel",
-    "average_power_check",
     "gamma_lower_regularized",
     "gamma_upper_regularized",
 ]
@@ -35,11 +31,11 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_STRIDE = 1 << 40
 
 
-def _as_count(name, value, minimum=1):
+def _as_count(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DimensionError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DimensionError(f"{name} must be >= {minimum}, got {value}")
+    if value < 1:
+        raise DimensionError(f"{name} must be >= 1, got {value}")
     return int(value)
 
 
@@ -109,74 +105,6 @@ def sample_channel_matrix(dims: ChannelDims, rng: RngStream, count: int | None =
         return _sample_cn(gen, (dims.r, dims.t))
     count = _as_count("count", count)
     return _sample_cn(gen, (count, dims.r, dims.t))
-
-
-def sample_peaky_gaussian(
-    dims: ChannelDims,
-    duty: float,
-    snr_block: float,
-    rng: RngStream,
-    count: int | None = None,
-):
-    """Draw input blocks X for duty-cycled Gaussian signaling.
-
-    A block transmits with probability ``duty``; a transmitting block has
-    i.i.d. CN(0, snr_block / t) entries, so the long-run average power per
-    symbol is duty * snr_block.
-    """
-    if not 0.0 < duty <= 1.0:
-        raise DomainError(f"duty must be in (0, 1], got {duty}")
-    if snr_block < 0.0:
-        raise DomainError(f"snr_block must be >= 0, got {snr_block}")
-    gen = rng.generator()
-    n = 1 if count is None else _as_count("count", count)
-    on = gen.random(n) < duty
-    x = _sample_cn(gen, (n, dims.t, dims.l)) * math.sqrt(snr_block / dims.t)
-    x *= on[:, None, None]
-    return x[0] if count is None else x
-
-
-def apply_block_channel(h, x, noise=None):
-    """One coherence block of the fading channel: Y = H X + W.
-
-    ``noise=None`` means the noiseless map.  Shapes must satisfy
-    h: (r, t), x: (t, l), noise: (r, l).
-    """
-    h = np.asarray(h)
-    x = np.asarray(x)
-    if h.ndim != 2 or x.ndim != 2:
-        raise DimensionError("h and x must be 2-D matrices")
-    if h.shape[1] != x.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: h is {h.shape}, x is {x.shape}")
-    for name, m in (("h", h), ("x", x)):
-        if not np.all(np.isfinite(m.view(float) if np.iscomplexobj(m) else m)):
-            raise DomainError(f"{name} contains non-finite entries")
-    y = h @ x
-    if noise is not None:
-        w = np.asarray(noise)
-        if w.shape != y.shape:
-            raise DimensionError(f"noise shape {w.shape} != output shape {y.shape}")
-        if not np.all(np.isfinite(w.view(float) if np.iscomplexobj(w) else w)):
-            raise DomainError("noise contains non-finite entries")
-        y = y + w
-    return y
-
-
-def average_power_check(ensemble, l: int) -> float:
-    """Empirical SNR of an input ensemble: (1 / (l N)) * sum_n trace(X_n X_n^dagger).
-
-    Used by tests to certify that generated codebooks meet the average power
-    constraint.  ``ensemble`` is an (N, t, l) array or an iterable of (t, l)
-    matrices.
-    """
-    xs = np.asarray(ensemble)
-    if xs.ndim == 2:
-        xs = xs[None]
-    if xs.ndim != 3 or xs.shape[0] == 0:
-        raise DomainError("ensemble must contain at least one t x l matrix")
-    l = _as_count("l", l)
-    energy = np.sum(np.abs(xs) ** 2)
-    return float(energy / (l * xs.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def onoff_building_blocks(r: int, snr: float, amplitude_sq: float) -> OnOffSpec:
     r = _positive_int("r", r)
     if not snr > 0.0:
         raise DomainError(f"snr must be > 0, got {snr}")
-    if amplitude_sq < snr:
+    if not amplitude_sq >= snr:
         raise DomainError(
             f"amplitude_sq must be >= snr so that omega <= 1, got A={amplitude_sq}, snr={snr}"
         )
@@ -115,9 +115,9 @@ def onoff_mi_asymptotic(r: int, snr: float, amplitude_sq: float) -> MiExpansion:
     """
     r = _positive_int("r", r)
     a = float(amplitude_sq)
-    if a < 1.0:
+    if not a >= 1.0:
         raise DomainError(f"amplitude_sq must be >= 1 for the expansion, got {a}")
-    if snr < 0.0 or snr >= 1.0:
+    if not 0.0 <= snr < 1.0:
         raise DomainError(f"snr must lie in [0, 1), got {snr}")
     if snr == 0.0:
         return MiExpansion(value=0.0, zeta_ratio=0.0)
@@ -172,7 +172,7 @@ def onoff_mi_quadrature(
     tail is bounded analytically against rel_tol.
     """
     r = _positive_int("r", r)
-    if snr < 0.0 or snr >= amplitude_sq:
+    if not 0.0 <= snr < amplitude_sq:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
         return 0.0
@@ -227,7 +227,7 @@ def surrogate_m(r: int, snr: float, amplitude_sq: float) -> float:
     """Surrogate gap objective M(A, snr) = log(A)/A + A^(-(r+1)/A) snr^(1/A)."""
     r = _positive_int("r", r)
     a = float(amplitude_sq)
-    if a <= 1.0:
+    if not a > 1.0:
         raise DomainError(f"amplitude_sq must be > 1, got {a}")
     return math.log(a) / a + a ** (-(r + 1.0) / a) * snr ** (1.0 / a)
 

@@ -84,7 +84,7 @@ class OracleEstimate:
         return self.ci99_low <= value <= self.ci99_high
 
 
-def _check_n(n, minimum=2) -> int:
+def _check_n(n, minimum) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
     return int(n)
@@ -155,7 +155,7 @@ def mc_coherent_mi(
     closed form for p <= 2, eigenvalues of the p x p matrix above that.
     """
     n = _check_n(n, minimum=1000)
-    if snr < 0.0:
+    if not snr >= 0.0:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
     coeffs = [snr / t]
@@ -302,7 +302,7 @@ def mc_e0_curve(
     positively correlated, which is harmless for one-sided bound checks.
     """
     n = _check_n(n, minimum=1000)
-    if snr_b <= 0.0:
+    if not snr_b > 0.0:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     rho_list = [float(rho) for rho in rhos]
     for rho in rho_list:
@@ -399,7 +399,7 @@ def mc_onoff_mi(
     """
     n = _check_n(n, minimum=10_000)
     r = _positive_int("r", r)
-    if snr < 0.0 or (snr > 0.0 and not snr < amplitude_sq):
+    if not (snr == 0.0 or 0.0 < snr < amplitude_sq):
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
         return OracleEstimate(0.0, 0.0, n, 0.0, 0.0)
@@ -463,7 +463,7 @@ def empirical_tail_cdf(
     """
     n = _check_n(n, minimum=1000)
     k = _positive_int("k", k)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
 
     def chunk(gen, m):

@@ -27,7 +27,6 @@ from .channel import ChannelDims, gamma_lower_regularized
 from .errors import DomainError, TrainingInfeasibleError
 
 __all__ = [
-    "TrainingDesign",
     "TrainingOptimum",
     "RateLandmarks",
     "ExponentPoint",
@@ -37,7 +36,6 @@ __all__ = [
     "SlopeFit",
     "OperatingPoint",
     "e0_upper",
-    "training_design",
     "training_f",
     "training_f_star",
     "rho_star",
@@ -59,16 +57,6 @@ REGION_BEYOND = "beyond"
 
 _DROPPED_EXPONENT = "additive o(1) in the exponent dropped"
 _DROPPED_LANDMARKS = "o(1) in critical rate and capacity-curvature remainders dropped"
-
-
-@dataclass(frozen=True)
-class TrainingDesign:
-    """Energy split of one pilot-assisted block."""
-
-    gamma: float
-    e_total: float
-    e_training: float
-    f_value: float
 
 
 @dataclass(frozen=True)
@@ -228,18 +216,9 @@ def training_f(gamma: float, dims: ChannelDims, snr_b: float) -> float:
     snr_b for every split.
     """
     dims.require_training()
-    if snr_b <= 0.0:
+    if not snr_b > 0.0:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     return _training_f_scalar(gamma, dims.t, dims.l, snr_b)
-
-
-def training_design(dims: ChannelDims, snr_b: float, gamma: float) -> TrainingDesign:
-    """Bundle the energy split implied by a training fraction gamma."""
-    f = training_f(gamma, dims, snr_b)
-    e_total = dims.l * snr_b
-    return TrainingDesign(
-        gamma=gamma, e_total=e_total, e_training=gamma * e_total, f_value=f
-    )
 
 
 def training_f_star(
@@ -255,7 +234,7 @@ def training_f_star(
     numbers (outage, the training exponent) always use the exact maximum.
     """
     dims.require_training()
-    if snr_b <= 0.0:
+    if not snr_b > 0.0:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     f_star, gamma_star = _f_star_scalar(dims.t, dims.l, snr_b)
     f_lb = None
@@ -306,7 +285,7 @@ class OperatingPoint:
 
     def exponent(self, rate: float) -> ExponentPoint:
         """Error exponent at one rate; see ``error_exponent``."""
-        if rate < 0.0:
+        if not rate >= 0.0:
             raise DomainError(f"rate must be >= 0, got {rate}")
         lm = self.landmarks
         if rate >= lm.c_block:
@@ -326,7 +305,7 @@ class OperatingPoint:
 
     def outage(self, rate: float) -> OutageEstimate:
         """P(rt, rate / (coherence f_star)); see ``outage_probability``."""
-        if rate < 0.0:
+        if not rate >= 0.0:
             raise DomainError(f"rate must be >= 0, got {rate}")
         if self.training is None:
             raise TrainingInfeasibleError(
@@ -390,7 +369,7 @@ def e0_upper(dims: ChannelDims, snr_b: float, rho: float) -> float:
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must be in [0, 1], got {rho}")
-    if snr_b <= 0.0:
+    if not snr_b > 0.0:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     return _e0(dims.r * dims.t, _kappa(dims.t, dims.l, snr_b), rho)
 
@@ -402,7 +381,7 @@ def rho_star(dims: ChannelDims, regime: RegimeParams, rate: float) -> float:
     [0, 1]); rate = 0 returns 1 by convention.  Values that would exceed 1
     correspond to rates below the critical rate.
     """
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
     return _rho_star_scalar(dims.r * dims.t, _kappa(dims.t, dims.l, regime.snr_b), rate)
 

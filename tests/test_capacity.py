@@ -217,3 +217,34 @@ class TestEnergyPerNat:
             energy_per_nat(1, 0.01, 0.01)
         with pytest.raises(DomainError):
             energy_per_nat(1, 0.01, 0.02)
+
+
+# A bound check written as the positive condition rejects nan with its own message.
+NAN_CALLS = {
+    "coherent_expansion": (
+        lambda: coherent_expansion(ChannelDims(1, 1, 10), math.nan), "snr must be >= 0, got nan"
+    ),
+    "gaussian_lower_bound": (
+        lambda: gaussian_lower_bound(ChannelDims(1, 1, 10), math.nan), "snr must be >= 0, got nan"
+    ),
+    "sublinear_term-alpha": (
+        lambda: sublinear_term(ChannelDims(1, 1, 1), math.nan, alpha=0.5),
+        "snr must be >= 0, got nan",
+    ),
+    "sublinear_term-coherence": (
+        lambda: sublinear_term(ChannelDims(1, 1, 1), math.nan, coherence_length=10),
+        "snr must be >= 0, got nan",
+    ),
+    "energy_per_nat-snr": (lambda: energy_per_nat(1, math.nan, 0.0), "snr must be > 0, got nan"),
+    "energy_per_nat-delta_term": (
+        lambda: energy_per_nat(1, 0.01, math.nan), "delta_term must be >= 0, got nan"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CALLS))
+def test_nan_is_a_domain_error(name):
+    call, message = NAN_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

@@ -11,8 +11,6 @@ from widemimo import (
     DomainError,
     RngStream,
     TrainingInfeasibleError,
-    apply_block_channel,
-    average_power_check,
     empirical_tail_cdf,
     energy_per_nat,
     gamma_lower_regularized,
@@ -20,7 +18,6 @@ from widemimo import (
     mc_onoff_mi,
     onoff_building_blocks,
     sample_channel_matrix,
-    sample_peaky_gaussian,
 )
 
 
@@ -98,72 +95,6 @@ class TestSampler:
         grid = np.arange(1, n + 1) / n
         ks = max(np.max(np.abs(grid - cdf)), np.max(np.abs(cdf - (grid - 1 / n))))
         assert ks < 0.01
-
-
-class TestBlockChannel:
-    def test_identity_channel(self):
-        x = np.arange(6, dtype=complex).reshape(2, 3)
-        assert np.array_equal(apply_block_channel(np.eye(2), x), x)
-
-    def test_zero_input_returns_noise(self):
-        w = np.ones((2, 3)) * (1 + 2j)
-        y = apply_block_channel(np.eye(2), np.zeros((2, 3)), w)
-        assert np.array_equal(y, w)
-
-    def test_matches_entrywise_sum(self):
-        gen = RngStream(SEED, 120).generator()
-        h = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-        x = gen.standard_normal((2, 3)) + 1j * gen.standard_normal((2, 3))
-        y = apply_block_channel(h, x)
-        brute = np.array(
-            [[sum(h[i, k] * x[k, j] for k in range(2)) for j in range(3)] for i in range(2)]
-        )
-        assert np.allclose(y, brute, rtol=1e-15, atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_block_channel(np.eye(2), np.zeros((3, 4)))
-        with pytest.raises(DimensionError):
-            apply_block_channel(np.eye(2), np.zeros((2, 4)), np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        x = np.zeros((2, 2), dtype=complex)
-        x[0, 0] = np.nan
-        with pytest.raises(DomainError):
-            apply_block_channel(np.eye(2), x)
-
-
-class TestPowerCheck:
-    def test_zero_ensemble(self):
-        assert average_power_check(np.zeros((10, 2, 4)), 4) == 0.0
-
-    def test_single_matrix_definition(self):
-        # trace(X X^dagger) = l * s  ->  returns s
-        x = np.full((1, 5), math.sqrt(0.3), dtype=complex)
-        assert average_power_check([x], 5) == pytest.approx(0.3, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            average_power_check(np.zeros((0, 2, 2)), 2)
-
-    def test_peaky_gaussian_domain(self):
-        dims = ChannelDims(1, 1, 4)
-        with pytest.raises(DomainError):
-            sample_peaky_gaussian(dims, 0.0, 0.1, RngStream(SEED, 125))
-        with pytest.raises(DomainError):
-            sample_peaky_gaussian(dims, 1.5, 0.1, RngStream(SEED, 125))
-        with pytest.raises(DomainError):
-            sample_peaky_gaussian(dims, 0.5, -0.1, RngStream(SEED, 125))
-
-    def test_peaky_gaussian_meets_constraint(self):
-        # duty 0.5 at block SNR 0.2 averages to SNR 0.1
-        dims = ChannelDims(2, 2, 8)
-        xs = sample_peaky_gaussian(dims, 0.5, 0.2, RngStream(SEED, 121), count=10**5)
-        measured = average_power_check(xs, dims.l)
-        # SE of the block-energy mean, dominated by the on/off indicator
-        energies = np.sum(np.abs(xs) ** 2, axis=(1, 2)) / dims.l
-        se = energies.std(ddof=1) / math.sqrt(len(energies))
-        assert abs(measured - 0.1) <= 3 * se
 
 
 class TestGammaKernel:

@@ -31,6 +31,11 @@ class TestBuildingBlocks:
         assert onoff_building_blocks(1, 0.25, 0.25).omega == 1.0
         with pytest.raises(DomainError):
             onoff_building_blocks(1, 0.3, 0.25)
+        with pytest.raises(DomainError) as err:
+            onoff_building_blocks(1, 0.01, math.nan)
+        assert str(err.value) == (
+            "amplitude_sq must be >= snr so that omega <= 1, got A=nan, snr=0.01"
+        )
 
     def test_zeta_star_log_identity(self):
         # zeta*/(1+A) = (log A + r log(1+A) + log(1/snr)) / A
@@ -70,6 +75,19 @@ class TestAsymptoticMi:
         assert out.value == pytest.approx(expected, rel=1e-14)
         assert out.value == pytest.approx(0.0036210, abs=5e-8)
         assert out.zeta_ratio == pytest.approx(10.236215606958561 / 11, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "snr, a, message",
+        [
+            (math.nan, 10.0, "snr must lie in [0, 1), got nan"),
+            (0.01, math.nan, "amplitude_sq must be >= 1 for the expansion, got nan"),
+        ],
+        ids=["snr", "amplitude_sq"],
+    )
+    def test_nan_is_a_domain_error(self, snr, a, message):
+        with pytest.raises(DomainError) as err:
+            onoff_mi_asymptotic(1, snr, a)
+        assert str(err.value) == message
 
     def test_peak_power_sweep_shape(self):
         # the expansion stays below the linear term everywhere, peaks at a
@@ -147,6 +165,10 @@ class TestQuadratureMi:
             onoff_mi_quadrature(0, 0.01, 10.0)
         with pytest.raises(DomainError):
             onoff_mi_quadrature(1, 0.01, 10.0, rel_tol=1e-16)
+        for snr, a in ((math.nan, 10.0), (0.01, math.nan)):
+            with pytest.raises(DomainError) as err:
+                onoff_mi_quadrature(1, snr, a)
+            assert str(err.value) == f"need amplitude_sq > snr >= 0, got A={a}, snr={snr}"
 
     def test_nonconvergence_carries_estimate(self, monkeypatch):
         # a quadrature that reports trouble must surface the achieved value
@@ -181,6 +203,8 @@ class TestSurrogate:
     def test_domain(self):
         with pytest.raises(DomainError):
             surrogate_m(1, 1e-4, 1.0)
+        with pytest.raises(DomainError, match="^amplitude_sq must be > 1, got nan$"):
+            surrogate_m(1, 1e-4, math.nan)
 
 
 class TestMStar:

@@ -350,3 +350,32 @@ class TestDeterminism:
         a = mc_coherent_mi(DIMS11, 0.3, 5000, RngStream(SEED, 241))
         b = mc_coherent_mi(DIMS11, 0.3, 5000, RngStream(SEED, 242))
         assert a.mean != b.mean
+
+
+# A bound check written as the positive condition rejects nan with its own message.
+NAN_CALLS = {
+    "mc_coherent_mi": (
+        lambda rng: mc_coherent_mi(DIMS11, math.nan, 1000, rng), "snr must be >= 0, got nan"
+    ),
+    "mc_e0_exact": (
+        lambda rng: mc_e0_exact(DIMS11, math.nan, 0.5, 1000, rng), "snr_b must be > 0, got nan"
+    ),
+    "mc_e0_curve": (
+        lambda rng: mc_e0_curve(DIMS11, math.nan, [0.5], 1000, rng), "snr_b must be > 0, got nan"
+    ),
+    "mc_onoff_mi": (
+        lambda rng: mc_onoff_mi(1, math.nan, 10.0, 10_000, rng),
+        "need amplitude_sq > snr >= 0, got A=10.0, snr=nan",
+    ),
+    "empirical_tail_cdf": (
+        lambda rng: empirical_tail_cdf(1, math.nan, 1000, rng), "x must be >= 0, got nan"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_CALLS))
+def test_nan_is_a_domain_error(name):
+    call, message = NAN_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call(RngStream(SEED, 290))
+    assert str(err.value) == message

@@ -18,7 +18,6 @@ from widemimo import (
     rate_landmarks,
     regime_from_coherence,
     rho_star,
-    training_design,
     training_f,
     training_f_star,
 )
@@ -47,6 +46,8 @@ class TestE0Upper:
     def test_domain(self):
         with pytest.raises(DomainError):
             e0_upper(ChannelDims(1, 1, 1), 0.1, 1.5)
+        with pytest.raises(DomainError, match="^snr_b must be > 0, got nan$"):
+            e0_upper(ChannelDims(1, 1, 1), math.nan, 0.5)
 
 
 class TestTraining:
@@ -94,12 +95,6 @@ class TestTraining:
         expected = regime.snr_b - 2 * 2 * regime.snr ** (regime.nu + 0.5)
         assert out.f_lb_asymptotic == pytest.approx(expected, rel=1e-12)
         assert out.f_lb_asymptotic <= out.f_star
-
-    def test_design_invariants(self):
-        design = training_design(ChannelDims(2, 2, 40), 0.05, 0.3)
-        assert 0.0 < design.gamma < 1.0
-        assert design.e_training < design.e_total
-        assert 0.0 < design.f_value < 0.05
 
     def test_training_exponent_below_coherent_bound(self):
         # pilot-scheme Gallager value can never beat the coherent-side bound
@@ -392,3 +387,23 @@ class TestDiversity:
         # 1e-200 ** -2 overflows the coherence map: a library error, not OverflowError
         with pytest.raises(DomainError, match="coherence length .* overflows"):
             diversity_low_snr(ChannelDims(1, 1, 10), 1.0, 1.5, snr_grid=[1e-2, 1e-200])
+
+
+# A bound check written as the positive condition rejects nan with its own message.
+NAN_CALLS = {
+    "error_exponent": lambda: error_exponent(REF_DIMS, REF_SNR, math.nan),
+    "exponent_curve": lambda: exponent_curve(REF_DIMS, REF_SNR, [math.nan]),
+    "block_error_bound": lambda: block_error_bound(REF_DIMS, REF_SNR, math.nan),
+    "outage_probability": lambda: outage_probability(REF_DIMS, REF_SNR, math.nan),
+    "rho_star": lambda: rho_star(REF_DIMS, regime_from_coherence(REF_DIMS, REF_SNR), math.nan),
+    "training_f": lambda: training_f(0.5, REF_DIMS, math.nan),
+    "training_f_star": lambda: training_f_star(REF_DIMS, math.nan),
+}
+NAN_MESSAGES = dict.fromkeys(["training_f", "training_f_star"], "snr_b must be > 0, got nan")
+
+
+@pytest.mark.parametrize("name", list(NAN_CALLS))
+def test_nan_is_a_domain_error(name):
+    with pytest.raises(DomainError) as err:
+        NAN_CALLS[name]()
+    assert str(err.value) == NAN_MESSAGES.get(name, "rate must be >= 0, got nan")
