@@ -139,7 +139,7 @@ def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
     is dropped (it is positive and ~ r t (r^2 + 3 r t + t^2 + 1)/(3 t^3) snr^3
     at leading order, which the oracle tests budget for).
     """
-    if not snr >= 0.0:
+    if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     linear = dims.r * snr
     sub = _second_order(dims.t, dims.r, snr, 2.0)
@@ -154,7 +154,7 @@ def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
     negative for short blocks and is returned as-is; sweep output flags it.
     """
     t, r, l = dims.t, dims.r, dims.l
-    expansion = coherent_expansion(dims, snr)  # checks snr >= 0
+    expansion = coherent_expansion(dims, snr)  # checks 0 <= snr < inf
     penalty = r * t / l * math.log1p(l * snr / t)
     return expansion.total - penalty
 
@@ -196,7 +196,7 @@ def sublinear_term(
     """
     if (alpha is None) == (coherence_length is None):
         raise DomainError("supply exactly one of alpha or coherence_length")
-    if not snr >= 0.0:
+    if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
     if alpha is not None:
@@ -224,9 +224,9 @@ def energy_per_nat(r: int, snr: float, delta_term: float) -> EnergyPerNat:
     error the tests bound against log_ratio.
     """
     r = _positive_int("r", r)
-    if not snr > 0.0:
+    if not 0.0 < snr < math.inf:
         raise DomainError(f"snr must be > 0, got {snr}")
-    if not delta_term >= 0.0:
+    if not 0.0 <= delta_term < math.inf:
         raise DomainError(f"delta_term must be >= 0, got {delta_term}")
     capacity = r * snr - delta_term
     if capacity <= 0.0:

@@ -55,6 +55,11 @@ class ChannelDims:
     l: int
 
     def __post_init__(self):
+        t, r, l = self.t, self.r, self.l
+        # Plain ints >= 1 are already what _as_count returns; a bool, a
+        # float, a numpy integer or a count below 1 takes the full check.
+        if type(t) is int and type(r) is int and type(l) is int and t >= 1 and r >= 1 and l >= 1:
+            return
         object.__setattr__(self, "t", _as_count("t", self.t))
         object.__setattr__(self, "r", _as_count("r", self.r))
         object.__setattr__(self, "l", _as_count("l", self.l))

@@ -155,7 +155,7 @@ def mc_coherent_mi(
     closed form for p <= 2, eigenvalues of the p x p matrix above that.
     """
     n = _check_n(n, minimum=1000)
-    if not snr >= 0.0:
+    if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
     coeffs = [snr / t]
@@ -302,7 +302,7 @@ def mc_e0_curve(
     positively correlated, which is harmless for one-sided bound checks.
     """
     n = _check_n(n, minimum=1000)
-    if not snr_b > 0.0:
+    if not 0.0 < snr_b < math.inf:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     rho_list = [float(rho) for rho in rhos]
     for rho in rho_list:
@@ -399,7 +399,7 @@ def mc_onoff_mi(
     """
     n = _check_n(n, minimum=10_000)
     r = _positive_int("r", r)
-    if not (snr == 0.0 or 0.0 < snr < amplitude_sq):
+    if not 0.0 <= snr < amplitude_sq < math.inf:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
         return OracleEstimate(0.0, 0.0, n, 0.0, 0.0)

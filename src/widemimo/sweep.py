@@ -7,11 +7,21 @@ rows stream out in deterministic lexicographic grid order regardless of how
 many threads compute them.  The output is opened first, so a bad path fails
 before any row is evaluated; rows are then evaluated and written in
 fixed-size chunks, and memory is bounded by one chunk, not by the grid.
+
+The CSV is what ``csv.writer(lineterminator="\n")`` writes over cells
+rendered as ``.17g`` floats, ``str(int)``, ``true``/``false`` and ``""`` for
+a missing value.  Each cell is rendered by a C-level callable looked up by
+its exact type, and a row's cells are joined with commas.  That fast line is
+kept only when it holds no cell csv would quote (no comma inside a cell, no
+double quote, no line break); any other row, such as an error whose message
+holds a comma, goes through ``csv.writer``.  A chunk's lines are gathered in
+memory and written to the output in one call.
 """
 
 import contextlib
 import csv
 import functools
+import io
 import itertools
 import math
 import os
@@ -323,6 +333,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The text of a cell by its exact type; every entry gives what _fmt gives.
+# Any other type, such as a numpy scalar, falls back to _fmt.
+_CELL_TEXT = {
+    float: "%.17g".__mod__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: str,
+    type(None): {None: ""}.__getitem__,
+}
+
+
 def run_sweep(
     config: SweepConfig,
     *,
@@ -371,6 +392,8 @@ def run_sweep(
     # equality: 0.0 == -0.0 and True == 1 format differently.
     prev_values = [object()] * len(header)
     prev_texts = [""] * len(header)
+    cell_text = _CELL_TEXT.get
+    separators = len(header) - 1
     with contextlib.ExitStack() as stack:
         if path is None:
             fh = sys.stdout
@@ -379,20 +402,35 @@ def run_sweep(
         pool = None
         if threads > 1 and config.quantity == _THREADED:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        # A chunk's lines gather in buf; the rows csv must quote are written
+        # there by csv itself, so the lines keep their order.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         while chunk := list(itertools.islice(items, _CHUNK_ROWS)):
             rows = pool.map(eval_row, chunk) if pool is not None else map(eval_row, chunk)
             for values in rows:
                 texts = [
-                    text if value is prev else _fmt(value)
+                    text if value is prev else cell_text(type(value), _fmt)(value)
                     for value, prev, text in zip(values, prev_values, prev_texts)
                 ]
-                writer.writerow(texts)
+                line = ",".join(texts)
+                # One comma per separator and no quote or line break: csv
+                # would quote no cell, so its line is exactly this one.
+                if (
+                    line.count(",") == separators
+                    and '"' not in line and "\n" not in line and "\r" not in line
+                ):
+                    buf.write(line + "\n")
+                else:
+                    writer.writerow(texts)
                 prev_values, prev_texts = values, texts
                 if values[-1]:
                     summary.row_errors.append((summary.rows, values[-1]))
                 summary.rows += 1
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
 
     summary.elapsed_s = time.perf_counter() - start
     for index, error in summary.row_errors:

@@ -248,3 +248,35 @@ def test_nan_is_a_domain_error(name):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+# The same checks are bounded above by math.inf, so +inf is rejected too
+# instead of coming back as nan or inf.
+INF_CALLS = {
+    "coherent_expansion": (
+        lambda: coherent_expansion(ChannelDims(1, 1, 10), math.inf), "snr must be >= 0, got inf"
+    ),
+    "gaussian_lower_bound": (
+        lambda: gaussian_lower_bound(ChannelDims(1, 1, 10), math.inf), "snr must be >= 0, got inf"
+    ),
+    "sublinear_term-alpha": (
+        lambda: sublinear_term(ChannelDims(1, 1, 1), math.inf, alpha=0.5),
+        "snr must be >= 0, got inf",
+    ),
+    "sublinear_term-coherence": (
+        lambda: sublinear_term(ChannelDims(1, 1, 1), math.inf, coherence_length=10),
+        "snr must be >= 0, got inf",
+    ),
+    "energy_per_nat-snr": (lambda: energy_per_nat(1, math.inf, 0.0), "snr must be > 0, got inf"),
+    "energy_per_nat-delta_term": (
+        lambda: energy_per_nat(1, 0.01, math.inf), "delta_term must be >= 0, got inf"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INF_CALLS))
+def test_inf_is_a_domain_error(name):
+    call, message = INF_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message

@@ -34,6 +34,28 @@ def test_dims_validation():
     ChannelDims(2, 2, 3).require_training()
 
 
+# Plain ints >= 1 skip the full check; everything else still takes it.
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 1, 1), "t must be an integer, got True"),
+        ((1, 2.0, 1), "r must be an integer, got 2.0"),
+        ((1, 1, 0), "l must be >= 1, got 0"),
+    ],
+    ids=["bool", "float", "zero"],
+)
+def test_dims_reject_non_counts_with_their_message(args, message):
+    with pytest.raises(DimensionError) as err:
+        ChannelDims(*args)
+    assert str(err.value) == message
+
+
+def test_dims_numpy_integer_becomes_int():
+    dims = ChannelDims(np.int64(3), 2, np.int32(5))
+    assert dims == ChannelDims(3, 2, 5)
+    assert type(dims.t) is int and type(dims.l) is int
+
+
 # Every count argument (r, or the tail's k) goes through one check: numpy
 # integers count, bools and non-positive values do not.
 COUNT_CALLS = {

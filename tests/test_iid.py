@@ -207,6 +207,40 @@ class TestSurrogate:
             surrogate_m(1, 1e-4, math.nan)
 
 
+# Each check is one chained comparison bounded above by math.inf: nan, +inf
+# and out-of-range values are a DomainError with the function's own message.
+DOMAIN_CALLS = {
+    "surrogate_m-snr-nan": (lambda: surrogate_m(1, math.nan, 10.0), "snr must be >= 0, got nan"),
+    "surrogate_m-snr-negative": (
+        lambda: surrogate_m(1, -0.1, 10.0), "snr must be >= 0, got -0.1"
+    ),
+    "surrogate_m-snr-inf": (lambda: surrogate_m(1, math.inf, 10.0), "snr must be >= 0, got inf"),
+    "surrogate_m-amplitude_sq-inf": (
+        lambda: surrogate_m(1, 1e-4, math.inf), "amplitude_sq must be > 1, got inf"
+    ),
+    "onoff_building_blocks-inf": (
+        lambda: onoff_building_blocks(1, 0.01, math.inf),
+        "amplitude_sq must be >= snr so that omega <= 1, got A=inf, snr=0.01",
+    ),
+    "onoff_mi_asymptotic-inf": (
+        lambda: onoff_mi_asymptotic(1, 0.01, math.inf),
+        "amplitude_sq must be >= 1 for the expansion, got inf",
+    ),
+    "onoff_mi_quadrature-inf": (
+        lambda: onoff_mi_quadrature(1, 0.01, math.inf),
+        "need amplitude_sq > snr >= 0, got A=inf, snr=0.01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_CALLS))
+def test_out_of_domain_is_a_domain_error(name):
+    call, message = DOMAIN_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestMStar:
     def test_reference_point(self):
         res = m_star(1, 1e-4)

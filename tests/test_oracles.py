@@ -367,6 +367,11 @@ NAN_CALLS = {
         lambda rng: mc_onoff_mi(1, math.nan, 10.0, 10_000, rng),
         "need amplitude_sq > snr >= 0, got A=10.0, snr=nan",
     ),
+    # A is checked before the snr = 0 shortcut, as onoff_mi_quadrature does
+    "mc_onoff_mi-amplitude_sq": (
+        lambda rng: mc_onoff_mi(1, 0.0, math.nan, 10_000, rng),
+        "need amplitude_sq > snr >= 0, got A=nan, snr=0.0",
+    ),
     "empirical_tail_cdf": (
         lambda rng: empirical_tail_cdf(1, math.nan, 1000, rng), "x must be >= 0, got nan"
     ),
@@ -378,4 +383,31 @@ def test_nan_is_a_domain_error(name):
     call, message = NAN_CALLS[name]
     with pytest.raises(DomainError) as err:
         call(RngStream(SEED, 290))
+    assert str(err.value) == message
+
+
+# The same checks are bounded above by math.inf, so +inf is rejected too
+# instead of reaching numpy or math as an invalid value.
+INF_CALLS = {
+    "mc_coherent_mi": (
+        lambda rng: mc_coherent_mi(DIMS11, math.inf, 1000, rng), "snr must be >= 0, got inf"
+    ),
+    "mc_e0_exact": (
+        lambda rng: mc_e0_exact(DIMS11, math.inf, 0.5, 1000, rng), "snr_b must be > 0, got inf"
+    ),
+    "mc_e0_curve": (
+        lambda rng: mc_e0_curve(DIMS11, math.inf, [0.5], 1000, rng), "snr_b must be > 0, got inf"
+    ),
+    "mc_onoff_mi": (
+        lambda rng: mc_onoff_mi(1, 0.01, math.inf, 10_000, rng),
+        "need amplitude_sq > snr >= 0, got A=inf, snr=0.01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INF_CALLS))
+def test_inf_is_a_domain_error(name):
+    call, message = INF_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call(RngStream(SEED, 291))
     assert str(err.value) == message

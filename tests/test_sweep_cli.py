@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import subprocess
@@ -7,14 +8,16 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import cli_env
 from widemimo import (
-    ChannelDims, ConfigError, DimensionError, WidemimoError, load_config, outage_probability,
-    run_sweep,
+    ChannelDims, ConfigError, DimensionError, DomainError, WidemimoError, load_config,
+    outage_probability, run_sweep,
 )
-from widemimo.sweep import _CHUNK_ROWS, DEFAULT_ROW_CAP, ROW_CAP_ENV
+from widemimo.reliability import operating_point
+from widemimo.sweep import _CHUNK_ROWS, _ROW_FUNCS, DEFAULT_ROW_CAP, ROW_CAP_ENV
 
 
 def write(tmp_path, name, text):
@@ -300,6 +303,87 @@ class TestStreaming:
             tracemalloc.stop()
         assert summary.rows == 20_000
         assert peak < 8 * 2**20
+
+
+# The cell rule the sweep's CSV has always followed.
+def reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def reference_csv(cfg):
+    """The sweep's CSV by its defining rule: csv.writer over reference_cell, row by row."""
+    row_fn, computed = _ROW_FUNCS[cfg.quantity]
+    keys = list(cfg.grids)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys + computed + ["error"])
+    for index, combo in enumerate(itertools.product(*cfg.grids.values())):
+        try:
+            values = combo + row_fn(dict(zip(keys, combo)), cfg, index, operating_point) + ("",)
+        except WidemimoError as exc:
+            values = combo + (None,) * len(computed) + (f"{type(exc).__name__}: {exc}",)
+        writer.writerow([reference_cell(value) for value in values])
+    return buf.getvalue().encode()
+
+
+# Small grids of every quantity, with row errors among them (t = 0, l = 0, an
+# l too short to train, snr, rate and amplitude out of range); "training needs
+# l > t, got l=1, t=1" holds commas, so csv quotes it.
+WRITER_CFGS = {
+    "capacity": "t = 0, 1, 2\nr = 1, 2\nl = 1, 100\nsnr = 0.0, -0.0, 0.01, 2.0\n",
+    "sublinear": "t = 1, 2\nr = 1\nsnr = 1e-200, 0.01, -1.0\nalpha = 0.5, 1.0, 2.0\n",
+    "exponent": "t = 1, 2\nr = 1\nsnr = 0.01, 2.0\nl = 1, 2500\nrate = -0.0, 0.0, 1.5, -1.0\n",
+    "outage": "t = 1, 2\nr = 1\nsnr = 0.01\nl = 1, 2, 2500\nrate = -0.0, 0.5, -1.0\n",
+    "iid": "r = 1\nsnr = 0.01, 0.5\namplitude_sq = 0.1, 20\n",
+    "oracle-check": "t = 1\nr = 1, 2\nl = 0, 1\nsnr = 0.01\nn_samples = 1000\n",
+}
+
+
+def _raise_awkward(p, cfg, index, point):
+    raise DomainError('a "quoted" word\nthen a second line')
+
+
+# Rows a fake row function returns: cells that take the _fmt fallback, that
+# need quoting for one reason each, or that format differently while
+# comparing equal.
+ODD_ROWS = {
+    "numpy-scalars": lambda p, cfg, index, point: (np.float64(p["snr"]) / 3, np.int64(index)),
+    "comma-cell": lambda p, cfg, index, point: ("a,b", 1.5),
+    "quote-cell": lambda p, cfg, index, point: ('say "hi"', 2),
+    "newline-cell": lambda p, cfg, index, point: ("one\ntwo", None),
+    "carriage-return-cell": lambda p, cfg, index, point: ("cr\r", True),
+    "bool-none-zero": lambda p, cfg, index, point: (index % 2 == 0, None if index else -0.0),
+    "quoted-error": _raise_awkward,
+}
+
+
+class TestWriter:
+    """run_sweep's bytes against reference_csv, an independent renderer."""
+
+    @pytest.mark.parametrize("quantity", list(WRITER_CFGS))
+    def test_quantities_match_reference(self, tmp_path, quantity):
+        text = f"quantity = {quantity}\n{WRITER_CFGS[quantity]}"
+        cfg = load_config(write(tmp_path, "w.cfg", text))
+        out = tmp_path / "w.csv"
+        run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+        assert out.read_bytes() == reference_csv(cfg)
+
+    @pytest.mark.parametrize("name", list(ODD_ROWS))
+    def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
+        monkeypatch.setitem(_ROW_FUNCS, "sublinear", (ODD_ROWS[name], ["first", "second"]))
+        text = "quantity = sublinear\nt = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5\n"
+        cfg = load_config(write(tmp_path, "w.cfg", text))
+        out = tmp_path / "w.csv"
+        run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+        assert out.read_bytes() == reference_csv(cfg)
 
 
 def run_cli(args, cwd):
