@@ -261,8 +261,8 @@ def m_star(
     if a_domain is None:
         a_domain = (big_l, big_l**3)
     a_lo, a_hi = float(a_domain[0]), float(a_domain[1])
-    if not 1.0 < a_lo < a_hi:
-        raise DomainError(f"a_domain must satisfy 1 < lo < hi, got {a_domain}")
+    if not 1.0 < a_lo < a_hi < math.inf:
+        raise DomainError(f"a_domain must satisfy 1 < lo < hi < inf, got {a_domain}")
     argmin, value = golden_section_min(
         lambda a: surrogate_m(r, snr, a), a_lo, a_hi, tol=1e-10
     )

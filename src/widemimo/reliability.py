@@ -283,25 +283,31 @@ class OperatingPoint:
             )
         return rate
 
-    def exponent(self, rate: float) -> ExponentPoint:
-        """Error exponent at one rate; see ``error_exponent``."""
+    def _exponent(self, rate: float) -> tuple[float, float, str]:
+        """(value, rho, region) of the exponent at one rate: the one copy of its formula.
+
+        ``exponent`` wraps it in an ExponentPoint; ``block_error_bound`` and
+        the sweep's exponent rows take the tuple as it is.
+        """
         if not rate >= 0.0:
             raise DomainError(f"rate must be >= 0, got {rate}")
         lm = self.landmarks
         if rate >= lm.c_block:
-            return ExponentPoint(rate, 0.0, 0.0, REGION_BEYOND, lm.asymptotics_binding)
+            return 0.0, 0.0, REGION_BEYOND
         if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
-            return ExponentPoint(rate, 0.0, 0.0, REGION_C, lm.asymptotics_binding)
+            return 0.0, 0.0, REGION_C
         rt = self.r * self.t
         kappa = _kappa(self.t, self.coherence, self.regime.snr_b)
         rho = _rho_star_scalar(rt, kappa, rate)
-        value = _e0(rt, kappa, rho) - rho * rate
-        region = REGION_A if rho >= 1.0 else REGION_B
-        return ExponentPoint(rate, value, rho, region, lm.asymptotics_binding)
+        return _e0(rt, kappa, rho) - rho * rate, rho, REGION_A if rho >= 1.0 else REGION_B
+
+    def exponent(self, rate: float) -> ExponentPoint:
+        """Error exponent at one rate; see ``error_exponent``."""
+        return ExponentPoint(rate, *self._exponent(rate), self.landmarks.asymptotics_binding)
 
     def block_error_bound(self, rate: float) -> float:
         """delta exp(-E_r(rate)); see ``block_error_bound``."""
-        return self.regime.delta * math.exp(-self.exponent(rate).value)
+        return self.regime.delta * math.exp(-self._exponent(rate)[0])
 
     def outage(self, rate: float) -> OutageEstimate:
         """P(rt, rate / (coherence f_star)); see ``outage_probability``."""

@@ -5,22 +5,31 @@ Keys are validated fail-closed against the schema of the requested quantity
 (an unknown key aborts the load), SNR is always linear (no dB anywhere), and
 rows stream out in deterministic lexicographic grid order regardless of how
 many threads compute them.  The output is opened first, so a bad path fails
-before any row is evaluated; rows are then evaluated and written in
-fixed-size chunks, and memory is bounded by one chunk, not by the grid.
+before any row is evaluated.
+
+Rows are evaluated point by point.  The grid is the outer keys times the
+innermost key, the last one of the schema (``snr`` for capacity and
+oracle-check, ``alpha``/``l`` for sublinear, ``rate``/``kappa`` for exponent
+and outage, ``amplitude_sq`` for iid).  What a row needs of its outer values
+alone, such as its ``ChannelDims`` or its ``reliability.operating_point``, is
+built once per outer combination; the rows of that point then run along the
+innermost key.  Rows are evaluated and written in fixed-size chunks, also
+inside one point, so memory is bounded by one chunk, not by the grid.
 
 The CSV is what ``csv.writer(lineterminator="\n")`` writes over cells
 rendered as ``.17g`` floats, ``str(int)``, ``true``/``false`` and ``""`` for
 a missing value.  Each cell is rendered by a C-level callable looked up by
-its exact type, and a row's cells are joined with commas.  That fast line is
-kept only when it holds no cell csv would quote (no comma inside a cell, no
-double quote, no line break); any other row, such as an error whose message
-holds a comma, goes through ``csv.writer``.  A chunk's lines are gathered in
-memory and written to the output in one call.
+its exact type: the outer cells once per point, each innermost grid value
+once per sweep, and a computed cell once per row unless it is the very object
+of the previous row's cell.  A row's cells are joined with commas.  That fast
+line is kept only when it holds no cell csv would quote (no comma inside a
+cell, no double quote, no line break); any other row, such as an error whose
+message holds a comma, goes through ``csv.writer``.  A chunk's lines are
+gathered in memory and written to the output in one call.
 """
 
 import contextlib
 import csv
-import functools
 import io
 import itertools
 import math
@@ -206,53 +215,78 @@ def load_config(path) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# Row evaluation, one function per quantity.  Each returns its computed
-# columns as a tuple, in the order _ROW_FUNCS names them; library errors
-# become the per-row error column.  ``index`` is the row's position in the
-# grid, which Monte Carlo rows use as their stream id; ``point`` is the
-# sweep's memo of reliability.operating_point, which the exponent and outage
-# rows share.
+# Row evaluation, in two parts per quantity.  The grid is the outer keys times
+# the innermost key, the last one of the schema.  The point part runs once per
+# outer combination: it takes the outer values by key and the name of the
+# inner key, and returns the state the rows of that point share.  The row part
+# runs once per inner value: it takes that state, the value, the config and
+# the row's position in the grid, which Monte Carlo rows use as their stream
+# id, and returns the computed columns as a tuple, in the order _ROW_FUNCS
+# names them.  Library errors from either part become the error column; an
+# error from the point part fills every row of its point.  A point part
+# builds only what every row of the point would build first, so each row
+# still shows the error it would show alone.
 # ---------------------------------------------------------------------------
 
 
-def _row_capacity(p, cfg, index, point):
-    dims = ChannelDims(p["t"], p["r"], p["l"])
-    expansion = capacity.coherent_expansion(dims, p["snr"])
-    lb = capacity.gaussian_lower_bound(dims, p["snr"])
+def _dims_point(p, inner_key):
+    return ChannelDims(p["t"], p["r"], p["l"])
+
+
+def _row_capacity(dims, snr, cfg, index):
+    expansion = capacity.coherent_expansion(dims, snr)
+    lb = capacity.gaussian_lower_bound(dims, snr)
     return (
         expansion.linear, expansion.sublinear, expansion.total, lb, lb < 0.0,
         "snr^3 remainder dropped",
     )
 
 
-def _row_sublinear(p, cfg, index, point):
-    dims = ChannelDims(p["t"], p["r"], max(p.get("l", 1), 1))
-    if "alpha" in p:
-        value = capacity.sublinear_term(dims, p["snr"], alpha=p["alpha"])
-        note = "remainder beyond snr^(1+alpha) dropped"
-    else:
-        value = capacity.sublinear_term(dims, p["snr"], coherence_length=p["l"])
-        note = "remainder beyond snr/sqrt(l) dropped"
-    return value, note
+def _params_point(p, inner_key):
+    # sublinear and iid rows check everything themselves: hoisting their
+    # first check would change which message an error row shows
+    return p, inner_key
 
 
-def _point_and_rate(p, point):
-    op = point(p["t"], p["r"], p["snr"], l=p.get("l"), nu=p.get("nu"))
-    return op, float(p["rate"]) if "rate" in p else op.rate_for_kappa(p["kappa"])
-
-
-def _row_exponent(p, cfg, index, point):
-    op, rate = _point_and_rate(p, point)
-    ep = op.exponent(rate)
-    lm = op.landmarks
+def _row_sublinear(state, value, cfg, index):
+    p, inner_key = state
+    if inner_key == "alpha":
+        dims = ChannelDims(p["t"], p["r"], 1)
+        return (
+            capacity.sublinear_term(dims, p["snr"], alpha=value),
+            "remainder beyond snr^(1+alpha) dropped",
+        )
+    dims = ChannelDims(p["t"], p["r"], max(value, 1))
     return (
-        rate, ep.value, ep.rho, ep.region, lm.r_critical, lm.r_cutoff, lm.c_block,
-        lm.c_block_training_lb, lm.asymptotics_binding, ep.dropped,
+        capacity.sublinear_term(dims, p["snr"], coherence_length=value),
+        "remainder beyond snr/sqrt(l) dropped",
     )
 
 
-def _row_outage(p, cfg, index, point):
-    op, rate = _point_and_rate(p, point)
+def _operating_point(p, inner_key):
+    op = reliability.operating_point(p["t"], p["r"], p["snr"], l=p.get("l"), nu=p.get("nu"))
+    return op, float if inner_key == "rate" else op.rate_for_kappa
+
+
+def _exponent_point(p, inner_key):
+    op, to_rate = _operating_point(p, inner_key)
+    lm = op.landmarks
+    landmarks = (
+        lm.r_critical, lm.r_cutoff, lm.c_block, lm.c_block_training_lb,
+        lm.asymptotics_binding, reliability.ExponentPoint.dropped,
+    )
+    return op, to_rate, landmarks
+
+
+def _row_exponent(state, value, cfg, index):
+    op, to_rate, landmarks = state
+    rate = to_rate(value)
+    return (rate, *op._exponent(rate), *landmarks)
+
+
+def _row_outage(state, value, cfg, index):
+    op, to_rate = state
+    rate = to_rate(value)
     outage = op.outage(rate)
     return (
         rate, op.training.f_star, op.training.gamma_star, outage.probability,
@@ -260,8 +294,9 @@ def _row_outage(p, cfg, index, point):
     )
 
 
-def _row_iid(p, cfg, index, point):
-    r, snr, a = p["r"], p["snr"], p["amplitude_sq"]
+def _row_iid(state, a, cfg, index):
+    p, _ = state
+    r, snr = p["r"], p["snr"]
     spec = iid.onoff_building_blocks(r, snr, a)
     quad = iid.onoff_mi_quadrature(r, snr, a, rel_tol=1e-10)
     expansion = iid.onoff_mi_asymptotic(r, snr, a)
@@ -274,11 +309,10 @@ def _row_iid(p, cfg, index, point):
     )
 
 
-def _row_oracle_check(p, cfg, index, point):
-    dims = ChannelDims(p["t"], p["r"], p["l"])
-    est = oracles.mc_coherent_mi(dims, p["snr"], cfg.n_samples, RngStream(cfg.seed, index))
-    closed = capacity.coherent_expansion(dims, p["snr"]).total
-    verdict = expansion_gap(est, closed, p["snr"])
+def _row_oracle_check(dims, snr, cfg, index):
+    est = oracles.mc_coherent_mi(dims, snr, cfg.n_samples, RngStream(cfg.seed, index))
+    closed = capacity.coherent_expansion(dims, snr).total
+    verdict = expansion_gap(est, closed, snr)
     return (
         cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
         verdict.gap, verdict.slack, verdict.ok,
@@ -286,24 +320,27 @@ def _row_oracle_check(p, cfg, index, point):
 
 
 _ROW_FUNCS = {
-    "capacity": (_row_capacity, ["linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"]),
-    "sublinear": (_row_sublinear, ["value", "dropped"]),
+    "capacity": (
+        _dims_point, _row_capacity,
+        ["linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"],
+    ),
+    "sublinear": (_params_point, _row_sublinear, ["value", "dropped"]),
     "exponent": (
-        _row_exponent,
+        _exponent_point, _row_exponent,
         ["rate_nats", "e_r", "rho", "region", "r_critical", "r_cutoff", "c_block",
          "c_block_training_lb", "asymptotics_binding", "dropped"],
     ),
     "outage": (
-        _row_outage,
+        _operating_point, _row_outage,
         ["rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"],
     ),
     "iid": (
-        _row_iid,
+        _params_point, _row_iid,
         ["omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
          "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"],
     ),
     "oracle-check": (
-        _row_oracle_check,
+        _dims_point, _row_oracle_check,
         ["n_samples", "mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form",
          "abs_gap", "slack", "agree"],
     ),
@@ -316,9 +353,6 @@ _CHUNK_ROWS = 1024
 # other rows hold the lock, in pure Python or in the Python integrands of
 # scipy's quad, so threads only add hand-offs and they always run serially.
 _THREADED = "oracle-check"
-# Operating points kept by a sweep's memo; grids vary rate innermost, so one
-# entry per (t, r, snr, l | nu) in flight is enough.
-_POINT_MEMO_SIZE = 64
 
 
 def _fmt(value) -> str:
@@ -344,6 +378,14 @@ _CELL_TEXT = {
 }
 
 
+def _cell(value) -> str:
+    return _CELL_TEXT.get(type(value), _fmt)(value)
+
+
+def _error_cell(exc: WidemimoError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(
     config: SweepConfig,
     *,
@@ -354,12 +396,14 @@ def run_sweep(
 ) -> SweepSummary:
     """Evaluate the configured quantity over the grid cross-product.
 
-    Rows are emitted in lexicographic grid order, evaluated and written one
-    chunk at a time; Monte Carlo rows each get their own stream id, so the
-    CSV bytes do not depend on ``threads``.  ``threads`` applies to the
-    oracle-check quantity; the other quantities run serially.  The
-    destination is opened before the first row is evaluated.  Per-row
-    library errors land in the error column and the run continues.
+    Rows are emitted in lexicographic grid order, point by point: each
+    combination of the outer keys is built once, then its rows run along the
+    innermost key.  Rows are evaluated and written one chunk at a time; Monte
+    Carlo rows each get their own stream id, so the CSV bytes do not depend
+    on ``threads``.  ``threads`` applies to the oracle-check quantity; the
+    other quantities run serially.  The destination is opened before the
+    first row is evaluated.  Per-row library errors land in the error column
+    and the run continues.
     """
     err_stream = err_stream if err_stream is not None else sys.stderr
     if seed is not None:
@@ -368,30 +412,47 @@ def run_sweep(
     path = out if out is not None else config.output_path
     start = time.perf_counter()
 
-    row_fn, computed_cols = _ROW_FUNCS[config.quantity]
-    grid_keys = list(config.grids.keys())
+    point_fn, row_fn, computed_cols = _ROW_FUNCS[config.quantity]
+    grid_keys = list(config.grids)
+    *outer_keys, inner_key = grid_keys
+    inner_values = config.grids[inner_key]
+    inner_texts = [_cell(value) for value in inner_values]
     header = grid_keys + computed_cols + ["error"]
     no_values = (None,) * len(computed_cols)
-    # Built per call, so nothing carries over between sweeps.  An exception
-    # is never cached, so every error row raises with its own message; typed,
-    # so an l of 2.0 still fails ChannelDims after an l of 2 was cached.
-    point = functools.lru_cache(maxsize=_POINT_MEMO_SIZE, typed=True)(reliability.operating_point)
 
-    def eval_row(item):
-        index, combo = item
-        params = dict(zip(grid_keys, combo))
+    def tasks():
+        # (index, point, j) for every row, lazily, so only a chunk is held; a
+        # point is its outer cells' text, their line prefix, and its state or
+        # its error row
+        index = 0
+        for combo in itertools.product(*(config.grids[k] for k in outer_keys)):
+            cells = [_cell(value) for value in combo]
+            prefix = ",".join(cells) + ","
+            try:
+                point = (cells, prefix, point_fn(dict(zip(outer_keys, combo)), inner_key), None)
+            except WidemimoError as exc:
+                point = (cells, prefix, None, no_values + (_error_cell(exc),))
+            for j in range(len(inner_values)):
+                yield index, point, j
+                index += 1
+
+    def eval_row(task):
+        index, (_, _, state, failed), j = task
+        if failed is not None:
+            return failed
         try:
-            return combo + row_fn(params, config, index, point) + ("",)
+            return row_fn(state, inner_values[j], config, index) + ("",)
         except WidemimoError as exc:
-            return combo + no_values + (f"{type(exc).__name__}: {exc}",)
+            return no_values + (_error_cell(exc),)
 
     summary = SweepSummary(seed=seed, output_path=path)
-    items = enumerate(itertools.product(*(config.grids[k] for k in grid_keys)))
-    # A cell whose value is the very object of the previous row's cell (an
-    # outer grid value, a memoized column) reuses its text.  Identity, not
-    # equality: 0.0 == -0.0 and True == 1 format differently.
-    prev_values = [object()] * len(header)
-    prev_texts = [""] * len(header)
+    items = tasks()
+    # A computed cell whose value is the very object of the previous row's
+    # cell (a landmark of the point, a note, a point's error) reuses its
+    # text.  Identity, not equality: 0.0 == -0.0 and True == 1 format
+    # differently.
+    prev_values = [object()] * (len(computed_cols) + 1)
+    prev_texts = [""] * len(prev_values)
     cell_text = _CELL_TEXT.get
     separators = len(header) - 1
     with contextlib.ExitStack() as stack:
@@ -409,12 +470,12 @@ def run_sweep(
         writer = csv.writer(buf, lineterminator="\n")
         while chunk := list(itertools.islice(items, _CHUNK_ROWS)):
             rows = pool.map(eval_row, chunk) if pool is not None else map(eval_row, chunk)
-            for values in rows:
+            for (_, (cells, prefix, _, _), j), values in zip(chunk, rows):
                 texts = [
                     text if value is prev else cell_text(type(value), _fmt)(value)
                     for value, prev, text in zip(values, prev_values, prev_texts)
                 ]
-                line = ",".join(texts)
+                line = prefix + inner_texts[j] + "," + ",".join(texts)
                 # One comma per separator and no quote or line break: csv
                 # would quote no cell, so its line is exactly this one.
                 if (
@@ -423,7 +484,7 @@ def run_sweep(
                 ):
                     buf.write(line + "\n")
                 else:
-                    writer.writerow(texts)
+                    writer.writerow(cells + [inner_texts[j]] + texts)
                 prev_values, prev_texts = values, texts
                 if values[-1]:
                     summary.row_errors.append((summary.rows, values[-1]))

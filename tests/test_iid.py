@@ -230,6 +230,15 @@ DOMAIN_CALLS = {
         lambda: onoff_mi_quadrature(1, 0.01, math.inf),
         "need amplitude_sq > snr >= 0, got A=inf, snr=0.01",
     ),
+    # an infinite end of the search domain fails the domain check, not the search
+    "m_star-inf-upper": (
+        lambda: m_star(1, 1e-4, (2.0, math.inf)),
+        "a_domain must satisfy 1 < lo < hi < inf, got (2.0, inf)",
+    ),
+    "m_star-inf-lower": (
+        lambda: m_star(1, 1e-4, (-math.inf, 10.0)),
+        "a_domain must satisfy 1 < lo < hi < inf, got (-inf, 10.0)",
+    ),
 }
 
 

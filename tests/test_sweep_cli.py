@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+import widemimo as wm
 from widemimo import (
-    ChannelDims, ConfigError, DimensionError, DomainError, WidemimoError, load_config,
-    outage_probability, run_sweep,
+    ChannelDims, ConfigError, DimensionError, DomainError, RngStream, WidemimoError,
+    load_config, outage_probability, run_sweep,
 )
+from widemimo.check import expansion_gap
 from widemimo.reliability import operating_point
 from widemimo.sweep import _CHUNK_ROWS, _ROW_FUNCS, DEFAULT_ROW_CAP, ROW_CAP_ENV
 
@@ -304,6 +306,67 @@ class TestStreaming:
         assert summary.rows == 20_000
         assert peak < 8 * 2**20
 
+    def test_point_built_once_per_outer_combination(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return operating_point(*args, **kwargs)
+
+        monkeypatch.setattr("widemimo.reliability.operating_point", counting)
+        # t = 0 fails at its points: a failing point is built once too
+        text = (
+            "quantity = exponent\nt = 0, 1, 2\nr = 1, 2\nsnr = 0.01, 0.02\nl = 100, 2500\n"
+            f"rate = {', '.join(str(0.5 * i) for i in range(40))}\n"
+        )
+        cfg = load_config(write(tmp_path, "p.cfg", text))
+        summary = run_sweep(cfg, out=str(tmp_path / "p.csv"), err_stream=io.StringIO())
+        assert summary.rows == 3 * 2 * 2 * 2 * 40
+        assert len(calls) == 3 * 2 * 2 * 2
+        assert len(summary.row_errors) == 2 * 2 * 2 * 40
+
+    def test_inner_axis_longer_than_chunks(self, tmp_path, monkeypatch):
+        # one outer point whose rates run past three chunks; a negative rate
+        # sits on each side of every chunk boundary
+        n = 3 * _CHUNK_ROWS + 5
+        negative = {k * _CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0)}
+        rates = [-1.0 if i in negative else 0.01 * i for i in range(n)]
+        text = (
+            "quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nl = 2500\n"
+            f"rate = {', '.join(map(str, rates))}\n"
+        )
+        cfg = load_config(write(tmp_path, "c.cfg", text))
+        tracemalloc.start()
+        try:
+            summary = run_sweep(cfg, out=str(tmp_path / "c.csv"), err_stream=io.StringIO())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.rows == n
+        assert [i for i, _ in summary.row_errors] == sorted(negative)
+        assert peak < 8 * 2**20
+        with open(tmp_path / "c.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == n
+        assert [i for i, row in enumerate(rows) if row["error"]] == sorted(negative)
+
+        # written to stdout, the rows leave one chunk per write, also inside the point
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        stdout = Recorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        run_sweep(cfg, err_stream=io.StringIO())
+        lines = [text.count("\n") for text in stdout.writes]
+        assert lines == [1, _CHUNK_ROWS, _CHUNK_ROWS, _CHUNK_ROWS, 5]
+        assert stdout.getvalue().encode() == (tmp_path / "c.csv").read_bytes()
+
 
 # The cell rule the sweep's CSV has always followed.
 def reference_cell(value):
@@ -318,16 +381,122 @@ def reference_cell(value):
     return str(value)
 
 
-def reference_csv(cfg):
-    """The sweep's CSV by its defining rule: csv.writer over reference_cell, row by row."""
-    row_fn, computed = _ROW_FUNCS[cfg.quantity]
+def _reference_capacity(p, cfg, index):
+    dims = ChannelDims(p["t"], p["r"], p["l"])
+    expansion = wm.coherent_expansion(dims, p["snr"])
+    lb = wm.gaussian_lower_bound(dims, p["snr"])
+    return (
+        expansion.linear, expansion.sublinear, expansion.total, lb, lb < 0.0,
+        "snr^3 remainder dropped",
+    )
+
+
+def _reference_sublinear(p, cfg, index):
+    dims = ChannelDims(p["t"], p["r"], max(p.get("l", 1), 1))
+    if "alpha" in p:
+        return (
+            wm.sublinear_term(dims, p["snr"], alpha=p["alpha"]),
+            "remainder beyond snr^(1+alpha) dropped",
+        )
+    return (
+        wm.sublinear_term(dims, p["snr"], coherence_length=p["l"]),
+        "remainder beyond snr/sqrt(l) dropped",
+    )
+
+
+def _reference_point(p):
+    op = operating_point(p["t"], p["r"], p["snr"], l=p.get("l"), nu=p.get("nu"))
+    return op, p["rate"] if "rate" in p else op.rate_for_kappa(p["kappa"])
+
+
+def _reference_exponent(p, cfg, index):
+    op, rate = _reference_point(p)
+    ep = op.exponent(rate)
+    lm = op.landmarks
+    return (
+        rate, ep.value, ep.rho, ep.region, lm.r_critical, lm.r_cutoff, lm.c_block,
+        lm.c_block_training_lb, lm.asymptotics_binding, ep.dropped,
+    )
+
+
+def _reference_outage(p, cfg, index):
+    op, rate = _reference_point(p)
+    outage = op.outage(rate)
+    return (
+        rate, op.training.f_star, op.training.gamma_star, outage.probability,
+        outage.error_weighted, op.block_error_bound(rate),
+    )
+
+
+def _reference_iid(p, cfg, index):
+    r, snr, a = p["r"], p["snr"], p["amplitude_sq"]
+    spec = wm.onoff_building_blocks(r, snr, a)
+    expansion = wm.onoff_mi_asymptotic(r, snr, a)
+    bracket = wm.iid_capacity_bracket(r, snr)
+    mstar = wm.m_star(r, snr)
+    return (
+        spec.omega, spec.divergence, spec.zeta_star,
+        wm.onoff_mi_quadrature(r, snr, a, rel_tol=1e-10), expansion.value,
+        expansion.zeta_ratio, bracket.lower, bracket.upper, bracket.delta_iid_dot,
+        mstar.m_star, mstar.argmin_amplitude_sq,
+    )
+
+
+def _reference_oracle_check(p, cfg, index):
+    dims = ChannelDims(p["t"], p["r"], p["l"])
+    est = wm.mc_coherent_mi(dims, p["snr"], cfg.n_samples, RngStream(cfg.seed, index))
+    closed = wm.coherent_expansion(dims, p["snr"]).total
+    verdict = expansion_gap(est, closed, p["snr"])
+    return (
+        cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
+        verdict.gap, verdict.slack, verdict.ok,
+    )
+
+
+# Each quantity's computed columns and one row of them from the public API,
+# given the row's grid values by key, the config and the row's grid index.
+REFERENCE_ROWS = {
+    "capacity": (
+        ["linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"],
+        _reference_capacity,
+    ),
+    "sublinear": (["value", "dropped"], _reference_sublinear),
+    "exponent": (
+        ["rate_nats", "e_r", "rho", "region", "r_critical", "r_cutoff", "c_block",
+         "c_block_training_lb", "asymptotics_binding", "dropped"],
+        _reference_exponent,
+    ),
+    "outage": (
+        ["rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"],
+        _reference_outage,
+    ),
+    "iid": (
+        ["omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
+         "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"],
+        _reference_iid,
+    ),
+    "oracle-check": (
+        ["n_samples", "mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form",
+         "abs_gap", "slack", "agree"],
+        _reference_oracle_check,
+    ),
+}
+
+
+def reference_csv(cfg, rows=REFERENCE_ROWS):
+    """The sweep's CSV by its defining rule, row by row in grid order with no memo.
+
+    Each row is computed alone from ``rows`` and rendered by csv.writer over
+    reference_cell; a library error becomes the error column.
+    """
+    computed, row_fn = rows[cfg.quantity]
     keys = list(cfg.grids)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys + computed + ["error"])
     for index, combo in enumerate(itertools.product(*cfg.grids.values())):
         try:
-            values = combo + row_fn(dict(zip(keys, combo)), cfg, index, operating_point) + ("",)
+            values = combo + row_fn(dict(zip(keys, combo)), cfg, index) + ("",)
         except WidemimoError as exc:
             values = combo + (None,) * len(computed) + (f"{type(exc).__name__}: {exc}",)
         writer.writerow([reference_cell(value) for value in values])
@@ -336,54 +505,87 @@ def reference_csv(cfg):
 
 # Small grids of every quantity, with row errors among them (t = 0, l = 0, an
 # l too short to train, snr, rate and amplitude out of range); "training needs
-# l > t, got l=1, t=1" holds commas, so csv quotes it.
+# l > t, got l=1, t=1" holds commas, so csv quotes it.  The nu/kappa grids add
+# a kappa whose rate overflows (-500), a coherence length that overflows
+# (snr = 1e-200 at nu = 1) and one too short to train (t = 2 at snr = 0.5).
 WRITER_CFGS = {
     "capacity": "t = 0, 1, 2\nr = 1, 2\nl = 1, 100\nsnr = 0.0, -0.0, 0.01, 2.0\n",
     "sublinear": "t = 1, 2\nr = 1\nsnr = 1e-200, 0.01, -1.0\nalpha = 0.5, 1.0, 2.0\n",
     "exponent": "t = 1, 2\nr = 1\nsnr = 0.01, 2.0\nl = 1, 2500\nrate = -0.0, 0.0, 1.5, -1.0\n",
+    "exponent-kappa": (
+        "t = 1, 2\nr = 1\nsnr = 0.01, 0.5, 1e-200\nnu = 0.5, 1\nkappa = 1.5, -500, 0.75\n"
+    ),
     "outage": "t = 1, 2\nr = 1\nsnr = 0.01\nl = 1, 2, 2500\nrate = -0.0, 0.5, -1.0\n",
+    "outage-kappa": (
+        "t = 1, 2\nr = 1\nsnr = 0.01, 0.5, 1e-200\nnu = 0.5, 1\nkappa = 1.5, -500, 0.75\n"
+    ),
     "iid": "r = 1\nsnr = 0.01, 0.5\namplitude_sq = 0.1, 20\n",
     "oracle-check": "t = 1\nr = 1, 2\nl = 0, 1\nsnr = 0.01\nn_samples = 1000\n",
 }
+# The row errors each nu/kappa grid is there to hold, by the start of their text.
+_OVERFLOWS = ("DomainError: rate = l r snr^kappa overflows", "DomainError: coherence length")
+WRITER_ERRORS = {
+    "exponent-kappa": _OVERFLOWS,
+    "outage-kappa": _OVERFLOWS + ("TrainingInfeasibleError: training needs l > t",),
+}
 
 
-def _raise_awkward(p, cfg, index, point):
+def _raise_awkward(state, value, cfg, index):
     raise DomainError('a "quoted" word\nthen a second line')
 
 
-# Rows a fake row function returns: cells that take the _fmt fallback, that
-# need quoting for one reason each, or that format differently while
-# comparing equal.
+def _raise_at_point(p, inner_key):
+    if p["t"] == 2:
+        raise DomainError("no point at t=2, so every row of it fails")
+    return p
+
+
+# Row parts of the sweep's contract, (point part, row part), for a fake
+# sublinear whose rows hold cells that take the _fmt fallback, that need
+# quoting for one reason each, or that format differently while comparing
+# equal.  The point part passes the outer values on unless it fails.
 ODD_ROWS = {
-    "numpy-scalars": lambda p, cfg, index, point: (np.float64(p["snr"]) / 3, np.int64(index)),
-    "comma-cell": lambda p, cfg, index, point: ("a,b", 1.5),
-    "quote-cell": lambda p, cfg, index, point: ('say "hi"', 2),
-    "newline-cell": lambda p, cfg, index, point: ("one\ntwo", None),
-    "carriage-return-cell": lambda p, cfg, index, point: ("cr\r", True),
-    "bool-none-zero": lambda p, cfg, index, point: (index % 2 == 0, None if index else -0.0),
+    "numpy-scalars": lambda p, value, cfg, index: (np.float64(p["snr"]) / 3, np.int64(index)),
+    "comma-cell": lambda p, value, cfg, index: ("a,b", 1.5),
+    "quote-cell": lambda p, value, cfg, index: ('say "hi"', 2),
+    "newline-cell": lambda p, value, cfg, index: ("one\ntwo", None),
+    "carriage-return-cell": lambda p, value, cfg, index: ("cr\r", True),
+    "bool-none-zero": lambda p, value, cfg, index: (index % 2 == 0, None if index else -0.0),
     "quoted-error": _raise_awkward,
+    "point-error": lambda p, value, cfg, index: (p["t"], value),
 }
+ODD_POINTS = {"point-error": _raise_at_point}
 
 
 class TestWriter:
     """run_sweep's bytes against reference_csv, an independent renderer."""
 
-    @pytest.mark.parametrize("quantity", list(WRITER_CFGS))
-    def test_quantities_match_reference(self, tmp_path, quantity):
-        text = f"quantity = {quantity}\n{WRITER_CFGS[quantity]}"
+    @pytest.mark.parametrize("name", list(WRITER_CFGS))
+    def test_quantities_match_reference(self, tmp_path, name):
+        text = f"quantity = {name.removesuffix('-kappa')}\n{WRITER_CFGS[name]}"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
-        run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+        summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
         assert out.read_bytes() == reference_csv(cfg)
+        errors = [error for _, error in summary.row_errors]
+        for kind in WRITER_ERRORS.get(name, ()):
+            assert any(error.startswith(kind) for error in errors), kind
 
     @pytest.mark.parametrize("name", list(ODD_ROWS))
     def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
-        monkeypatch.setitem(_ROW_FUNCS, "sublinear", (ODD_ROWS[name], ["first", "second"]))
-        text = "quantity = sublinear\nt = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5\n"
+        point_fn = ODD_POINTS.get(name, lambda p, inner_key: p)
+        row_fn = ODD_ROWS[name]
+        monkeypatch.setitem(_ROW_FUNCS, "sublinear", (point_fn, row_fn, ["first", "second"]))
+        text = "quantity = sublinear\nt = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
         run_sweep(cfg, out=str(out), err_stream=io.StringIO())
-        assert out.read_bytes() == reference_csv(cfg)
+
+        def alone(p, cfg, index):  # the point part, then the row part, for this row only
+            return row_fn(point_fn({k: v for k, v in p.items() if k != "alpha"}, "alpha"),
+                          p["alpha"], cfg, index)
+
+        assert out.read_bytes() == reference_csv(cfg, {"sublinear": (["first", "second"], alone)})
 
 
 def run_cli(args, cwd):
