@@ -153,10 +153,14 @@ def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
     r (t/l) log(1 + l snr / t).  Cubic remainder dropped.  The value can be
     negative for short blocks and is returned as-is; sweep output flags it.
     """
-    t, r, l = dims.t, dims.r, dims.l
     expansion = coherent_expansion(dims, snr)  # checks 0 <= snr < inf
-    penalty = r * t / l * math.log1p(l * snr / t)
-    return expansion.total - penalty
+    return expansion.total - _uncertainty_penalty(dims, snr)
+
+
+def _uncertainty_penalty(dims: ChannelDims, snr: float) -> float:
+    """r (t/l) log(1 + l snr / t), what ``gaussian_lower_bound`` subtracts from the expansion."""
+    t, r, l = dims.t, dims.r, dims.l
+    return r * t / l * math.log1p(l * snr / t)
 
 
 def coherence_thresholds(

@@ -26,9 +26,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Counter stride between logical blocks of one stream.  A block never consumes
-# anywhere near 2**40 variates, so blocks cannot overlap.
-_BLOCK_STRIDE = 1 << 40
 
 
 def _as_count(name, value):
@@ -74,22 +71,23 @@ class ChannelDims:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream: (seed, stream_id) fully determines all draws.
+    """Random stream: (seed, stream_id) fully determines all draws.
 
-    Distinct stream_ids are independent Philox keys.  Within one stream,
-    ``generator(block=i)`` exposes disjoint counter blocks, so work can be
-    chunked across threads with results independent of the partitioning.
+    ``generator(block=i)`` is a PCG64 generator seeded by a ``SeedSequence``
+    with entropy ``seed`` and spawn key ``(stream_id, i)``, numpy's way of
+    deriving independent streams (O'Neill 2014).  Every (stream_id, block)
+    pair gets its own stream, so work can be chunked across threads with
+    results independent of the partitioning.
     """
 
     seed: int
     stream_id: int = 0
 
     def generator(self, block: int = 0) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        bits = np.random.Philox(key=key)
-        if block:
-            bits.advance(block * _BLOCK_STRIDE)
-        return np.random.Generator(bits)
+        seq = np.random.SeedSequence(
+            self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64, block)
+        )
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 def _sample_cn(gen: np.random.Generator, shape) -> np.ndarray:

@@ -5,9 +5,9 @@ Carlo, quadrature, series, or an algebraic identity) and returns one
 verdict: the gap between the two and the slack the claim allows.  It passes
 when gap <= slack, and its margin (slack - gap)/slack is the share of the
 slack left, so drift shows before a failure.  A check over a grid reports
-its worst verdict.  Everything is driven by counter-based streams, so the
-printed table is byte-identical across runs and thread counts for a fixed
-seed.
+its worst verdict.  Every Monte Carlo check draws from ``RngStream``
+streams and its oracle merges chunks in a fixed order, so the printed table
+is byte-identical across runs and thread counts for a fixed seed.
 """
 
 import math

@@ -9,10 +9,16 @@ entries only through their energy, a Gamma(k, 1) variate, and so does the
 on-off mutual information on the r received entries' energy.
 
 Determinism contract: an estimate depends only on (seed, stream_id, n).  Work
-is cut into fixed-size chunks, each drawn from its own counter block of the
-stream, so the result is bit-identical whether chunks run on one thread or
-many.  Density evaluations happen in log space throughout; no probability
-that could underflow ever reaches a subtraction.
+is cut into fixed-size chunks, each drawn from its own block of the stream
+(``RngStream.generator``) and reduced where it is drawn: a mean-type estimate
+keeps only each chunk's (count, mean, M2) and merges them in chunk order
+(Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  The
+result is bit-identical whether chunks run on one thread or many, and memory
+is bounded by one chunk per thread.  Only the Gallager function keeps its
+n per-sample weights, which its saddlepoint bootstrap needs.  One-dimensional
+sums of products are taken with ``np.einsum`` rather than ``@``, which hands
+them to a threaded BLAS ``ddot``.  Density evaluations happen in log space
+throughout; no probability that could underflow ever reaches a subtraction.
 """
 
 import math
@@ -41,8 +47,8 @@ __all__ = [
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 1 << 16
-# Counter-block offsets inside one stream: chunks of the secondary and tertiary
-# sample sets must never collide with primary chunks or with each other.
+# Block offsets inside one stream: chunks of the secondary and tertiary sample
+# sets must never collide with primary chunks or with each other.
 _BLOCK_SECONDARY = 1 << 20
 _BLOCK_TAIL = 2 * _BLOCK_SECONDARY
 # Off-branch strata of ``mc_onoff_mi``: the cut as a fraction of the crossing
@@ -91,10 +97,10 @@ def _check_n(n, minimum) -> int:
 
 
 def _collect(chunk_fn, n, rng, threads, block_base=0):
-    """Stack per-chunk draws along axis 0; identical for any thread count.
+    """Per-chunk results of ``chunk_fn(gen, m)`` in chunk order; identical for any thread count.
 
-    ``chunk_fn(gen, m)`` returns m rows: a vector for one value per sample, or
-    an (m, width) array for several values that share the draws.
+    Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block
+    block_base + i of the stream and reduces them on the worker that drew them.
     """
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
 
@@ -103,16 +109,37 @@ def _collect(chunk_fn, n, rng, threads, block_base=0):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
-    else:
-        parts = [run(i) for i in range(len(sizes))]
-    return np.concatenate(parts)
+            return list(pool.map(run, range(len(sizes))))
+    return [run(i) for i in range(len(sizes))]
 
 
-def _mean_estimate(values: np.ndarray) -> OracleEstimate:
-    n = len(values)
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of a chunk, M2 the sum of squared deviations from its mean."""
     mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    dev = values - mean
+    return len(values), mean, float(np.einsum("i,i->", dev, dev))
+
+
+def _merge_moments(parts) -> tuple[int, float, float]:
+    """Merge chunk moments in order by the pairwise update of Chan, Golub & LeVeque (1983)."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for count, chunk_mean, chunk_m2 in parts:
+        total = n + count
+        delta = chunk_mean - mean
+        mean += delta * (count / total)
+        m2 += chunk_m2 + delta * delta * (n * count / total)
+        n = total
+    return n, mean, m2
+
+
+def _sample_variance(moments) -> float:
+    n, _, m2 = moments
+    return m2 / (n - 1) if n > 1 else 0.0
+
+
+def _mean_estimate(moments) -> OracleEstimate:
+    n, mean, _ = moments
+    se = math.sqrt(_sample_variance(moments) / n)
     half = _Z99 * se
     return OracleEstimate(mean, se, n, mean - half, mean + half)
 
@@ -161,9 +188,9 @@ def mc_coherent_mi(
     coeffs = [snr / t]
 
     def chunk(gen, m):
-        return _wishart_logdet(gen, m, t, r, coeffs)[:, 0]
+        return _moments(_wishart_logdet(gen, m, t, r, coeffs)[:, 0])
 
-    return _mean_estimate(_collect(chunk, n, rng, threads))
+    return _mean_estimate(_merge_moments(_collect(chunk, n, rng, threads)))
 
 
 def _e0_weights(dims, snr_b, rho_list, n, rng, threads):
@@ -175,7 +202,7 @@ def _e0_weights(dims, snr_b, rho_list, n, rng, threads):
     def chunk(gen, m):
         return np.exp(scales * _wishart_logdet(gen, m, t, r, coeffs))
 
-    return _collect(chunk, n, rng, threads)
+    return np.concatenate(_collect(chunk, n, rng, threads))
 
 
 def _tail_excess(s, prob, n, tilt):
@@ -229,10 +256,10 @@ def _bootstrap_mean_quantiles(weights: np.ndarray, se_mean: float) -> tuple[floa
             np.multiply(offset, s, out=factor)
             np.exp(factor, out=factor)
             total = float(factor.sum())
-            shift = float(offset @ factor) / total
+            shift = float(np.einsum("i,i->", offset, factor)) / total
             np.subtract(offset, shift, out=offset)
             np.multiply(factor, offset, out=factor)
-            variance = float(offset @ factor) / total
+            variance = float(np.einsum("i,i->", offset, factor)) / total
             tilts[s] = (s * shift - math.log(total / n), variance, edge + shift)
         return tilts[s]
 
@@ -360,10 +387,11 @@ def _stratified_estimate(strata, n: int, exact: float = 0.0) -> OracleEstimate:
     """exact plus the weighted sum of stratum means; the variance adds with the
     squared weights.
 
-    strata holds (weight, values) pairs.
+    strata holds (weight, moments) pairs, moments a stratum's merged
+    (count, mean, M2).
     """
-    mean = exact + sum(w * float(v.mean()) for w, v in strata)
-    se = math.sqrt(sum(w * w * float(v.var(ddof=1)) / len(v) for w, v in strata))
+    mean = exact + sum(w * mom[1] for w, mom in strata)
+    se = math.sqrt(sum(w * w * _sample_variance(mom) / mom[0] for w, mom in strata))
     half = _Z99 * se
     return OracleEstimate(mean, se, n, mean - half, mean + half)
 
@@ -420,28 +448,44 @@ def mc_onoff_mi(
     def plain(gen, m):
         return gen.standard_gamma(r, m)
 
-    def remainder(x, scale):
-        # log(1 + e^-|u|), u = scale x - lam, in place
-        x *= scale
-        x -= lam
-        x = np.negative(np.abs(x, out=x), out=x)
-        return np.log1p(np.exp(x, out=x), out=x)
+    def remainder(draw, scale):
+        # chunk moments of log(1 + e^-|u|), u = scale z - lam, in place
+        def chunk(gen, m):
+            x = draw(gen, m)
+            x *= scale
+            x -= lam
+            x = np.negative(np.abs(x, out=x), out=x)
+            return _moments(np.log1p(np.exp(x, out=x), out=x))
+
+        return chunk
+
+    def stratum(chunk, count, block_base=0):
+        return _merge_moments(_collect(chunk, count, rng, threads, block_base))
 
     cut = _CUT_FRACTION * z_x
     q = gamma_upper_regularized(r, cut) if cut > 0.0 else 1.0
     if q < _TAIL_SHARE:
+        below = _gamma_below(r, cut, 1.0 - q)
+
+        def bulk(gen, m):
+            # chunk moments of e^u - log(1 + e^u), u = slope z - lam < 0
+            x = below(gen, m)
+            x *= slope
+            x -= lam
+            e_u = np.exp(x, out=x)
+            return _moments(e_u - np.log1p(e_u))
+
         n_tail = int(n_off * _TAIL_SHARE)
-        bulk = _collect(_gamma_below(r, cut, 1.0 - q), n_off - n_tail, rng, threads)
-        tail = _collect(_gamma_above(r, cut), n_tail, rng, threads, block_base=_BLOCK_TAIL)
-        bulk *= slope
-        bulk -= lam
-        e_u = np.exp(bulk, out=bulk)
+        tail = remainder(_gamma_above(r, cut), slope)
         exact -= omega * gamma_lower_regularized(r, cut / (1.0 + a))
-        off = [(-(1.0 - q), e_u - np.log1p(e_u)), (q, remainder(tail, slope))]
+        off = [
+            (-(1.0 - q), stratum(bulk, n_off - n_tail)),
+            (q, stratum(tail, n_tail, _BLOCK_TAIL)),
+        ]
     else:
-        off = [(1.0, remainder(_collect(plain, n_off, rng, threads), slope))]
-    on = remainder(_collect(plain, n_on, rng, threads, block_base=_BLOCK_SECONDARY), a)
-    strata = [(-(1.0 - omega) * w, v) for w, v in off] + [(-omega, on)]
+        off = [(1.0, stratum(remainder(plain, slope), n_off))]
+    on = stratum(remainder(plain, a), n_on, _BLOCK_SECONDARY)
+    strata = [(-(1.0 - omega) * w, mom) for w, mom in off] + [(-omega, on)]
     return _stratified_estimate(strata, n, exact)
 
 
@@ -467,10 +511,10 @@ def empirical_tail_cdf(
         raise DomainError(f"x must be >= 0, got {x}")
 
     def chunk(gen, m):
-        return (gen.standard_gamma(k, m) < x).astype(float)
+        # a Python int, so p below is a float and not an np.float64
+        return int(np.count_nonzero(gen.standard_gamma(k, m) < x))
 
-    hits = _collect(chunk, n, rng, threads)
-    p = float(hits.mean())
+    p = sum(_collect(chunk, n, rng, threads)) / n
     se = math.sqrt(p * (1.0 - p) / n)
     edge = -math.expm1(math.log(0.005) / n)
     if p == 0.0:

@@ -235,7 +235,7 @@ def _dims_point(p, inner_key):
 
 def _row_capacity(dims, snr, cfg, index):
     expansion = capacity.coherent_expansion(dims, snr)
-    lb = capacity.gaussian_lower_bound(dims, snr)
+    lb = expansion.total - capacity._uncertainty_penalty(dims, snr)  # gaussian_lower_bound
     return (
         expansion.linear, expansion.sublinear, expansion.total, lb, lb < 0.0,
         "snr^3 remainder dropped",

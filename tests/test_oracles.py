@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,12 +25,16 @@ from widemimo import (
 )
 from widemimo.channel import _sample_cn
 from widemimo.oracles import (
+    _CHUNK,
     _bootstrap_mean_quantiles,
+    _collect,
     _e0_weights,
     _gamma_above,
     _gamma_below,
     _log_of_mean_estimate,
     _mean_excess,
+    _merge_moments,
+    _moments,
     _wishart_logdet,
 )
 
@@ -287,6 +292,82 @@ class TestTailCdf:
     def test_exponential_case(self):
         est = empirical_tail_cdf(1, 0.1, 200_000, RngStream(SEED, 232))
         assert est.contains(1.0 - math.exp(-0.1))
+
+    def test_thread_invariance(self):
+        # 200k draws are four chunks, the last one short
+        a = empirical_tail_cdf(3, 2.5, 200_000, RngStream(SEED, 233), threads=1)
+        b = empirical_tail_cdf(3, 2.5, 200_000, RngStream(SEED, 233), threads=3)
+        assert a == b
+
+
+class TestStreamingMoments:
+    """Chunks reduced to (count, mean, M2) where they are drawn, merged in order."""
+
+    @pytest.mark.parametrize("n", [1000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_merged_moments_match_numpy(self, n):
+        def draw(gen, m):
+            return 3.0 + gen.standard_gamma(2.0, m)
+
+        def chunk(gen, m):
+            return _moments(draw(gen, m))
+
+        rng = RngStream(SEED, 270)
+        count, mean, m2 = _merge_moments(_collect(chunk, n, rng, 1))
+        # chunks merge in chunk order whichever thread finished first
+        assert _merge_moments(_collect(chunk, n, rng, 3)) == (count, mean, m2)
+        values = np.concatenate(_collect(draw, n, rng, 1))
+        assert count == n
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert m2 / (n - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, rng: mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, n, rng),
+            lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng),
+            # the stratified off branch: bulk, tail and on strata
+            lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng),
+        ],
+        ids=["mc_coherent_mi", "empirical_tail_cdf", "mc_onoff_mi"],
+    )
+    def test_traced_peak_is_a_few_chunks(self, call):
+        # an n-length float64 array alone would be 30.5 MiB
+        tracemalloc.start()
+        try:
+            est = call(4_000_000, RngStream(SEED, 271))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.n_samples == 4_000_000
+        assert peak < 8 * 2**20
+
+
+class TestCoverage:
+    """Misses of the 99% interval over 200 streams against exact references.
+
+    At 1% per stream the miss count is Binomial(200, 0.01); more than its
+    99.9% quantile (8) says the interval undercovers.
+    """
+
+    STREAMS = 200
+    MAX_MISSES = int(stats.binom.ppf(0.999, STREAMS, 0.01))
+
+    def _misses(self, estimate, exact, first_id):
+        return sum(
+            not estimate(RngStream(SEED, sid)).contains(exact)
+            for sid in range(first_id, first_id + self.STREAMS)
+        )
+
+    def test_tail_cdf(self):
+        exact = gamma_lower_regularized(2, 1.0)
+        misses = self._misses(lambda rng: empirical_tail_cdf(2, 1.0, 2000, rng), exact, 300)
+        assert misses <= self.MAX_MISSES == 8
+
+    def test_coherent_mi(self):
+        # E[log(1 + X)], X ~ Exp(1), is e E1(1)
+        exact = math.e * float(special.exp1(1.0))
+        misses = self._misses(lambda rng: mc_coherent_mi(DIMS11, 1.0, 2000, rng), exact, 500)
+        assert misses <= self.MAX_MISSES == 8
 
 
 def _two_sample_z(a, b):

@@ -325,6 +325,21 @@ class TestStreaming:
         assert len(calls) == 3 * 2 * 2 * 2
         assert len(summary.row_errors) == 2 * 2 * 2 * 40
 
+    def test_capacity_row_expands_once(self, tmp_path, monkeypatch):
+        # the row's gaussian_lower_bound reuses its expansion
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return wm.coherent_expansion(*args, **kwargs)
+
+        monkeypatch.setattr("widemimo.capacity.coherent_expansion", counting)
+        text = "quantity = capacity\nt = 1, 2\nr = 1, 3\nl = 10, 1000\nsnr = 0.001, 0.01, 0.1\n"
+        cfg = load_config(write(tmp_path, "e.cfg", text))
+        summary = run_sweep(cfg, out=str(tmp_path / "e.csv"), err_stream=io.StringIO())
+        assert summary.rows == 2 * 2 * 2 * 3 and not summary.row_errors
+        assert len(calls) == summary.rows
+
     def test_inner_axis_longer_than_chunks(self, tmp_path, monkeypatch):
         # one outer point whose rates run past three chunks; a negative rate
         # sits on each side of every chunk boundary
