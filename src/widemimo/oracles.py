@@ -6,7 +6,10 @@ depend on the r x t CN(0,1) channel H only through the smaller Gram matrix
 W ~ CW_p(q, I), p = min(t, r), q = max(t, r) (Telatar 1999), which is drawn
 through its complex Bartlett factor; the outage tail depends on k CN(0,1)
 entries only through their energy, a Gamma(k, 1) variate, and so does the
-on-off mutual information on the r received entries' energy.
+on-off mutual information on the r received entries' energy.  An
+integer-shape Gamma(k, 1) is drawn as Exp(1) at k = 1, as -log of a product of
+k uniforms on (0, 1] for k = 2..4, where that beats numpy's Marsaglia-Tsang
+sampler, and by ``standard_gamma`` above (``_gamma_int``).
 
 Determinism contract: an estimate depends only on (seed, stream_id, n).  Work
 is cut into fixed-size chunks, each drawn from its own block of the stream
@@ -26,6 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
+
 from .channel import (
     ChannelDims,
     RngStream,
@@ -59,6 +64,13 @@ _BLOCK_TAIL = 2 * _BLOCK_SECONDARY
 # 1.2% with the least skewed standardized error (skewness +0.05).
 _CUT_FRACTION = 0.7
 _TAIL_SHARE = 1 / 8
+# Integer shapes from 2 up to this one draw Gamma(k, 1) as -log of a product of
+# k uniforms (``_gamma_int``).  Per draw in chunks of 2^16 (numpy 2.4, 2 vCPUs,
+# medians of 25 alternating rounds), numpy's Marsaglia-Tsang ``standard_gamma``
+# took 34-37 ns at every shape; the product took 21, 28 and 32-39 ns at
+# k = 2, 3, 4, and 30 ns at k = 4 in the tail CDF's hit test, which takes no
+# log.  From k = 5 on it took 44 ns or more.
+_PRODUCT_MAX_K = 4
 
 
 @dataclass(frozen=True)
@@ -144,19 +156,50 @@ def _mean_estimate(moments) -> OracleEstimate:
     return OracleEstimate(mean, se, n, mean - half, mean + half)
 
 
+def _uniform_product(gen, k, m):
+    """m draws of the product of k independent uniforms on (0, 1].
+
+    Each factor is 1 - U with U uniform on [0, 1), so no factor is zero and
+    -log of the product is finite.
+    """
+    prod = gen.random(m)
+    np.subtract(1.0, prod, out=prod)
+    for _ in range(k - 1):
+        u = gen.random(m)
+        np.subtract(1.0, u, out=u)
+        prod *= u
+    return prod
+
+
+def _gamma_int(gen, k, m):
+    """m Gamma(k, 1) draws for an integer shape k >= 1.
+
+    k = 1 is ``standard_exponential``; 2 <= k <= _PRODUCT_MAX_K is
+    -log of a product of k uniforms on (0, 1] (``_uniform_product``), the sum
+    of k Exp(1) variates; larger k is numpy's ``standard_gamma``.
+    """
+    if k == 1:
+        return gen.standard_exponential(m)
+    if k > _PRODUCT_MAX_K:
+        return gen.standard_gamma(k, m)
+    prod = _uniform_product(gen, k, m)
+    return np.negative(np.log(prod, out=prod), out=prod)
+
+
 def _wishart_logdet(gen, m, t, r, coeffs):
     """log det(I + c W) for m draws of W ~ CW_p(q, I), one column per c in coeffs.
 
     W = L L^dagger with the complex Bartlett factor L: lower triangular,
     L_ii^2 ~ Gamma(q - i, 1) for i = 0..p-1 and L_ij ~ CN(0, 1) below the
-    diagonal.  It has the law of the smaller Gram side of an r x t CN(0, 1)
-    channel.  For p <= 2 the determinant is a polynomial in the factor's
-    entries, so no matrix is formed:
+    diagonal, the diagonal drawn by ``_gamma_int``.  It has the law of the
+    smaller Gram side of an r x t CN(0, 1) channel.  For p <= 2 the
+    determinant is a polynomial in the factor's entries, so no matrix is
+    formed:
     p = 1: 1 + c d0;  p = 2: 1 + c (d0 + d1 + |z|^2) + c^2 d0 d1.
     The draws do not depend on coeffs, so every column shares them.
     """
     p, q = min(t, r), max(t, r)
-    diag = [gen.standard_gamma(q - i, m) for i in range(p)]
+    diag = [_gamma_int(gen, q - i, m) for i in range(p)]
     if p == 1:
         return np.stack([np.log1p(c * diag[0]) for c in coeffs], axis=1)
     if p == 2:
@@ -353,7 +396,7 @@ def _gamma_below(r: int, cut: float, p_below: float):
     def chunk(gen, m):
         kept, got = [], 0
         while got < m:
-            z = gen.standard_gamma(r, math.ceil((m - got) / p_below) + 16)
+            z = _gamma_int(gen, r, math.ceil((m - got) / p_below) + 16)
             z = z[z <= cut]
             kept.append(z)
             got += len(z)
@@ -377,6 +420,7 @@ def _gamma_above(r: int, cut: float):
     probs /= probs.sum()
 
     def chunk(gen, m):
+        # the shape varies per draw, so this stays with standard_gamma
         shape = gen.choice(r, size=m, p=probs) + 1.0 if r > 1 else 1.0
         return cut + gen.standard_gamma(shape, m)
 
@@ -446,7 +490,7 @@ def mc_onoff_mi(
     )
 
     def plain(gen, m):
-        return gen.standard_gamma(r, m)
+        return _gamma_int(gen, r, m)
 
     def remainder(draw, scale):
         # chunk moments of log(1 + e^-|u|), u = scale z - lam, in place
@@ -501,26 +545,29 @@ def empirical_tail_cdf(
 ) -> OracleEstimate:
     """Fraction of draws of sum_{i<=k} |CN(0,1)|^2 falling below x, with binomial CI.
 
-    The sum is drawn directly as its equal-in-law Gamma(k, 1) variate.  The
-    interval is the normal approximation except at 0 or n hits, where the
-    exact binomial bound 1 - (alpha/2)^(1/n) replaces the degenerate endpoint.
+    The sum is drawn directly as its equal-in-law Gamma(k, 1) variate.  Up to
+    k = _PRODUCT_MAX_K that variate is -log of a product of k uniforms, so a
+    hit is tested as product > e^-x and no log is taken.  The interval is the
+    exact (Clopper-Pearson) 99% binomial interval for h hits: the 0.5% and
+    99.5% quantiles of Beta(h, n - h + 1) and Beta(h + 1, n - h), with 0 at
+    h = 0 and 1 at h = n.  It covers at least 99% however few the hits are.
     """
     n = _check_n(n, minimum=1000)
     k = _positive_int("k", k)
     if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
 
-    def chunk(gen, m):
-        # a Python int, so p below is a float and not an np.float64
-        return int(np.count_nonzero(gen.standard_gamma(k, m) < x))
+    floor = math.exp(-x)
 
-    p = sum(_collect(chunk, n, rng, threads)) / n
+    def chunk(gen, m):
+        # int, so the hit count and p are Python numbers and not numpy scalars
+        if k <= _PRODUCT_MAX_K:
+            return int(np.count_nonzero(_uniform_product(gen, k, m) > floor))
+        return int(np.count_nonzero(_gamma_int(gen, k, m) < x))
+
+    hits = sum(_collect(chunk, n, rng, threads))
+    p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
-    edge = -math.expm1(math.log(0.005) / n)
-    if p == 0.0:
-        lo, hi = 0.0, edge
-    elif p == 1.0:
-        lo, hi = 1.0 - edge, 1.0
-    else:
-        lo, hi = p - _Z99 * se, p + _Z99 * se
+    lo = float(special.betaincinv(hits, n - hits + 1, 0.005)) if hits > 0 else 0.0
+    hi = float(special.betaincinv(hits + 1, n - hits, 0.995)) if hits < n else 1.0
     return OracleEstimate(p, se, n, lo, hi)

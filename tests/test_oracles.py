@@ -31,6 +31,7 @@ from widemimo.oracles import (
     _e0_weights,
     _gamma_above,
     _gamma_below,
+    _gamma_int,
     _log_of_mean_estimate,
     _mean_excess,
     _merge_moments,
@@ -369,6 +370,55 @@ class TestCoverage:
         misses = self._misses(lambda rng: mc_coherent_mi(DIMS11, 1.0, 2000, rng), exact, 500)
         assert misses <= self.MAX_MISSES == 8
 
+    def test_tail_cdf_few_hits(self):
+        # x puts P(4, x) at 2e-3: 4 expected hits in 2000 draws, where a normal
+        # interval around the hit fraction undercovers
+        x = float(special.gammaincinv(4, 2e-3))
+        exact = gamma_lower_regularized(4, x)
+        misses = self._misses(lambda rng: empirical_tail_cdf(4, x, 2000, rng), exact, 700)
+        assert misses <= self.MAX_MISSES == 8
+
+    def test_onoff_mi(self):
+        # Gamma(2) draws on both branches, and the rejection-sampled bulk stratum
+        exact = onoff_mi_quadrature(2, 0.01, 20.0, rel_tol=1e-10)
+        misses = self._misses(lambda rng: mc_onoff_mi(2, 0.01, 20.0, 10_000, rng), exact, 2000)
+        assert misses <= self.MAX_MISSES == 8
+
+    def test_coherent_mi_bartlett(self):
+        # (t, r) = (2, 3): Bartlett diagonal Gamma(3) and Gamma(2)
+        dims = ChannelDims(2, 3, 1)
+        exact = _wishart_mi_exact(2, 3, 1.0)
+        misses = self._misses(lambda rng: mc_coherent_mi(dims, 1.0, 2000, rng), exact, 2200)
+        assert misses <= self.MAX_MISSES == 8
+
+
+def _wishart_mi_exact(t, r, snr):
+    """E log det(I + (snr/t) W), W ~ CW_p(q, I), by Andreief's identity.
+
+    With the moment matrix A_ij = (i + j + q - p)! and
+    B_ij = int x^(i+j+q-p) e^-x log(1 + c x) dx, c = snr/t, the mean is
+    sum_i det(A with row i replaced by row i of B) / det(A).
+    """
+    p, q = min(t, r), max(t, r)
+    c = snr / t
+
+    def moment(m):
+        def integrand(x):
+            return x**m * math.exp(-x) * math.log1p(c * x)
+
+        value, err = integrate.quad(integrand, 0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert err < 1e-10 * value
+        return value
+
+    a = np.array([[math.factorial(i + j + q - p) for j in range(p)] for i in range(p)], float)
+    b = np.array([[moment(i + j + q - p) for j in range(p)] for i in range(p)])
+    total = 0.0
+    for i in range(p):
+        replaced = a.copy()
+        replaced[i] = b[i]
+        total += np.linalg.det(replaced)
+    return total / np.linalg.det(a)
+
 
 def _two_sample_z(a, b):
     """z statistic for equal means of two independent samples."""
@@ -387,12 +437,13 @@ class TestSamplerLaws:
         assert abs(_two_sample_z(bartlett, explicit)) <= 4.0
         assert abs(_two_sample_z(bartlett**2, explicit**2)) <= 4.0
 
-    @pytest.mark.parametrize("k", [1, 4, 9])
+    # both sides of the uniform-product cut-over at k = 4
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9])
     def test_gamma_matches_cn_energy(self, k):
         n = 200_000
         z = _sample_cn(RngStream(SEED, 252).generator(), (n, k))
         energy = (z.real**2 + z.imag**2).sum(axis=1)
-        gamma = RngStream(SEED, 253).generator().standard_gamma(k, n)
+        gamma = _gamma_int(RngStream(SEED, 253).generator(), k, n)
         assert abs(_two_sample_z(gamma, energy)) <= 4.0
         assert abs(_two_sample_z(gamma**2, energy**2)) <= 4.0
         # the oracle's CDF at x = k against the explicit fraction below k
@@ -400,6 +451,14 @@ class TestSamplerLaws:
         p_explicit = float((energy < k).mean())
         se = math.sqrt(est.std_error**2 + p_explicit * (1.0 - p_explicit) / n)
         assert abs(est.mean - p_explicit) <= 4.0 * se
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_zero_uniform_gives_a_finite_gamma(self, k):
+        class ZeroUniforms:
+            def random(self, m):
+                return np.zeros(m)
+
+        assert np.all(_gamma_int(ZeroUniforms(), k, 5) == 0.0)
 
 
 class TestSlopeFit:
