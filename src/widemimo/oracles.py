@@ -3,8 +3,9 @@
 Each oracle samples only the statistic its estimand depends on, drawn equal in
 law to the textbook construction.  Coherent MI and the Gallager function
 depend on the r x t CN(0,1) channel H only through the smaller Gram matrix
-W ~ CW_p(q, I), p = min(t, r), q = max(t, r) (Telatar 1999), which is drawn
-through its complex Bartlett factor; the outage tail depends on k CN(0,1)
+W ~ CW_p(q, I), p = min(t, r), q = max(t, r) (Telatar 1999), whose
+eigenvalues are drawn as those of a real bidiagonal matrix of 2p - 1 Gamma
+variates (Dumitriu & Edelman 2002); the outage tail depends on k CN(0,1)
 entries only through their energy, a Gamma(k, 1) variate, and so does the
 on-off mutual information on the r received entries' energy.  An
 integer-shape Gamma(k, 1) is drawn as Exp(1) at k = 1, as -log of a product of
@@ -35,7 +36,6 @@ from .channel import (
     ChannelDims,
     RngStream,
     _positive_int,
-    _sample_cn,
     gamma_lower_regularized,
     gamma_upper_regularized,
 )
@@ -189,30 +189,28 @@ def _gamma_int(gen, k, m):
 def _wishart_logdet(gen, m, t, r, coeffs):
     """log det(I + c W) for m draws of W ~ CW_p(q, I), one column per c in coeffs.
 
-    W = L L^dagger with the complex Bartlett factor L: lower triangular,
-    L_ii^2 ~ Gamma(q - i, 1) for i = 0..p-1 and L_ij ~ CN(0, 1) below the
-    diagonal, the diagonal drawn by ``_gamma_int``.  It has the law of the
-    smaller Gram side of an r x t CN(0, 1) channel.  For p <= 2 the
-    determinant is a polynomial in the factor's entries, so no matrix is
-    formed:
-    p = 1: 1 + c d0;  p = 2: 1 + c (d0 + d1 + |z|^2) + c^2 d0 d1.
-    The draws do not depend on coeffs, so every column shares them.
+    W has the eigenvalues of B B^T for the real bidiagonal beta = 2 Laguerre
+    model of Dumitriu & Edelman (2002, J. Math. Phys. 43): squared diagonal
+    d_i ~ Gamma(q - i, 1), i < p, then squared subdiagonal
+    s_i ~ Gamma(p - 1 - i, 1), i < p - 1, drawn in that order by ``_gamma_int``.
+    det(I + c B B^T) is the matching polynomial of the path with edge weights
+    x = (d0, s0, d1, ..., d_{p-1}), so G = det - 1 follows
+    G_j = G_{j-1} + c x_j (1 + G_{j-2}) from G_{-1} = G_{-2} = 0 with no
+    cancelling terms; the value is log1p(G).  The draws do not depend on
+    coeffs, so every column shares them.
     """
     p, q = min(t, r), max(t, r)
-    diag = [_gamma_int(gen, q - i, m) for i in range(p)]
-    if p == 1:
-        return np.stack([np.log1p(c * diag[0]) for c in coeffs], axis=1)
-    if p == 2:
-        lin = diag[0] + diag[1] + gen.standard_exponential(m)  # |z|^2 ~ Exp(1)
-        quad = diag[0] * diag[1]
-        return np.stack([np.log1p(c * lin + (c * c) * quad) for c in coeffs], axis=1)
-    factor = np.zeros((m, p, p), dtype=complex)
-    rows, cols = np.diag_indices(p)
-    factor[:, rows, cols] = np.sqrt(np.stack(diag, axis=1))
-    rows, cols = np.tril_indices(p, -1)
-    factor[:, rows, cols] = _sample_cn(gen, (m, len(rows)))
-    lam = np.linalg.eigvalsh(factor @ factor.conj().transpose(0, 2, 1))
-    return np.stack([np.log1p(c * lam).sum(axis=1) for c in coeffs], axis=1)
+    edges = [None] * (2 * p - 1)
+    edges[0::2] = [_gamma_int(gen, q - i, m) for i in range(p)]
+    edges[1::2] = [_gamma_int(gen, p - 1 - i, m) for i in range(p - 1)]
+
+    def logdet(c):
+        g, g_prev = 0.0, 0.0
+        for x in edges:
+            g, g_prev = g + c * x * (1.0 + g_prev), g
+        return np.log1p(g)
+
+    return np.stack([logdet(c) for c in coeffs], axis=1)
 
 
 def mc_coherent_mi(
@@ -221,8 +219,8 @@ def mc_coherent_mi(
     """Sample mean of log det(I + (snr/t) H^dagger H) over channel draws.
 
     Samples the equal-in-law log det(I + (snr/t) W) with W the min(t, r) Gram
-    matrix drawn through its Bartlett factor (see ``_wishart_logdet``): a
-    closed form for p <= 2, eigenvalues of the p x p matrix above that.
+    matrix, drawn through its bidiagonal model and taken by one recurrence for
+    every p (see ``_wishart_logdet``).
     """
     n = _check_n(n, minimum=1000)
     if not 0.0 <= snr < math.inf:
@@ -357,7 +355,7 @@ def mc_e0_exact(
     -log E[det(I + snr_b/(t(1+rho)) H^dagger H)^(-rho l)].
 
     The determinant is sampled as its equal-in-law det(I + c W), W the
-    min(t, r) Gram matrix drawn through its Bartlett factor.
+    min(t, r) Gram matrix (see ``_wishart_logdet``).
     """
     return mc_e0_curve(dims, snr_b, [rho], n, rng, threads)[0]
 
@@ -551,6 +549,8 @@ def empirical_tail_cdf(
     exact (Clopper-Pearson) 99% binomial interval for h hits: the 0.5% and
     99.5% quantiles of Beta(h, n - h + 1) and Beta(h + 1, n - h), with 0 at
     h = 0 and 1 at h = n.  It covers at least 99% however few the hits are.
+    std_error is the plug-in sqrt(p (1 - p) / n), or at h = 0 and h = n, where
+    that is 0, the interval's half-width over the 99% normal quantile.
     """
     n = _check_n(n, minimum=1000)
     k = _positive_int("k", k)
@@ -567,7 +567,7 @@ def empirical_tail_cdf(
 
     hits = sum(_collect(chunk, n, rng, threads))
     p = hits / n
-    se = math.sqrt(p * (1.0 - p) / n)
     lo = float(special.betaincinv(hits, n - hits + 1, 0.005)) if hits > 0 else 0.0
     hi = float(special.betaincinv(hits + 1, n - hits, 0.995)) if hits < n else 1.0
+    se = math.sqrt(p * (1.0 - p) / n) if 0 < hits < n else 0.5 * (hi - lo) / _Z99
     return OracleEstimate(p, se, n, lo, hi)

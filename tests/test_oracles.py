@@ -26,6 +26,7 @@ from widemimo import (
 from widemimo.channel import _sample_cn
 from widemimo.oracles import (
     _CHUNK,
+    _Z99,
     _bootstrap_mean_quantiles,
     _collect,
     _e0_weights,
@@ -56,7 +57,7 @@ class TestCoherentMi:
         assert est.contains(ref)
 
     def test_tracks_expansion(self):
-        # (3, 3) takes the matrix branch of the Bartlett sampler
+        # the bidiagonal recurrence over five Gamma variates at (3, 3), three at (2, 2)
         for t, r, sid in ((2, 2, 202), (3, 3, 205)):
             dims = ChannelDims(t, r, 1)
             est = mc_coherent_mi(dims, 0.01, 200_000, RngStream(SEED, sid))
@@ -294,6 +295,14 @@ class TestTailCdf:
         est = empirical_tail_cdf(1, 0.1, 200_000, RngStream(SEED, 232))
         assert est.contains(1.0 - math.exp(-0.1))
 
+    @pytest.mark.parametrize("k, x, p", [(3, 0.0, 0.0), (1, 50.0, 1.0)])
+    def test_std_error_at_zero_and_all_hits(self, k, x, p):
+        # the plug-in sqrt(p (1 - p) / n) is 0 here, the interval is not
+        est = empirical_tail_cdf(k, x, 2000, RngStream(SEED, 234))
+        assert est.mean == p
+        assert est.ci99_half > 0.0
+        assert est.std_error == est.ci99_half / _Z99
+
     def test_thread_invariance(self):
         # 200k draws are four chunks, the last one short
         a = empirical_tail_cdf(3, 2.5, 200_000, RngStream(SEED, 233), threads=1)
@@ -325,11 +334,13 @@ class TestStreamingMoments:
         "call",
         [
             lambda n, rng: mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, n, rng),
+            # 2p - 1 = 5 Gamma variates per sample
+            lambda n, rng: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, rng),
             lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng),
             # the stratified off branch: bulk, tail and on strata
             lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng),
         ],
-        ids=["mc_coherent_mi", "empirical_tail_cdf", "mc_onoff_mi"],
+        ids=["mc_coherent_mi", "mc_coherent_mi-p3", "empirical_tail_cdf", "mc_onoff_mi"],
     )
     def test_traced_peak_is_a_few_chunks(self, call):
         # an n-length float64 array alone would be 30.5 MiB
@@ -385,26 +396,39 @@ class TestCoverage:
         assert misses <= self.MAX_MISSES == 8
 
     def test_coherent_mi_bartlett(self):
-        # (t, r) = (2, 3): Bartlett diagonal Gamma(3) and Gamma(2)
+        # (t, r) = (2, 3): diagonal Gamma(3) and Gamma(2), subdiagonal Exp(1)
         dims = ChannelDims(2, 3, 1)
         exact = _wishart_mi_exact(2, 3, 1.0)
         misses = self._misses(lambda rng: mc_coherent_mi(dims, 1.0, 2000, rng), exact, 2200)
         assert misses <= self.MAX_MISSES == 8
 
+    def test_coherent_mi_p3(self):
+        # (3, 3): five Gamma variates per sample, subdiagonal Gamma(2) and Exp(1)
+        dims = ChannelDims(3, 3, 1)
+        exact = _wishart_mi_exact(3, 3, 1.0)
+        misses = self._misses(lambda rng: mc_coherent_mi(dims, 1.0, 2000, rng), exact, 2400)
+        assert misses <= self.MAX_MISSES == 8
 
-def _wishart_mi_exact(t, r, snr):
-    """E log det(I + (snr/t) W), W ~ CW_p(q, I), by Andreief's identity.
+    def test_e0_exact(self):
+        # the Gallager oracle's log-of-mean interval, at rho l = 1
+        dims = ChannelDims(2, 3, 1)
+        exact = _wishart_e0_exact(2, 3, 1, 1.0, 1.0)
+        misses = self._misses(lambda rng: mc_e0_exact(dims, 1.0, 1.0, 2000, rng), exact, 2600)
+        assert misses <= self.MAX_MISSES == 8
 
-    With the moment matrix A_ij = (i + j + q - p)! and
-    B_ij = int x^(i+j+q-p) e^-x log(1 + c x) dx, c = snr/t, the mean is
-    sum_i det(A with row i replaced by row i of B) / det(A).
+
+def _wishart_moments(t, r, f):
+    """Moment matrices of W ~ CW_p(q, I) for Andreief's identity.
+
+    A_ij = (i + j + q - p)! and B_ij = int x^(i+j+q-p) e^-x f(x) dx by
+    quadrature, so that E prod_k f(lambda_k) = det(B) / det(A) over the
+    eigenvalues of W.
     """
     p, q = min(t, r), max(t, r)
-    c = snr / t
 
     def moment(m):
         def integrand(x):
-            return x**m * math.exp(-x) * math.log1p(c * x)
+            return x**m * math.exp(-x) * f(x)
 
         value, err = integrate.quad(integrand, 0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
         assert err < 1e-10 * value
@@ -412,12 +436,31 @@ def _wishart_mi_exact(t, r, snr):
 
     a = np.array([[math.factorial(i + j + q - p) for j in range(p)] for i in range(p)], float)
     b = np.array([[moment(i + j + q - p) for j in range(p)] for i in range(p)])
+    return a, b
+
+
+def _wishart_mi_exact(t, r, snr):
+    """E log det(I + (snr/t) W), W ~ CW_p(q, I), by Andreief's identity.
+
+    With f = log(1 + c x), c = snr/t, in ``_wishart_moments`` the mean is
+    sum_i det(A with row i replaced by row i of B) / det(A).
+    """
+    c = snr / t
+    a, b = _wishart_moments(t, r, lambda x: math.log1p(c * x))
     total = 0.0
-    for i in range(p):
+    for i in range(len(a)):
         replaced = a.copy()
         replaced[i] = b[i]
         total += np.linalg.det(replaced)
     return total / np.linalg.det(a)
+
+
+def _wishart_e0_exact(t, r, l, snr_b, rho):
+    """-log E det(I + c W)^(-rho l), c = snr_b/(t(1 + rho)): -log(det B / det A)
+    with f = (1 + c x)^(-rho l) in ``_wishart_moments``."""
+    c = snr_b / (t * (1.0 + rho))
+    a, b = _wishart_moments(t, r, lambda x: (1.0 + c * x) ** (-rho * l))
+    return -math.log(np.linalg.det(b) / np.linalg.det(a))
 
 
 def _two_sample_z(a, b):
@@ -428,7 +471,9 @@ def _two_sample_z(a, b):
 class TestSamplerLaws:
     """The sufficient-statistic samplers against the explicit constructions."""
 
-    @pytest.mark.parametrize("t, r", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize(
+        "t, r", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (3, 5)]
+    )
     def test_bartlett_logdet_matches_explicit_gram(self, t, r):
         n, c = 200_000, 0.7
         h = _sample_cn(RngStream(SEED, 250).generator(), (n, r, t))
