@@ -19,18 +19,19 @@ from widemimo import (
     coherent_expansion,
     load_config,
     mc_coherent_mi,
+    mc_e0_exact,
     run_sweep,
 )
 from widemimo.check import Verdict, _line, _worst, contains, expansion_gap
-from widemimo.oracles import OracleEstimate, _log_of_mean_estimate
+from widemimo.oracles import OracleEstimate
 
 ESTIMATES = [
     OracleEstimate(0.5, 0.01, 1000, 0.47, 0.53),
     # asymmetric log-of-mean intervals, and one left unbounded above
     OracleEstimate(0.31, 0.004, 200_000, 0.295, 0.342, estimator="log-of-mean"),
     OracleEstimate(2.0, 0.3, 100_000, 1.1, math.inf, estimator="log-of-mean"),
-    # a saddlepoint-widened interval from heavy-tailed weights
-    _log_of_mean_estimate(np.random.default_rng(7).pareto(2.5, 100_000) + 1e-3),
+    # a tilted Gallager estimate at a skewed cell, theta near 23.6
+    mc_e0_exact(ChannelDims(2, 3, 100), 1.0, 1.0, 10_000, RngStream(7, 0)),
     # an estimate below zero, straddled by its interval
     OracleEstimate(-1e-4, 1e-4, 1000, -3.6e-4, 1.6e-4),
 ]

@@ -1,7 +1,5 @@
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -27,16 +25,15 @@ from widemimo.channel import _sample_cn
 from widemimo.oracles import (
     _CHUNK,
     _Z99,
-    _bootstrap_mean_quantiles,
     _collect,
-    _e0_weights,
     _gamma_above,
     _gamma_below,
     _gamma_int,
-    _log_of_mean_estimate,
     _mean_excess,
     _merge_moments,
     _moments,
+    _tilt,
+    _wishart_edges,
     _wishart_logdet,
 )
 
@@ -90,19 +87,13 @@ class TestE0Exact:
         assert est.estimator == "log-of-mean"
         assert est.contains(anchor)
 
-    def test_bootstrap_widens_when_large(self):
-        small = mc_e0_exact(ChannelDims(1, 1, 4), 0.5, 0.8, 50_000, RngStream(SEED, 212))
-        large = mc_e0_exact(ChannelDims(1, 1, 4), 0.5, 0.8, 100_000, RngStream(SEED, 212))
-        # n >= 1e5 activates the bootstrap; the interval can only widen past delta
-        assert large.ci99_half >= _Z99_HALF(large) - 1e-15
-        assert small.ci99_half == pytest.approx(_Z99_HALF(small), rel=1e-12)
-
     def test_curve_matches_pointwise_law(self):
         dims = ChannelDims(2, 2, 10)
         curve = mc_e0_curve(dims, 0.1, [0.0, 0.5, 1.0], 20_000, RngStream(SEED, 213))
         assert curve[0].mean == 0.0
-        single = mc_e0_exact(dims, 0.1, 0.5, 20_000, RngStream(SEED, 213))
-        assert curve[1].mean == pytest.approx(single.mean, rel=1e-12)
+        # each rho column is reduced on its own from the shared unit draws
+        assert curve[1] == mc_e0_exact(dims, 0.1, 0.5, 20_000, RngStream(SEED, 213))
+        assert curve[2] == mc_e0_exact(dims, 0.1, 1.0, 20_000, RngStream(SEED, 213))
 
     def test_below_closed_form_bound(self):
         dims = ChannelDims(2, 3, 10)
@@ -112,95 +103,60 @@ class TestE0Exact:
         ):
             assert est.mean <= e0_upper(dims, 0.3, rho) + 3 * est.ci99_half
 
+    @pytest.mark.parametrize(
+        "pq, c, a", [(1, 0.5, 1.0), (4, 0.025, 0.75), (6, 0.25, 100.0), (16, 1.25e-3, 2500.0)]
+    )
+    def test_tilt_is_the_fixed_point_of_the_rule(self, pq, c, a):
+        theta = 0.0
+        for _ in range(2000):
+            theta = a * c / (1.0 + c * pq / (1.0 + theta))
+        got, mode = _tilt(pq, c, a)
+        assert got == pytest.approx(theta, rel=1e-12)
+        s = pq / (1.0 + theta)
+        assert mode == pytest.approx(theta * s - a * math.log1p(c * s), rel=1e-12, abs=1e-15)
 
-def _Z99_HALF(est):
-    return 2.5758293035489004 * est.std_error
+    def test_weights_stay_finite_at_large_e0(self):
+        # E0 near 2650 nats: a plain weight e^-E0 would underflow to 0
+        dims = ChannelDims(16, 16, 10**6)
+        est = mc_e0_exact(dims, 1.0, 1.0, 2000, RngStream(SEED, 215))
+        assert all(map(math.isfinite, (est.mean, est.std_error, est.ci99_low, est.ci99_high)))
+        assert 745.0 < est.mean <= e0_upper(dims, 1.0, 1.0) + 3 * est.ci99_half
 
-
-def _quantiles(weights):
-    return _bootstrap_mean_quantiles(weights, weights.std(ddof=1) / math.sqrt(len(weights)))
-
-
-class TestBootstrapSaddlepoint:
-    """The B = infinity bootstrap quantiles of a mean, against exact and resampled laws."""
-
-    # 2e-5 puts more than 0.5% of the bootstrap law on the all-zero resample
-    @pytest.mark.parametrize("p_hat", [2e-5, 0.01, 0.3])
-    def test_bernoulli_weights_match_binomial(self, p_hat):
-        # a resampled Bernoulli mean is exactly Binomial(n, p_hat) / n
-        n = 100_000
-        weights = np.zeros(n)
-        weights[: round(p_hat * n)] = 1.0
-        exact = stats.binom.ppf([0.005, 0.995], n, p_hat) / n
-        assert np.abs(np.array(_quantiles(weights)) - exact).max() <= 2.0 / n
-
-    def test_atom_at_zero_leaves_the_interval_unbounded(self):
-        # two nonzero weights in 1e5: the all-zero resample, whose -log is
-        # +inf, holds e^-2 of the bootstrap law
-        weights = np.zeros(100_000)
-        weights[:2] = 1.0
-        est = _log_of_mean_estimate(weights)
-        assert est.mean == -math.log(2e-5) and est.ci99_high == math.inf
-        assert est.ci99_low <= est.mean - _Z99_HALF(est)
-
-    def test_three_point_weights_match_multinomial(self):
-        # Values 0, 1, pi: the resampled mean takes ~80k distinct values, so
-        # its law is near-continuous, and is exact by enumerating the
-        # multinomial counts.  Dropping the Lugannani-Rice correction term
-        # moves the quantiles by 0.023-0.038 se; the helper is within 0.01.
-        counts, values = np.array([340, 40, 20]), np.array([0.0, 1.0, math.pi])
-        n = int(counts.sum())
-        weights = np.repeat(values, counts)
-        i, j = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
-        i, j = i[i + j <= n], j[i + j <= n]
-        log_pmf = stats.multinomial.logpmf(np.stack([n - i - j, i, j], axis=1), n, counts / n)
-        order = np.argsort(i * values[1] + j * values[2])
-        means = (i * values[1] + j * values[2])[order] / n
-        cdf = np.cumsum(np.exp(log_pmf[order]))
-        exact = means[np.searchsorted(cdf, [0.005, 0.995])]
-        se = weights.std() / math.sqrt(n)
-        assert np.abs(np.array(_quantiles(weights)) - exact).max() <= 0.015 * se
-
-    def test_heavy_weights_match_resampling(self):
-        # l = 1000 weights: most of the mean sits in a few samples near 1
-        n, resamples = 10_000, 4000
-        weights = _e0_weights(ChannelDims(1, 1, 1000), 1.0, [1.0], n, RngStream(SEED, 260), 1)[:, 0]
-        gen = RngStream(SEED, 261).generator()
-        means = np.sort([weights[gen.integers(0, n, n)].mean() for _ in range(resamples)])
-        for alpha, quantile in zip((0.005, 0.995), _quantiles(weights)):
-            # resampled means below the true quantile ~ Binomial(resamples, alpha)
-            k_lo, k_hi = stats.binom.ppf([0.0005, 0.9995], resamples, alpha).astype(int)
-            assert means[k_lo - 1] <= quantile <= means[k_hi], alpha
-
-    def test_releases_the_sample_without_garbage_collection(self):
-        # the solver keeps its function in a reference cycle; the sample must
-        # not hang off it, or each n=1e6 call would hold ~24 MB until a collection
-        weights = RngStream(SEED, 264).generator().random(100_000)
-        ref = weakref.ref(weights)
-        gc.disable()
-        try:
-            _quantiles(weights)
-            del weights
-            assert ref() is None
-        finally:
-            gc.enable()
-
-    def test_thread_invariance_with_bootstrap(self):
+    def test_thread_invariance(self):
         dims = ChannelDims(2, 2, 10)
-        a = mc_e0_exact(dims, 0.1, 1.0, 100_000, RngStream(SEED, 262), threads=1)
-        b = mc_e0_exact(dims, 0.1, 1.0, 100_000, RngStream(SEED, 262), threads=3)
+        a = mc_e0_curve(dims, 0.1, [0.5, 1.0], 200_000, RngStream(SEED, 262), threads=1)
+        b = mc_e0_curve(dims, 0.1, [0.5, 1.0], 200_000, RngStream(SEED, 262), threads=3)
         assert a == b
 
     def test_point_estimate_from_weights(self):
-        dims, n = ChannelDims(2, 2, 10), 100_000
-        weights = _e0_weights(dims, 0.1, [0.5], n, RngStream(SEED, 263), 1)[:, 0]
-        est = mc_e0_exact(dims, 0.1, 0.5, n, RngStream(SEED, 263))
+        # the tilted weights by hand from the same unit draws: the explicit
+        # bidiagonal Gram matrix at (t, r) = (2, 3), two chunks of the stream
+        dims, snr_b, rho, n = ChannelDims(2, 3, 10), 0.1, 0.5, _CHUNK + 5000
+        rng = RngStream(SEED, 263)
+        est = mc_e0_exact(dims, snr_b, rho, n, rng)
+        c, a, pq = snr_b / (2 * (1.0 + rho)), rho * 10, 6
+        theta = 0.0
+        for _ in range(200):  # the fixed-point rule as stated
+            theta = a * c / (1.0 + c * pq / (1.0 + theta))
+        weights = []
+        for block, m in enumerate((_CHUNK, 5000)):
+            gen = rng.generator(block=block)
+            d0, d1, s0 = (_gamma_int(gen, k, m) for k in (3, 2, 1))
+            bidiag = np.zeros((m, 2, 2))
+            bidiag[:, 0, 0], bidiag[:, 1, 0], bidiag[:, 1, 1] = np.sqrt([d0, s0, d1])
+            gram = np.einsum("nij,nkj->nik", bidiag, bidiag)
+            _, logdet = np.linalg.slogdet(np.eye(2) + c / (1.0 + theta) * gram)
+            trace = np.trace(gram, axis1=1, axis2=2)
+            log_w = -a * logdet + theta / (1.0 + theta) * trace - pq * math.log1p(theta)
+            weights.append(np.exp(log_w))
+        weights = np.concatenate(weights)
         mean = float(weights.mean())
         se = float(weights.std(ddof=1) / math.sqrt(n)) / mean
-        assert est.mean == -math.log(mean) and est.std_error == se and est.n_samples == n
-        # the reported interval contains the delta interval
-        assert est.ci99_low <= est.mean - _Z99_HALF(est)
-        assert est.ci99_high >= est.mean + _Z99_HALF(est)
+        assert est.n_samples == n and est.estimator == "log-of-mean"
+        assert est.mean == pytest.approx(-math.log(mean), rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-9)
+        assert est.ci99_low == pytest.approx(est.mean - _Z99 * est.std_error, rel=1e-12)
+        assert est.ci99_high == pytest.approx(est.mean + _Z99 * est.std_error, rel=1e-12)
 
 
 class TestOnOffMi:
@@ -310,6 +266,9 @@ class TestTailCdf:
         assert a == b
 
 
+CURVE_RHOS = (0.25, 0.5, 0.75, 1.0)
+
+
 class TestStreamingMoments:
     """Chunks reduced to (count, mean, M2) where they are drawn, merged in order."""
 
@@ -339,8 +298,14 @@ class TestStreamingMoments:
             lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng),
             # the stratified off branch: bulk, tail and on strata
             lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng),
+            lambda n, rng: mc_e0_exact(ChannelDims(2, 2, 10), 0.1, 1.0, n, rng),
+            # four tilted weight columns from one set of unit draws
+            lambda n, rng: mc_e0_curve(ChannelDims(2, 2, 10), 0.1, CURVE_RHOS, n, rng)[-1],
         ],
-        ids=["mc_coherent_mi", "mc_coherent_mi-p3", "empirical_tail_cdf", "mc_onoff_mi"],
+        ids=[
+            "mc_coherent_mi", "mc_coherent_mi-p3", "empirical_tail_cdf", "mc_onoff_mi",
+            "mc_e0_exact", "mc_e0_curve",
+        ],
     )
     def test_traced_peak_is_a_few_chunks(self, call):
         # an n-length float64 array alone would be 30.5 MiB
@@ -395,7 +360,7 @@ class TestCoverage:
         misses = self._misses(lambda rng: mc_onoff_mi(2, 0.01, 20.0, 10_000, rng), exact, 2000)
         assert misses <= self.MAX_MISSES == 8
 
-    def test_coherent_mi_bartlett(self):
+    def test_coherent_mi_p2(self):
         # (t, r) = (2, 3): diagonal Gamma(3) and Gamma(2), subdiagonal Exp(1)
         dims = ChannelDims(2, 3, 1)
         exact = _wishart_mi_exact(2, 3, 1.0)
@@ -414,6 +379,27 @@ class TestCoverage:
         dims = ChannelDims(2, 3, 1)
         exact = _wishart_e0_exact(2, 3, 1, 1.0, 1.0)
         misses = self._misses(lambda rng: mc_e0_exact(dims, 1.0, 1.0, 2000, rng), exact, 2600)
+        assert misses <= self.MAX_MISSES == 8
+
+    # Cells fixed before the tilted sampler was measured on them; from light
+    # (1, 1, 1) to theta near 23.6 at (2, 3, 100) and E0 near 22.7 at (4, 4, 2500).
+    @pytest.mark.parametrize(
+        "t, r, l, snr_b, first_id",
+        [
+            (1, 1, 1, 2.0, 2800),
+            (2, 2, 10, 10.0, 3000),
+            (2, 3, 100, 1.0, 3200),
+            (3, 3, 10, 5.0, 3400),
+            (4, 4, 2500, 0.01, 3600),
+        ],
+    )
+    def test_e0_tilted(self, t, r, l, snr_b, first_id):
+        # n = 1e4, the least n any library caller passes, at rho = 1
+        dims = ChannelDims(t, r, l)
+        exact = _wishart_e0_exact(t, r, l, snr_b, 1.0)
+        misses = self._misses(
+            lambda rng: mc_e0_exact(dims, snr_b, 1.0, 10_000, rng), exact, first_id
+        )
         assert misses <= self.MAX_MISSES == 8
 
 
@@ -477,10 +463,15 @@ class TestSamplerLaws:
     def test_bartlett_logdet_matches_explicit_gram(self, t, r):
         n, c = 200_000, 0.7
         h = _sample_cn(RngStream(SEED, 250).generator(), (n, r, t))
-        _, explicit = np.linalg.slogdet(np.eye(t) + c * np.einsum("nij,nik->njk", h.conj(), h))
-        bartlett = _wishart_logdet(RngStream(SEED, 251).generator(), n, t, r, [c])[:, 0]
-        assert abs(_two_sample_z(bartlett, explicit)) <= 4.0
-        assert abs(_two_sample_z(bartlett**2, explicit**2)) <= 4.0
+        gram = np.einsum("nij,nik->njk", h.conj(), h)
+        _, explicit = np.linalg.slogdet(np.eye(t) + c * gram)
+        edges = _wishart_edges(RngStream(SEED, 251).generator(), n, t, r)
+        bidiagonal = _wishart_logdet(edges, c)
+        assert abs(_two_sample_z(bidiagonal, explicit)) <= 4.0
+        assert abs(_two_sample_z(bidiagonal**2, explicit**2)) <= 4.0
+        # the edges sum to tr W, whose law the tilted Gallager weights rely on
+        trace = sum(edges)
+        assert abs(_two_sample_z(trace, np.trace(gram, axis1=1, axis2=2).real)) <= 4.0
 
     # both sides of the uniform-product cut-over at k = 4
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9])

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import cli_env
 import widemimo as wm
+from widemimo import cli
 from widemimo import (
     ChannelDims, ConfigError, DimensionError, DomainError, RngStream, WidemimoError,
     load_config, outage_probability, run_sweep,
@@ -613,6 +614,23 @@ def run_cli(args, cwd):
     )
 
 
+@pytest.fixture
+def run_main(monkeypatch, capsys):
+    """``cli.main`` in this process, run in cwd and returned as ``run_cli`` returns it.
+
+    For tests that check only the exit code, the captured streams and the
+    files written; ``run_cli`` keeps a fresh ``python -m widemimo`` covered.
+    """
+
+    def run(args, cwd):
+        monkeypatch.chdir(cwd)
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
+
+
 class TestCli:
     def test_import_leaves_quadrature_and_root_finding_unloaded(self, tmp_path):
         # scipy.integrate and scipy.optimize are imported where they are used,
@@ -628,10 +646,10 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_sweep_deterministic_across_runs_and_threads(self, tmp_path):
+    def test_sweep_deterministic_across_runs_and_threads(self, tmp_path, run_main):
         cfg = write(tmp_path, "cap.cfg", CAPACITY_CFG + "seed = 11\n")
         for name, threads in (("a.csv", "1"), ("b.csv", "4"), ("c.csv", "1")):
-            proc = run_cli(
+            proc = run_main(
                 ["sweep", str(cfg), "--out", name, "--threads", threads], tmp_path
             )
             assert proc.returncode == 0, proc.stderr
@@ -639,40 +657,40 @@ class TestCli:
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
 
-    def test_oracle_check_sweep_uses_seed(self, tmp_path):
+    def test_oracle_check_sweep_uses_seed(self, tmp_path, run_main):
         text = (
             "quantity = oracle-check\nt = 1\nr = 1\nl = 1\nsnr = 0.05\n"
             "n_samples = 20000\nseed = 5\n"
         )
         cfg = write(tmp_path, "oc.cfg", text)
-        r1 = run_cli(["sweep", str(cfg), "--out", "x.csv"], tmp_path)
-        r2 = run_cli(["sweep", str(cfg), "--out", "y.csv", "--seed", "5"], tmp_path)
-        r3 = run_cli(["sweep", str(cfg), "--out", "z.csv", "--seed", "6"], tmp_path)
+        r1 = run_main(["sweep", str(cfg), "--out", "x.csv"], tmp_path)
+        r2 = run_main(["sweep", str(cfg), "--out", "y.csv", "--seed", "5"], tmp_path)
+        r3 = run_main(["sweep", str(cfg), "--out", "z.csv", "--seed", "6"], tmp_path)
         assert r1.returncode == r2.returncode == r3.returncode == 0
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
         assert (tmp_path / "x.csv").read_bytes() != (tmp_path / "z.csv").read_bytes()
 
-    def test_row_error_exit_code(self, tmp_path):
+    def test_row_error_exit_code(self, tmp_path, run_main):
         text = "quantity = outage\nt = 1\nr = 1\nsnr = 0.01\nl = 1\nrate = 1\n"
         cfg = write(tmp_path, "bad.cfg", text)
-        proc = run_cli(["sweep", str(cfg), "--out", "bad.csv"], tmp_path)
+        proc = run_main(["sweep", str(cfg), "--out", "bad.csv"], tmp_path)
         assert proc.returncode == 1
         assert "row 0" in proc.stderr
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, run_main):
         cfg = write(tmp_path, "bad.cfg", CAPACITY_CFG + "snr_db = 1\n")
-        proc = run_cli(["sweep", str(cfg)], tmp_path)
+        proc = run_main(["sweep", str(cfg)], tmp_path)
         assert proc.returncode == 2
         assert "snr_db" in proc.stderr
 
-    def test_missing_config_exit_code(self, tmp_path):
-        proc = run_cli(["sweep", "no-such-file.cfg"], tmp_path)
+    def test_missing_config_exit_code(self, tmp_path, run_main):
+        proc = run_main(["sweep", "no-such-file.cfg"], tmp_path)
         assert proc.returncode == 2
         assert "no-such-file" in proc.stderr
 
-    def test_csv_to_stdout_when_no_out(self, tmp_path):
+    def test_csv_to_stdout_when_no_out(self, tmp_path, run_main):
         cfg = write(tmp_path, "cap.cfg", CAPACITY_CFG)
-        proc = run_cli(["sweep", str(cfg)], tmp_path)
+        proc = run_main(["sweep", str(cfg)], tmp_path)
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("t,r,l,snr,")
@@ -687,12 +705,12 @@ class TestCli:
             pytest.param("outage", "snr = 0.01, 1e-200\nkappa = 1.5", id="outage-coherence"),
         ],
     )
-    def test_rate_overflow_is_a_row_error(self, tmp_path, quantity, grid):
+    def test_rate_overflow_is_a_row_error(self, tmp_path, run_main, quantity, grid):
         # snr^-500 overflows the power; snr^-153.6 only the product l r snr^kappa;
         # at snr = 1e-200 the coherence length snr^(-2 nu) overflows before the rate
         text = f"quantity = {quantity}\nt = 1\nr = 1\nnu = 1\n{grid}\n"
         cfg = write(tmp_path, "k.cfg", text)
-        proc = run_cli(["sweep", str(cfg), "--out", "k.csv"], tmp_path)
+        proc = run_main(["sweep", str(cfg), "--out", "k.csv"], tmp_path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         with open(tmp_path / "k.csv", newline="") as fh:
@@ -705,11 +723,11 @@ class TestCli:
         "quantity,counts",
         [("exponent", "t = 0, 1\nr = 1\n"), ("outage", "t = 1\nr = -1, 1\n")],
     )
-    def test_nu_path_checks_antenna_counts(self, tmp_path, quantity, counts):
+    def test_nu_path_checks_antenna_counts(self, tmp_path, run_main, quantity, counts):
         # the l path gets these rows from ChannelDims; the nu path must too
         text = f"quantity = {quantity}\n{counts}snr = 0.01\nnu = 1\nrate = 1\n"
         cfg = write(tmp_path, "n.cfg", text)
-        proc = run_cli(["sweep", str(cfg), "--out", "n.csv"], tmp_path)
+        proc = run_main(["sweep", str(cfg), "--out", "n.csv"], tmp_path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         with open(tmp_path / "n.csv", newline="") as fh:
