@@ -2,9 +2,9 @@
 """The i.i.d. extreme: on-off signaling with a single transmit antenna.
 
 Computes the exact mutual information of on-off signaling three ways
-(adaptive quadrature, large-peak expansion, stratified Monte Carlo), then
-minimizes the surrogate gap objective over the peak power and shows the
-resulting two-sided capacity bracket.
+(adaptive quadrature, large-peak expansion, Monte Carlo over the on branch's
+received energy), then minimizes the surrogate gap objective over the peak
+power and shows the resulting two-sided capacity bracket.
 """
 
 from widemimo import (

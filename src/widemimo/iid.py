@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from ._golden import golden_section_min
-from .channel import _positive_int
+from .channel import _positive_int, gamma_upper_regularized
 from .errors import ConsistencyError, DomainError, QuadratureError
 
 __all__ = [
@@ -150,8 +150,6 @@ def _tail_bound(r: int, c0: float, slope: float, upper: float) -> float:
     weight(z) * (c0 + slope z + 1) (the +1 covers log(1+e^s) <= s + 1 for
     s >= 0), which integrates to upper incomplete gamma terms.
     """
-    from .channel import gamma_upper_regularized
-
     q_r = gamma_upper_regularized(r, upper)
     q_r1 = gamma_upper_regularized(r + 1, upper)
     return abs(c0 + 1.0) * q_r + abs(slope) * r * q_r1

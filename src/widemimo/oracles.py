@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import (
-    ChannelDims,
-    RngStream,
-    _positive_int,
-    gamma_lower_regularized,
-    gamma_upper_regularized,
-)
+from .channel import ChannelDims, RngStream, _positive_int, gamma_upper_regularized
 from .errors import DomainError
 
 __all__ = [
@@ -53,18 +47,6 @@ __all__ = [
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 1 << 16
-# Block offsets inside one stream: chunks of the secondary and tertiary sample
-# sets must never collide with primary chunks or with each other.
-_BLOCK_SECONDARY = 1 << 20
-_BLOCK_TAIL = 2 * _BLOCK_SECONDARY
-# Off-branch strata of ``mc_onoff_mi``: the cut as a fraction of the crossing
-# radius, and the share of the off draws that goes past the cut.  Chosen from
-# the 99% interval's coverage over 200 seeds at n = 1e5 on r in {1, 2},
-# snr in {1e-2, 1e-3}, A in {10, 20, 50}: fractions 0.6 to 0.8 with shares
-# 1/8 to 1/2 missed 0.8% to 1.9% of (point, seed) pairs, and this pair missed
-# 1.2% with the least skewed standardized error (skewness +0.05).
-_CUT_FRACTION = 0.7
-_TAIL_SHARE = 1 / 8
 # Integer shapes from 2 up to this one draw Gamma(k, 1) as -log of a product of
 # k uniforms (``_gamma_int``).  Per draw in chunks of 2^16 (numpy 2.4, 2 vCPUs,
 # medians of 25 alternating rounds), numpy's Marsaglia-Tsang ``standard_gamma``
@@ -106,16 +88,16 @@ def _check_n(n, minimum) -> int:
     return int(n)
 
 
-def _collect(chunk_fn, n, rng, threads, block_base=0):
+def _collect(chunk_fn, n, rng, threads):
     """Per-chunk results of ``chunk_fn(gen, m)`` in chunk order; identical for any thread count.
 
-    Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block
-    block_base + i of the stream and reduces them on the worker that drew them.
+    Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
+    stream and reduces them on the worker that drew them.
     """
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
 
     def run(i):
-        return chunk_fn(rng.generator(block=block_base + i), sizes[i])
+        return chunk_fn(rng.generator(block=i), sizes[i])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -345,70 +327,14 @@ def mc_e0_curve(
     return [next(live) if rho > 0.0 else zero for rho in rho_list]
 
 
-def _gamma_below(r: int, cut: float, p_below: float):
-    """Chunk sampler of Gamma(r, 1) conditioned on z <= cut, by rejection.
-
-    p_below = P(r, cut) sizes each pass (16 spare draws keep a short
-    remainder from needing many passes); the loop draws until m draws are
-    kept.  It reads only the chunk's own generator, so a chunk is the same
-    whichever thread runs it.
-    """
-
-    def chunk(gen, m):
-        kept, got = [], 0
-        while got < m:
-            z = _gamma_int(gen, r, math.ceil((m - got) / p_below) + 16)
-            z = z[z <= cut]
-            kept.append(z)
-            got += len(z)
-        return np.concatenate(kept)[:m]
-
-    return chunk
-
-
-def _gamma_above(r: int, cut: float):
-    """Chunk sampler of Gamma(r, 1) conditioned on z > cut, cut > 0, drawn exactly.
-
-    Given z > cut, x = z - cut has density proportional to
-    (cut + x)^(r-1) e^(-x) = sum_j C(r-1, j) cut^(r-1-j) x^j e^(-x), a mixture
-    of Gamma(j + 1, 1) laws with weights C(r-1, j) cut^(r-1-j) j!, formed in
-    log space.  For r = 1 that is cut + Exp(1).
-    """
-    log_w = np.array(
-        [math.lgamma(r) - math.lgamma(r - j) + (r - 1 - j) * math.log(cut) for j in range(r)]
-    )
-    probs = np.exp(log_w - log_w.max())
-    probs /= probs.sum()
-
-    def chunk(gen, m):
-        # the shape varies per draw, so this stays with standard_gamma
-        shape = gen.choice(r, size=m, p=probs) + 1.0 if r > 1 else 1.0
-        return cut + gen.standard_gamma(shape, m)
-
-    return chunk
-
-
-def _stratified_estimate(strata, n: int, exact: float = 0.0) -> OracleEstimate:
-    """exact plus the weighted sum of stratum means; the variance adds with the
-    squared weights.
-
-    strata holds (weight, moments) pairs, moments a stratum's merged
-    (count, mean, M2).
-    """
-    mean = exact + sum(w * mom[1] for w, mom in strata)
-    se = math.sqrt(sum(w * w * _sample_variance(mom) / mom[0] for w, mom in strata))
-    half = _Z99 * se
-    return OracleEstimate(mean, se, n, mean - half, mean + half)
-
-
 def mc_onoff_mi(
     r: int, snr: float, amplitude_sq: float, n: int, rng: RngStream, threads: int = 1
 ) -> OracleEstimate:
-    """Mutual information of on-off signaling by stratified sampling.
+    """Mutual information of on-off signaling, sampled on the on branch alone.
 
     Per sample the estimate is log p(y|x) - log p(y).  Both branches depend
     on y only through z = |y|^2: Gamma(r, 1) when off, (1 + A) Gamma(r, 1)
-    when on, drawn as Gamma variates.  With the weighted log-ratio
+    when on.  With the weighted log-ratio
     u(z) = log(omega p_on(z) / ((1 - omega) p_off(z))) = (z - z_x) A/(1 + A),
     zero at the crossing radius z_x, the off value is
     -log(1 - omega) - log(1 + e^u) and the on value -log(omega) - log(1 + e^-u).
@@ -416,19 +342,15 @@ def mc_onoff_mi(
     (``_mean_excess``), plus the remainder log(1 + e^-|u|) in (0, log 2],
     which is the only sampled part.
 
-    The two branches get half the budget each and are recombined with their
-    probabilities 1 - omega and omega.  The remainder peaks at z_x, which the
-    off branch rarely reaches, so the off branch is split at a cut
-    c = _CUT_FRACTION z_x into two strata:
-    - bulk, z <= c: Gamma draws with in-chunk rejection.  There u < 0 and the
-      remainder is e^u - (e^u - log(1 + e^u)); the first term's mean is exact,
-      (1 - omega) E[e^u; z <= c] = omega P(r, c/(1 + A)), so only the second,
-      below e^(2u)/2, is sampled;
-    - tail, z > c: _TAIL_SHARE of the off draws, drawn exactly as c plus a
-      Gamma mixture (see ``_gamma_above``).
-    The strata are weighted by Q = Q(r, c) and 1 - Q, and their variances add
-    with the same weights.  When Q is not below the tail share (the crossing
-    is not rare), the off branch is one plain stratum.
+    The remainder peaks at z_x, which the off branch rarely reaches.  By the
+    definition of u, (1 - omega) p_off = omega p_on e^-u, so the off
+    branch's remainder mean is omega E_on[e^-u log(1 + e^-|u|)], and the
+    whole sampled part is one mean over on-branch draws u = A g - lam,
+    g ~ Gamma(r, 1):
+        omega E_on[(1 + e^-u) log(1 + e^-|u|)],
+    whose integrand lies in (0, 2 log 2].  Its exponent is clipped to
+    [-700, 700], so e^(+-u) stay finite; past the clip the integrand is
+    within e^-700 of its limits 0 (u -> inf) and 1 (u -> -inf).
     """
     n = _check_n(n, minimum=10_000)
     r = _positive_int("r", r)
@@ -442,56 +364,29 @@ def mc_onoff_mi(
     # u = slope z - lam off, and a g - lam on with z = (1 + A) g
     lam = r * math.log1p(a) + math.log1p(-omega) - math.log(omega)
     z_x, g_x = lam / slope, lam / a
-    n_on = n // 2
-    n_off = n - n_on
     hinge_on = g_x - r + _mean_excess(r, g_x) if g_x > 0.0 else 0.0
     exact = (
         -(1.0 - omega) * (math.log1p(-omega) + slope * _mean_excess(r, z_x))
         - omega * (math.log(omega) + a * hinge_on)
     )
 
-    def plain(gen, m):
-        return _gamma_int(gen, r, m)
+    def chunk(gen, m):
+        # (1 + e^-u) log(1 + e^-|u|) in place, from x = -u = lam - a g
+        x = _gamma_int(gen, r, m)
+        x *= -a
+        x += lam
+        e = np.exp(np.clip(x, -700.0, 700.0, out=x), out=x)
+        inv = np.reciprocal(e)
+        remainder = np.log1p(np.minimum(e, inv, out=inv), out=inv)
+        e += 1.0
+        e *= remainder
+        return _moments(e)
 
-    def remainder(draw, scale):
-        # chunk moments of log(1 + e^-|u|), u = scale z - lam, in place
-        def chunk(gen, m):
-            x = draw(gen, m)
-            x *= scale
-            x -= lam
-            x = np.negative(np.abs(x, out=x), out=x)
-            return _moments(np.log1p(np.exp(x, out=x), out=x))
-
-        return chunk
-
-    def stratum(chunk, count, block_base=0):
-        return _merge_moments(_collect(chunk, count, rng, threads, block_base))
-
-    cut = _CUT_FRACTION * z_x
-    q = gamma_upper_regularized(r, cut) if cut > 0.0 else 1.0
-    if q < _TAIL_SHARE:
-        below = _gamma_below(r, cut, 1.0 - q)
-
-        def bulk(gen, m):
-            # chunk moments of e^u - log(1 + e^u), u = slope z - lam < 0
-            x = below(gen, m)
-            x *= slope
-            x -= lam
-            e_u = np.exp(x, out=x)
-            return _moments(e_u - np.log1p(e_u))
-
-        n_tail = int(n_off * _TAIL_SHARE)
-        tail = remainder(_gamma_above(r, cut), slope)
-        exact -= omega * gamma_lower_regularized(r, cut / (1.0 + a))
-        off = [
-            (-(1.0 - q), stratum(bulk, n_off - n_tail)),
-            (q, stratum(tail, n_tail, _BLOCK_TAIL)),
-        ]
-    else:
-        off = [(1.0, stratum(remainder(plain, slope), n_off))]
-    on = stratum(remainder(plain, a), n_on, _BLOCK_SECONDARY)
-    strata = [(-(1.0 - omega) * w, mom) for w, mom in off] + [(-omega, on)]
-    return _stratified_estimate(strata, n, exact)
+    moments = _merge_moments(_collect(chunk, n, rng, threads))
+    value = exact - omega * moments[1]
+    se = omega * math.sqrt(_sample_variance(moments) / n)
+    half = _Z99 * se
+    return OracleEstimate(value, se, n, value - half, value + half)
 
 
 def _mean_excess(r: int, x: float) -> float:

@@ -26,8 +26,6 @@ from widemimo.oracles import (
     _CHUNK,
     _Z99,
     _collect,
-    _gamma_above,
-    _gamma_below,
     _gamma_int,
     _mean_excess,
     _merge_moments,
@@ -174,42 +172,47 @@ class TestOnOffMi:
         assert est.contains(onoff_mi_quadrature(2, 0.01, 20.0))
 
     def test_std_error_scaling(self):
-        # overlap-heavy operating point: branch variances are stable, so the
-        # reported SE follows the 1/sqrt(n) law (peakier combos need far more
-        # samples before the rare-tail variance estimate settles)
+        # overlap-heavy operating point: the sampled integrand is bounded and
+        # its variance estimate settles, so the reported SE follows 1/sqrt(n)
         a = mc_onoff_mi(1, 0.1, 2.0, 100_000, RngStream(SEED, 223))
         b = mc_onoff_mi(1, 0.1, 2.0, 200_000, RngStream(SEED, 223))
         assert b.std_error == pytest.approx(a.std_error / math.sqrt(2), rel=0.1)
 
     def test_thread_invariance(self):
-        # n_off / 8 > 2^16: the tail stratum spans two chunks, the bulk eight
+        # 1.1e6 on-branch draws are 17 chunks, the last one short, over 3 threads
         a = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=1)
         b = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=3)
         assert a == b
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_strata_sit_on_their_side_of_the_cut(self, r):
-        cut = 2.0 * r + 3.0
-        gen = RngStream(SEED, 225).generator()
-        bulk = _gamma_below(r, cut, gamma_lower_regularized(r, cut))(gen, 50_000)
-        tail = _gamma_above(r, cut)(gen, 50_000)
-        assert len(bulk) == len(tail) == 50_000
-        assert bulk.max() <= cut < tail.min()
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_strata_laws(self, r):
-        # P(z > cut + x | z > cut) = Q(r, cut + x)/Q(r, cut) for the shifted
-        # mixture, and P(z <= x | z <= cut) = P(r, x)/P(r, cut) for the bulk
-        n, cut = 200_000, 6.0
-        tail = _gamma_above(r, cut)(RngStream(SEED, 226).generator(), n)
-        bulk = _gamma_below(r, cut, special.gammainc(r, cut))(RngStream(SEED, 227).generator(), n)
-        for x in (0.25, 1.0, 3.0):
-            for draws, z, exact in (
-                (tail, cut + x, special.gammaincc(r, cut + x) / special.gammaincc(r, cut)),
-                (bulk, x, 1.0 - special.gammainc(r, x) / special.gammainc(r, cut)),
-            ):
-                frac = float((draws > z).mean())
-                assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n), (z, exact)
+    def test_point_estimate_from_draws(self):
+        # the same Gamma(2) draws, two chunks of the stream, against the MI
+        # written out independently: hinge means by gammaincc/gammainc, and
+        # the sampled part (1 + e^-u) log(1 + e^-|u|) by logaddexp
+        r, snr, a, n = 2, 0.01, 20.0, _CHUNK + 5000
+        rng = RngStream(SEED, 229)
+        est = mc_onoff_mi(r, snr, a, n, rng)
+        omega = snr / a
+        lam = r * math.log(1.0 + a) + math.log(1.0 - omega) - math.log(omega)
+        z_x, g_x = lam * (1.0 + a) / a, lam / a
+        # E[max(z - x, 0)] = r Q(r + 1, x) - x Q(r, x), E[max(x - g, 0)] = x P(r, x) - r P(r + 1, x)
+        off_hinge = r * special.gammaincc(r + 1, z_x) - z_x * special.gammaincc(r, z_x)
+        on_hinge = g_x * special.gammainc(r, g_x) - r * special.gammainc(r + 1, g_x)
+        g = np.concatenate(
+            [_gamma_int(rng.generator(block=block), r, m) for block, m in enumerate((_CHUNK, 5000))]
+        )
+        u = a * g - lam
+        sampled = np.exp(np.logaddexp(0.0, -u)) * np.logaddexp(0.0, -np.abs(u))
+        mean = (
+            -(1.0 - omega) * (math.log(1.0 - omega) + a / (1.0 + a) * off_hinge)
+            - omega * (math.log(omega) + a * on_hinge)
+            - omega * float(sampled.mean())
+        )
+        se = omega * float(sampled.std(ddof=1)) / math.sqrt(n)
+        assert est.n_samples == n
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-9)
+        assert est.ci99_low == pytest.approx(est.mean - _Z99 * est.std_error, rel=1e-12)
+        assert est.ci99_high == pytest.approx(est.mean + _Z99 * est.std_error, rel=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_mean_excess_matches_quadrature(self, r):
@@ -225,10 +228,12 @@ class TestOnOffMi:
         "r, snr, a",
         [
             (3, 0.99, 1.0),  # snr close to A: the weighted crossing radius is < 0
-            (1, 9.99, 10.0),
-            (2, 0.5, 2.0),  # crossing not rare: one plain off stratum
-            (3, 1e-3, 50.0),  # three-component tail mixture
-            (1, 1e-12, 1e4),  # tail weight Q ~ 1e-12
+            (1, 9.99, 10.0),  # omega near 1
+            (2, 0.5, 2.0),  # omega 1/4: the on draws straddle the crossing
+            (3, 1e-3, 50.0),  # the on crossing g_x = 0.45 sits below the Gamma(3) bulk
+            (1, 1e-12, 1e4),  # omega 1e-16: e^-u up to e^46 on the draws nearest 0
+            (1, 1e-300, 10.0),  # lam = 695.5: e^-u up to 1e302, just inside the clip
+            (1, 5e-324, 1.0),  # lam = 745: the clip at e^700 binds on almost every draw
         ],
     )
     def test_edge_points_finite(self, r, snr, a):
@@ -296,7 +301,7 @@ class TestStreamingMoments:
             # 2p - 1 = 5 Gamma variates per sample
             lambda n, rng: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, rng),
             lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng),
-            # the stratified off branch: bulk, tail and on strata
+            # one chunk function over on-branch Gamma(2) draws
             lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng),
             lambda n, rng: mc_e0_exact(ChannelDims(2, 2, 10), 0.1, 1.0, n, rng),
             # four tilted weight columns from one set of unit draws
@@ -355,7 +360,7 @@ class TestCoverage:
         assert misses <= self.MAX_MISSES == 8
 
     def test_onoff_mi(self):
-        # Gamma(2) draws on both branches, and the rejection-sampled bulk stratum
+        # on-branch Gamma(2) draws carry the sampled part of both branches
         exact = onoff_mi_quadrature(2, 0.01, 20.0, rel_tol=1e-10)
         misses = self._misses(lambda rng: mc_onoff_mi(2, 0.01, 20.0, 10_000, rng), exact, 2000)
         assert misses <= self.MAX_MISSES == 8
@@ -460,7 +465,7 @@ class TestSamplerLaws:
     @pytest.mark.parametrize(
         "t, r", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (3, 5)]
     )
-    def test_bartlett_logdet_matches_explicit_gram(self, t, r):
+    def test_bidiagonal_logdet_matches_explicit_gram(self, t, r):
         n, c = 200_000, 0.7
         h = _sample_cn(RngStream(SEED, 250).generator(), (n, r, t))
         gram = np.einsum("nij,nik->njk", h.conj(), h)
