@@ -17,16 +17,23 @@ is cut into fixed-size chunks, each drawn from its own block of the stream
 (``RngStream.generator``) and reduced where it is drawn: a mean-type estimate
 keeps only each chunk's (count, mean, M2) and merges them in chunk order
 (Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  The
-result is bit-identical whether chunks run on one thread or many, and memory
-is bounded by one chunk per thread.  The Gallager function is a mean of
-importance weights under exponentially tilted Wishart draws, reduced the same
-way, one (count, mean, M2) per rho column (``mc_e0_curve``).  One-dimensional
+result is bit-identical whether chunks run on one thread or many.  Each
+worker draws and reduces its chunks inside one (width, chunk) float64
+workspace, a few rows wide, that it allocates once per oracle call and
+reuses for every chunk (``_collect``): draws and ufuncs write into its rows
+through ``out=``.  Memory is one workspace per worker whatever n is, and a
+worker's chunks after its first allocate nothing and touch no fresh pages.
+The Gallager function is a mean of importance weights under exponentially
+tilted Wishart draws, reduced the same way, one (count, mean, M2) per rho
+column (``mc_e0_curve``), which also gives the weights' effective sample
+size.  One-dimensional
 sums of products are taken with ``np.einsum`` rather than ``@``, which hands
 them to a threaded BLAS ``ddot``.  Density evaluations happen in log space
 throughout; no probability that could underflow ever reaches a subtraction.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +71,9 @@ class OracleEstimate:
     reported value is a constant minus the log of a mean of importance
     weights (the Gallager function); there std_error is the delta-method
     standard error of the log, std(weights)/(sqrt(n) mean), and the interval
-    is the value plus or minus _Z99 std_error.
+    is the value plus or minus _Z99 std_error.  ess is the effective sample
+    size (sum w)^2 / sum w^2 of a log-of-mean estimate's weights, between 1
+    and n; a plain mean has none.
     """
 
     mean: float
@@ -73,6 +82,7 @@ class OracleEstimate:
     ci99_low: float
     ci99_high: float
     estimator: str = "mean"
+    ess: float | None = None
 
     @property
     def ci99_half(self) -> float:
@@ -88,16 +98,24 @@ def _check_n(n, minimum) -> int:
     return int(n)
 
 
-def _collect(chunk_fn, n, rng, threads):
-    """Per-chunk results of ``chunk_fn(gen, m)`` in chunk order; identical for any thread count.
+def _collect(chunk_fn, n, rng, threads, width):
+    """Per-chunk results of ``chunk_fn(gen, work)`` in chunk order; identical for any thread count.
 
     Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
-    stream and reduces them on the worker that drew them.
+    stream and reduces them on the worker that drew them, inside ``work``:
+    the first m columns of that worker's (width, min(n, _CHUNK)) float64
+    workspace.  A worker allocates its workspace on its first chunk and
+    reuses it for every later chunk of this call; calls share none, even
+    when they run at once.  A chunk's result must not alias ``work``.
     """
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
+    workspaces = threading.local()
 
     def run(i):
-        return chunk_fn(rng.generator(block=i), sizes[i])
+        work = getattr(workspaces, "work", None)
+        if work is None:
+            work = workspaces.work = np.empty((width, sizes[0]))
+        return chunk_fn(rng.generator(block=i), work[:, : sizes[i]])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -105,10 +123,13 @@ def _collect(chunk_fn, n, rng, threads):
     return [run(i) for i in range(len(sizes))]
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of a chunk, M2 the sum of squared deviations from its mean."""
+def _moments(values: np.ndarray, dev: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of a chunk, M2 the sum of squared deviations from its mean.
+
+    The deviations are written into ``dev``, a row of the same length.
+    """
     mean = float(values.mean())
-    dev = values - mean
+    np.subtract(values, mean, out=dev)
     return len(values), mean, float(np.einsum("i,i->", dev, dev))
 
 
@@ -136,64 +157,76 @@ def _mean_estimate(moments) -> OracleEstimate:
     return OracleEstimate(mean, se, n, mean - half, mean + half)
 
 
-def _uniform_product(gen, k, m):
-    """m draws of the product of k independent uniforms on (0, 1].
+def _uniform_product(gen, k, out, factor):
+    """Products of k independent uniforms on (0, 1], one per entry of ``out``.
 
     Each factor is 1 - U with U uniform on [0, 1), so no factor is zero and
-    -log of the product is finite.
+    -log of the product is finite.  ``factor``, a row of the same length,
+    holds each factor after the first.
     """
-    prod = gen.random(m)
-    np.subtract(1.0, prod, out=prod)
+    gen.random(out=out)
+    np.subtract(1.0, out, out=out)
     for _ in range(k - 1):
-        u = gen.random(m)
-        np.subtract(1.0, u, out=u)
-        prod *= u
-    return prod
+        gen.random(out=factor)
+        np.subtract(1.0, factor, out=factor)
+        out *= factor
+    return out
 
 
-def _gamma_int(gen, k, m):
-    """m Gamma(k, 1) draws for an integer shape k >= 1.
+def _gamma_int(gen, k, out, scratch):
+    """Gamma(k, 1) draws into ``out`` for an integer shape k >= 1.
 
     k = 1 is ``standard_exponential``; 2 <= k <= _PRODUCT_MAX_K is
-    -log of a product of k uniforms on (0, 1] (``_uniform_product``), the sum
-    of k Exp(1) variates; larger k is numpy's ``standard_gamma``.
+    -log of a product of k uniforms on (0, 1] (``_uniform_product``, with
+    ``scratch`` as its factor row), the sum of k Exp(1) variates; larger k is
+    numpy's ``standard_gamma``.
     """
     if k == 1:
-        return gen.standard_exponential(m)
+        return gen.standard_exponential(out=out)
     if k > _PRODUCT_MAX_K:
-        return gen.standard_gamma(k, m)
-    prod = _uniform_product(gen, k, m)
-    return np.negative(np.log(prod, out=prod), out=prod)
+        return gen.standard_gamma(k, out=out)
+    _uniform_product(gen, k, out, scratch)
+    return np.negative(np.log(out, out=out), out=out)
 
 
-def _wishart_edges(gen, m, t, r):
-    """The 2p - 1 Gamma edges of m draws of W ~ CW_p(q, I), p = min(t, r), q = max(t, r).
+def _wishart_edges(gen, t, r, edges, scratch):
+    """The 2p - 1 Gamma edges of W ~ CW_p(q, I), p = min(t, r), q = max(t, r), one draw per column.
 
     W has the eigenvalues of B B^T for the real bidiagonal beta = 2 Laguerre
     model of Dumitriu & Edelman (2002, J. Math. Phys. 43): squared diagonal
     d_i ~ Gamma(q - i, 1), i < p, then squared subdiagonal
     s_i ~ Gamma(p - 1 - i, 1), i < p - 1, drawn in that order by ``_gamma_int``
-    and returned as the path x = (d0, s0, d1, ..., d_{p-1}).  tr W is the sum
-    of the edges, and their shapes sum to pq.
+    into the rows of ``edges`` as the path x = (d0, s0, d1, ..., d_{p-1}).
+    ``scratch`` is one more row.  tr W is the sum of the edges, and their
+    shapes sum to pq.
     """
     p, q = min(t, r), max(t, r)
-    edges = [None] * (2 * p - 1)
-    edges[0::2] = [_gamma_int(gen, q - i, m) for i in range(p)]
-    edges[1::2] = [_gamma_int(gen, p - 1 - i, m) for i in range(p - 1)]
+    for i in range(p):
+        _gamma_int(gen, q - i, edges[2 * i], scratch)
+    for i in range(p - 1):
+        _gamma_int(gen, p - 1 - i, edges[2 * i + 1], scratch)
     return edges
 
 
-def _wishart_logdet(edges, c):
-    """log det(I + c W) from the edges of ``_wishart_edges``.
+def _wishart_logdet(edges, c, rows):
+    """log det(I + c W) from the edges of ``_wishart_edges``, returned in rows[0].
 
     det(I + c B B^T) is the matching polynomial of the path with the edge
     weights, so G = det - 1 follows G_j = G_{j-1} + c x_j (1 + G_{j-2}) from
     G_{-1} = G_{-2} = 0 with no cancelling terms; the value is log1p(G).
+    ``rows`` holds three rows: the two latest G, which rotate, and the term
+    c x_j (1 + G_{j-2}).
     """
-    g, g_prev = 0.0, 0.0
+    g, g_prev, term = rows
+    g.fill(0.0)
+    g_prev.fill(0.0)
     for x in edges:
-        g, g_prev = g + c * x * (1.0 + g_prev), g
-    return np.log1p(g, out=g)
+        np.multiply(x, c, out=term)
+        g_prev += 1.0
+        term *= g_prev
+        np.add(g, term, out=g_prev)
+        g, g_prev = g_prev, g
+    return np.log1p(g, out=rows[0])
 
 
 def mc_coherent_mi(
@@ -210,11 +243,14 @@ def mc_coherent_mi(
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
     c = snr / t
+    edge_count = 2 * min(t, r) - 1
 
-    def chunk(gen, m):
-        return _moments(_wishart_logdet(_wishart_edges(gen, m, t, r), c))
+    def chunk(gen, work):
+        edges, rows = work[:edge_count], work[edge_count:]
+        _wishart_edges(gen, t, r, edges, rows[0])
+        return _moments(_wishart_logdet(edges, c, rows), rows[1])
 
-    return _mean_estimate(_merge_moments(_collect(chunk, n, rng, threads)))
+    return _mean_estimate(_merge_moments(_collect(chunk, n, rng, threads, edge_count + 3)))
 
 
 def _tilt(pq, c, a):
@@ -237,12 +273,20 @@ def _tilt(pq, c, a):
 
 
 def _log_of_mean_estimate(moments, shift: float) -> OracleEstimate:
-    """shift - log(mean) of merged weight moments, with the delta-method 99% interval."""
-    n, mean, _ = moments
+    """shift - log(mean) of merged weight moments, with the delta-method 99% interval.
+
+    The effective sample size (sum w)^2 / sum w^2 comes from the same
+    moments: sum w = n mean and sum w^2 = M2 + n mean^2.
+    """
+    n, mean, m2 = moments
     value = shift - math.log(mean)
     se = math.sqrt(_sample_variance(moments) / n) / mean
     half = _Z99 * se
-    return OracleEstimate(value, se, n, value - half, value + half, estimator="log-of-mean")
+    total = n * mean
+    ess = total * total / (m2 + total * mean)
+    return OracleEstimate(
+        value, se, n, value - half, value + half, estimator="log-of-mean", ess=ess
+    )
 
 
 def mc_e0_exact(
@@ -306,24 +350,28 @@ def mc_e0_curve(
             shift = pq * math.log1p(theta) - mode
             columns.append((-rho * l, c / (1.0 + theta), theta / (1.0 + theta), mode, shift))
 
-    def chunk(gen, m):
-        edges = _wishart_edges(gen, m, t, r)
-        trace = sum(edges)
+    edge_count = 2 * min(t, r) - 1
+
+    def chunk(gen, work):
+        edges, trace, rows = work[:edge_count], work[edge_count], work[edge_count + 1 :]
+        _wishart_edges(gen, t, r, edges, rows[0])
+        edges.sum(axis=0, out=trace)
         parts = []
         for scale, coeff, tilt, mode, _ in columns:
-            log_w = _wishart_logdet(edges, coeff)
+            log_w = _wishart_logdet(edges, coeff, rows)
             log_w *= scale
-            log_w += tilt * trace
+            log_w += np.multiply(trace, tilt, out=rows[1])
             log_w -= mode
-            parts.append(_moments(np.exp(log_w, out=log_w)))
+            parts.append(_moments(np.exp(log_w, out=log_w), rows[1]))
         return parts
 
-    chunks = _collect(chunk, n, rng, threads) if columns else []
+    chunks = _collect(chunk, n, rng, threads, edge_count + 4) if columns else []
     live = iter(
         _log_of_mean_estimate(_merge_moments(parts[k] for parts in chunks), column[-1])
         for k, column in enumerate(columns)
     )
-    zero = OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean")
+    # rho = 0 weighs every draw by det^0 = 1: n equal weights
+    zero = OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean", ess=float(n))
     return [next(live) if rho > 0.0 else zero for rho in rho_list]
 
 
@@ -370,19 +418,20 @@ def mc_onoff_mi(
         - omega * (math.log(omega) + a * hinge_on)
     )
 
-    def chunk(gen, m):
+    def chunk(gen, work):
         # (1 + e^-u) log(1 + e^-|u|) in place, from x = -u = lam - a g
-        x = _gamma_int(gen, r, m)
+        x, inv = work
+        _gamma_int(gen, r, x, inv)
         x *= -a
         x += lam
         e = np.exp(np.clip(x, -700.0, 700.0, out=x), out=x)
-        inv = np.reciprocal(e)
+        np.reciprocal(e, out=inv)
         remainder = np.log1p(np.minimum(e, inv, out=inv), out=inv)
         e += 1.0
         e *= remainder
-        return _moments(e)
+        return _moments(e, inv)
 
-    moments = _merge_moments(_collect(chunk, n, rng, threads))
+    moments = _merge_moments(_collect(chunk, n, rng, threads, 2))
     value = exact - omega * moments[1]
     se = omega * math.sqrt(_sample_variance(moments) / n)
     half = _Z99 * se
@@ -417,13 +466,13 @@ def empirical_tail_cdf(
 
     floor = math.exp(-x)
 
-    def chunk(gen, m):
+    def chunk(gen, work):
         # int, so the hit count and p are Python numbers and not numpy scalars
         if k <= _PRODUCT_MAX_K:
-            return int(np.count_nonzero(_uniform_product(gen, k, m) > floor))
-        return int(np.count_nonzero(_gamma_int(gen, k, m) < x))
+            return int(np.count_nonzero(_uniform_product(gen, k, *work) > floor))
+        return int(np.count_nonzero(_gamma_int(gen, k, *work) < x))
 
-    hits = sum(_collect(chunk, n, rng, threads))
+    hits = sum(_collect(chunk, n, rng, threads, 2))
     p = hits / n
     lo = float(special.betaincinv(hits, n - hits + 1, 0.005)) if hits > 0 else 0.0
     hi = float(special.betaincinv(hits + 1, n - hits, 0.995)) if hits < n else 1.0

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,6 +45,8 @@ class TestCoherentMi:
     def test_zero_snr_zero_variance(self):
         est = mc_coherent_mi(DIMS11, 0.0, 2000, RngStream(SEED, 200))
         assert est.mean == 0.0 and est.std_error == 0.0
+        # a plain mean has no weights, so no effective sample size
+        assert est.ess is None
 
     def test_quadrature_anchor(self):
         # E[log(1 + X)], X ~ Exp(1), by 1-D quadrature: e E1(1) ~ 0.59634
@@ -74,6 +79,8 @@ class TestE0Exact:
     def test_rho_zero(self):
         est = mc_e0_exact(DIMS11, 1.0, 0.0, 2000, RngStream(SEED, 210))
         assert est.mean == 0.0 and est.std_error == 0.0
+        # det^0 = 1 weighs all n draws equally
+        assert est.ess == 2000
 
     def test_quadrature_anchor(self):
         # -log E[(1 + X)^-1], X ~ Exp(1): -log(e E1(1)) ~ 0.51693
@@ -139,7 +146,7 @@ class TestE0Exact:
         weights = []
         for block, m in enumerate((_CHUNK, 5000)):
             gen = rng.generator(block=block)
-            d0, d1, s0 = (_gamma_int(gen, k, m) for k in (3, 2, 1))
+            d0, d1, s0 = (_gamma_int(gen, k, np.empty(m), np.empty(m)) for k in (3, 2, 1))
             bidiag = np.zeros((m, 2, 2))
             bidiag[:, 0, 0], bidiag[:, 1, 0], bidiag[:, 1, 1] = np.sqrt([d0, s0, d1])
             gram = np.einsum("nij,nkj->nik", bidiag, bidiag)
@@ -155,6 +162,10 @@ class TestE0Exact:
         assert est.std_error == pytest.approx(se, rel=1e-9)
         assert est.ci99_low == pytest.approx(est.mean - _Z99 * est.std_error, rel=1e-12)
         assert est.ci99_high == pytest.approx(est.mean + _Z99 * est.std_error, rel=1e-12)
+        # (sum w)^2 / sum w^2 of the same weights; their scale cancels
+        ess = float(weights.sum() ** 2 / np.einsum("i,i->", weights, weights))
+        assert est.ess == pytest.approx(ess, rel=1e-9)
+        assert 1.0 <= est.ess <= n
 
 
 class TestOnOffMi:
@@ -198,7 +209,10 @@ class TestOnOffMi:
         off_hinge = r * special.gammaincc(r + 1, z_x) - z_x * special.gammaincc(r, z_x)
         on_hinge = g_x * special.gammainc(r, g_x) - r * special.gammainc(r + 1, g_x)
         g = np.concatenate(
-            [_gamma_int(rng.generator(block=block), r, m) for block, m in enumerate((_CHUNK, 5000))]
+            [
+                _gamma_int(rng.generator(block=block), r, np.empty(m), np.empty(m))
+                for block, m in enumerate((_CHUNK, 5000))
+            ]
         )
         u = a * g - lam
         sampled = np.exp(np.logaddexp(0.0, -u)) * np.logaddexp(0.0, -np.abs(u))
@@ -279,17 +293,20 @@ class TestStreamingMoments:
 
     @pytest.mark.parametrize("n", [1000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_merged_moments_match_numpy(self, n):
-        def draw(gen, m):
-            return 3.0 + gen.standard_gamma(2.0, m)
+        def draw(gen, work):
+            values = gen.standard_gamma(2.0, out=work[0])
+            values += 3.0
+            return values
 
-        def chunk(gen, m):
-            return _moments(draw(gen, m))
+        def chunk(gen, work):
+            return _moments(draw(gen, work), work[1])
 
         rng = RngStream(SEED, 270)
-        count, mean, m2 = _merge_moments(_collect(chunk, n, rng, 1))
+        count, mean, m2 = _merge_moments(_collect(chunk, n, rng, 1, 2))
         # chunks merge in chunk order whichever thread finished first
-        assert _merge_moments(_collect(chunk, n, rng, 3)) == (count, mean, m2)
-        values = np.concatenate(_collect(draw, n, rng, 1))
+        assert _merge_moments(_collect(chunk, n, rng, 3, 2)) == (count, mean, m2)
+        # the next chunk overwrites the workspace, so each draw is copied out of it
+        values = np.concatenate(_collect(lambda gen, work: draw(gen, work).copy(), n, rng, 1, 2))
         assert count == n
         assert mean == pytest.approx(values.mean(), rel=1e-12)
         assert m2 / (n - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
@@ -313,7 +330,8 @@ class TestStreamingMoments:
         ],
     )
     def test_traced_peak_is_a_few_chunks(self, call):
-        # an n-length float64 array alone would be 30.5 MiB
+        # an n-length float64 array alone would be 30.5 MiB; the widest
+        # workspace here, mc_coherent_mi at p = 3, is 8 rows of 2^16, 4 MiB
         tracemalloc.start()
         try:
             est = call(4_000_000, RngStream(SEED, 271))
@@ -322,6 +340,53 @@ class TestStreamingMoments:
             tracemalloc.stop()
         assert est.n_samples == 4_000_000
         assert peak < 8 * 2**20
+
+
+class TestWorkspace:
+    """Each worker draws and reduces every chunk of a call in one workspace."""
+
+    @pytest.mark.parametrize("threads, most", [(1, 1), (3, 3)])
+    def test_one_workspace_per_worker(self, threads, most):
+        # each chunk's view is held, so a fresh buffer per chunk could not
+        # reuse a freed address and pass for the same workspace
+        seen = []
+
+        def chunk(gen, work):
+            seen.append((threading.get_ident(), work))
+            return work.shape
+
+        shapes = _collect(chunk, 5 * _CHUNK + 7, RngStream(SEED, 275), threads, 3)
+        assert shapes == [(3, _CHUNK)] * 5 + [(3, 7)]
+        # every worker thread drew all its chunks into one buffer
+        pairs = {(ident, work.ctypes.data) for ident, work in seen}
+        assert len(pairs) == len({ident for ident, _ in pairs}) <= most
+        assert len({pointer for _, pointer in pairs}) <= most
+        # a call shorter than a chunk allocates only what it draws
+        assert _collect(chunk, 1000, RngStream(SEED, 275), threads, 3) == [(3, 1000)]
+
+    def test_concurrent_calls_match_serial(self):
+        # eight calls at once, more than the cores: four oracles each run in
+        # the calling thread and on a pool of two workers.  A workspace shared
+        # between calls would mix their draws.
+        n = 3 * _CHUNK + 11
+        calls = [
+            lambda th: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, RngStream(SEED, 276), th),
+            lambda th: mc_onoff_mi(2, 1e-3, 20.0, n, RngStream(SEED, 277), th),
+            lambda th: mc_e0_curve(
+                ChannelDims(2, 3, 10), 0.1, CURVE_RHOS, n, RngStream(SEED, 278), th
+            ),
+            lambda th: empirical_tail_cdf(3, 2.5, n, RngStream(SEED, 279), th),
+        ]
+        serial = [call(1) for call in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2 * len(calls)) as pool:
+                futures = [pool.submit(call, th) for th in (1, 2) for call in calls]
+                concurrent = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial + serial
 
 
 class TestCoverage:
@@ -470,12 +535,15 @@ class TestSamplerLaws:
         h = _sample_cn(RngStream(SEED, 250).generator(), (n, r, t))
         gram = np.einsum("nij,nik->njk", h.conj(), h)
         _, explicit = np.linalg.slogdet(np.eye(t) + c * gram)
-        edges = _wishart_edges(RngStream(SEED, 251).generator(), n, t, r)
-        bidiagonal = _wishart_logdet(edges, c)
+        p = min(t, r)
+        work = np.empty((2 * p + 2, n))
+        edges, rows = work[: 2 * p - 1], work[2 * p - 1 :]
+        _wishart_edges(RngStream(SEED, 251).generator(), t, r, edges, rows[0])
+        bidiagonal = _wishart_logdet(edges, c, rows)
         assert abs(_two_sample_z(bidiagonal, explicit)) <= 4.0
         assert abs(_two_sample_z(bidiagonal**2, explicit**2)) <= 4.0
         # the edges sum to tr W, whose law the tilted Gallager weights rely on
-        trace = sum(edges)
+        trace = edges.sum(axis=0)
         assert abs(_two_sample_z(trace, np.trace(gram, axis1=1, axis2=2).real)) <= 4.0
 
     # both sides of the uniform-product cut-over at k = 4
@@ -484,7 +552,7 @@ class TestSamplerLaws:
         n = 200_000
         z = _sample_cn(RngStream(SEED, 252).generator(), (n, k))
         energy = (z.real**2 + z.imag**2).sum(axis=1)
-        gamma = _gamma_int(RngStream(SEED, 253).generator(), k, n)
+        gamma = _gamma_int(RngStream(SEED, 253).generator(), k, np.empty(n), np.empty(n))
         assert abs(_two_sample_z(gamma, energy)) <= 4.0
         assert abs(_two_sample_z(gamma**2, energy**2)) <= 4.0
         # the oracle's CDF at x = k against the explicit fraction below k
@@ -496,10 +564,11 @@ class TestSamplerLaws:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_zero_uniform_gives_a_finite_gamma(self, k):
         class ZeroUniforms:
-            def random(self, m):
-                return np.zeros(m)
+            def random(self, out):
+                out.fill(0.0)
+                return out
 
-        assert np.all(_gamma_int(ZeroUniforms(), k, 5) == 0.0)
+        assert np.all(_gamma_int(ZeroUniforms(), k, np.empty(5), np.empty(5)) == 0.0)
 
 
 class TestSlopeFit:
@@ -519,6 +588,94 @@ class TestSlopeFit:
             slope_fit([(1.0, 2.0), (1.0, 3.0)])
         with pytest.raises(DomainError):
             slope_fit([(1.0, 2.0)])
+
+
+PINNED_N = 2 * _CHUNK + 1000  # three chunks, the last one short
+PINNED_RHOS = (0.25, 0.5, 1.0)
+
+# (mean, std_error, ci99_low, ci99_high) per estimate, recorded once with
+# numpy 2.4 on the draws of each call; a sampler or reduction that re-draws
+# or reorders any arithmetic changes at least one of these bits.
+PINNED = {
+    # p = 1 with Gamma(3) by uniform product; p = 4 draws Gamma(5) by standard_gamma
+    "mc_coherent_mi-1x3": (
+        lambda th: [mc_coherent_mi(ChannelDims(1, 3, 1), 0.5, PINNED_N, RngStream(SEED, 3900), th)],
+        [(0.8619459664881326, 0.0009006338331387254, 0.8596260874689663, 0.8642658455072989)],
+    ),
+    "mc_coherent_mi-2x3": (
+        lambda th: [mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3901), th)],
+        [(0.2683406783501738, 0.0002725717162434009, 0.26763858013615544, 0.2690427765641921)],
+    ),
+    "mc_coherent_mi-3x3": (
+        lambda th: [mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3902), th)],
+        [(0.27404423926726085, 0.00023131371109623604, 0.2734484146319065, 0.2746400639026152)],
+    ),
+    "mc_coherent_mi-4x5": (
+        lambda th: [
+            mc_coherent_mi(ChannelDims(4, 5, 1), 0.05, PINNED_N, RngStream(SEED, 3903), th)
+        ],
+        [(0.23695534944145005, 0.00013881542967984046, 0.236597784589896, 0.2373129142930041)],
+    ),
+    "mc_e0_curve-2x2": (
+        lambda th: mc_e0_curve(
+            ChannelDims(2, 2, 10), 0.1, PINNED_RHOS, PINNED_N, RngStream(SEED, 3910), th
+        ),
+        [
+            (0.3573894646228109, 2.1990602821022488e-05, 0.35733282058366184, 0.35744610866195997),
+            (0.5863573336374671, 2.905499500298537e-05, 0.586282492929924, 0.5864321743450103),
+            (0.8621235796298617, 3.0544857721991926e-05, 0.8620449012902687, 0.8622022579694548),
+        ],
+    ),
+    "mc_e0_curve-3x4": (
+        lambda th: mc_e0_curve(
+            ChannelDims(3, 4, 10), 1.0, PINNED_RHOS, PINNED_N, RngStream(SEED, 3911), th
+        ),
+        [
+            (4.334432660378619, 0.0010955221369071833, 4.331610782355687, 4.337254538401551),
+            (7.084712781622672, 0.0016453855341240931, 7.0804745493482395, 7.088951013897105),
+            (10.258385340534057, 0.0017892207152638143, 10.253776613385163, 10.26299406768295),
+        ],
+    ),
+    "mc_onoff_mi-r1": (
+        lambda th: [mc_onoff_mi(1, 0.01, 10.0, PINNED_N, RngStream(SEED, 3920), th)],
+        [
+            (0.003958264177870262, 1.3243060590021617e-06, 0.003954852991516617,
+             0.0039616753642239076),
+        ],
+    ),
+    "mc_onoff_mi-r2": (
+        lambda th: [mc_onoff_mi(2, 1e-3, 20.0, PINNED_N, RngStream(SEED, 3921), th)],
+        [
+            (0.00047531229054994725, 5.7138394208068566e-08, 0.0004751651117997884,
+             0.0004754594693001061),
+        ],
+    ),
+    # k = 2 and 4 test a uniform product against e^-x, k = 5 a standard_gamma draw against x
+    "empirical_tail_cdf-k1": (
+        lambda th: [empirical_tail_cdf(1, 1.0, PINNED_N, RngStream(SEED, 3930), th)],
+        [(0.6327457750318009, 0.001326455393856323, 0.6293205260154753, 0.6361614477245263)],
+    ),
+    "empirical_tail_cdf-k2": (
+        lambda th: [empirical_tail_cdf(2, 2.0, PINNED_N, RngStream(SEED, 3931), th)],
+        [(0.5964398207038585, 0.0013499947867353446, 0.5929552496668775, 0.5999174347271905)],
+    ),
+    "empirical_tail_cdf-k4": (
+        lambda th: [empirical_tail_cdf(4, 4.0, PINNED_N, RngStream(SEED, 3932), th)],
+        [(0.5645708401477981, 0.0013643085447054618, 0.561050549914972, 0.5680864724178496)],
+    ),
+    "empirical_tail_cdf-k5": (
+        lambda th: [empirical_tail_cdf(5, 5.0, PINNED_N, RngStream(SEED, 3933), th)],
+        [(0.558566539463323, 0.0013663586341774669, 0.5550411852751955, 0.5620876688318875)],
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_bits(name, threads):
+    call, pinned = PINNED[name]
+    got = [(e.mean, e.std_error, e.ci99_low, e.ci99_high) for e in call(threads)]
+    assert got == pinned
 
 
 class TestDeterminism:
