@@ -10,7 +10,6 @@ minimum governs the capacity gap, and the resulting capacity sandwich.
 import math
 from dataclasses import dataclass
 
-from ._golden import golden_section_min
 from .channel import _positive_int, gamma_upper_regularized
 from .errors import ConsistencyError, DomainError, QuadratureError
 
@@ -29,6 +28,8 @@ __all__ = [
 
 # log(1 + e^s) switches to its linear form once e^(-s) is below double rounding.
 _LOG1P_EXP_CUT = 30.0
+# 1/phi, the golden-section step of m_star's search.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,31 @@ def _sandwich(r: int, snr: float) -> tuple[int, float, float, float]:
     return r, big_l, loglog / big_l, (loglog**2 + 1.0) / big_l
 
 
+def _golden_section_min(f, lo, hi, tol):
+    """Minimize a unimodal ``f`` over [lo, hi], lo < hi; returns (argmin, min value).
+
+    ``tol`` is absolute in the argument.  Boundary minima converge onto the
+    boundary, so the returned argument is within ``tol`` of it.
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(500):
+        if b - a <= tol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def m_star(
     r: int, snr: float, a_domain: tuple[float, float] | None = None
 ) -> MStarResult:
@@ -261,7 +287,7 @@ def m_star(
     a_lo, a_hi = float(a_domain[0]), float(a_domain[1])
     if not 1.0 < a_lo < a_hi < math.inf:
         raise DomainError(f"a_domain must satisfy 1 < lo < hi < inf, got {a_domain}")
-    argmin, value = golden_section_min(
+    argmin, value = _golden_section_min(
         lambda a: surrogate_m(r, snr, a), a_lo, a_hi, tol=1e-10
     )
     if not lower <= value <= upper:

@@ -55,11 +55,13 @@ __all__ = [
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 1 << 16
 # Integer shapes from 2 up to this one draw Gamma(k, 1) as -log of a product of
-# k uniforms (``_gamma_int``).  Per draw in chunks of 2^16 (numpy 2.4, 2 vCPUs,
-# medians of 25 alternating rounds), numpy's Marsaglia-Tsang ``standard_gamma``
-# took 34-37 ns at every shape; the product took 21, 28 and 32-39 ns at
-# k = 2, 3, 4, and 30 ns at k = 4 in the tail CDF's hit test, which takes no
-# log.  From k = 5 on it took 44 ns or more.
+# k uniforms (``_gamma_int``).  Per draw into a reused 2^16 workspace row
+# (numpy 2.4.6, 2 vCPUs, medians of 25 alternating rounds, three runs), numpy's
+# Marsaglia-Tsang ``standard_gamma`` took 26-32 ns at every shape k = 2-5; the
+# product took 8-12, 12-17 and 17-21 ns at k = 2, 3, 4, and 15-20 ns at k = 4
+# in the tail CDF's hit test, which takes no log.  At k = 5 it took 20-26 ns,
+# and 19-25 ns in the hit test, so it is faster there too; the cut stays at 4
+# because moving it would re-draw every k = 5 value.
 _PRODUCT_MAX_K = 4
 
 
@@ -150,11 +152,15 @@ def _sample_variance(moments) -> float:
     return m2 / (n - 1) if n > 1 else 0.0
 
 
+def _normal_estimate(value, se, n, **extra) -> OracleEstimate:
+    """``value`` with its normal 99% interval, value -/+ _Z99 se."""
+    half = _Z99 * se
+    return OracleEstimate(value, se, n, value - half, value + half, **extra)
+
+
 def _mean_estimate(moments) -> OracleEstimate:
     n, mean, _ = moments
-    se = math.sqrt(_sample_variance(moments) / n)
-    half = _Z99 * se
-    return OracleEstimate(mean, se, n, mean - half, mean + half)
+    return _normal_estimate(mean, math.sqrt(_sample_variance(moments) / n), n)
 
 
 def _uniform_product(gen, k, out, factor):
@@ -281,12 +287,9 @@ def _log_of_mean_estimate(moments, shift: float) -> OracleEstimate:
     n, mean, m2 = moments
     value = shift - math.log(mean)
     se = math.sqrt(_sample_variance(moments) / n) / mean
-    half = _Z99 * se
     total = n * mean
     ess = total * total / (m2 + total * mean)
-    return OracleEstimate(
-        value, se, n, value - half, value + half, estimator="log-of-mean", ess=ess
-    )
+    return _normal_estimate(value, se, n, estimator="log-of-mean", ess=ess)
 
 
 def mc_e0_exact(
@@ -434,8 +437,7 @@ def mc_onoff_mi(
     moments = _merge_moments(_collect(chunk, n, rng, threads, 2))
     value = exact - omega * moments[1]
     se = omega * math.sqrt(_sample_variance(moments) / n)
-    half = _Z99 * se
-    return OracleEstimate(value, se, n, value - half, value + half)
+    return _normal_estimate(value, se, n)
 
 
 def _mean_excess(r: int, x: float) -> float:

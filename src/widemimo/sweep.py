@@ -1,14 +1,15 @@
 """Parameter sweeps over the closed forms and oracles, emitted as CSV.
 
 Config files are flat ``key = value`` text; grids are comma-separated lists.
-Keys are validated fail-closed against the schema of the requested quantity
-(an unknown key aborts the load), SNR is always linear (no dB anywhere), and
-rows stream out in deterministic lexicographic grid order regardless of how
-many threads compute them.  The output is opened first, so a bad path fails
-before any row is evaluated.
+Each quantity is one ``_Quantity`` record: its grid keys, how its rows are
+computed and the columns they fill.  Keys are validated fail-closed against
+that record (an unknown key aborts the load), SNR is always linear (no dB
+anywhere), and rows stream out in deterministic lexicographic grid order
+regardless of how many threads compute them.  The output is opened first, so
+a bad path fails before any row is evaluated.
 
 Rows are evaluated point by point.  The grid is the outer keys times the
-innermost key, the last one of the schema (``snr`` for capacity and
+innermost key, the last one of the record (``snr`` for capacity and
 oracle-check, ``alpha``/``l`` for sublinear, ``rate``/``kappa`` for exponent
 and outage, ``amplitude_sq`` for iid).  What a row needs of its outer values
 alone, such as its ``ChannelDims`` or its ``reliability.operating_point``, is
@@ -33,9 +34,9 @@ import csv
 import io
 import itertools
 import math
-import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -44,36 +45,10 @@ from .channel import ChannelDims, RngStream
 from .check import expansion_gap
 from .errors import ConfigError, WidemimoError
 
-__all__ = ["SweepConfig", "SweepSummary", "load_config", "run_sweep", "DEFAULT_ROW_CAP"]
+__all__ = ["SweepConfig", "SweepSummary", "load_config", "run_sweep", "ROW_CAP"]
 
-DEFAULT_ROW_CAP = 10**6
-ROW_CAP_ENV = "WIDEMIMO_ROW_CAP"
-
-_QUANTITIES = ("capacity", "sublinear", "exponent", "outage", "iid", "oracle-check")
-
-# grid schema: ordered (key, type) pairs; groups are sets of mutually
-# exclusive alternatives of which exactly one must be present.  Exponent and
-# outage rows share the grid of one reliability.operating_point and a rate.
-_POINT_SCHEMA = {
-    "keys": (
-        ("t", int), ("r", int), ("snr", float),
-        ("l", int), ("nu", float), ("rate", float), ("kappa", float),
-    ),
-    "groups": (("l", "nu"), ("rate", "kappa")),
-}
-_SCHEMAS = {
-    "capacity": {"keys": (("t", int), ("r", int), ("l", int), ("snr", float)), "groups": ()},
-    "sublinear": {
-        "keys": (("t", int), ("r", int), ("snr", float), ("alpha", float), ("l", int)),
-        "groups": (("alpha", "l"),),
-    },
-    "exponent": _POINT_SCHEMA,
-    "outage": _POINT_SCHEMA,
-    "iid": {"keys": (("r", int), ("snr", float), ("amplitude_sq", float)), "groups": ()},
-    "oracle-check": {"keys": (("t", int), ("r", int), ("l", int), ("snr", float)), "groups": ()},
-}
-
-_SCALAR_KEYS = ("quantity", "seed", "n_samples", "out")
+# Most rows one config may ask for.
+ROW_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -96,28 +71,6 @@ class SweepSummary:
     elapsed_s: float = 0.0
     seed: int = 0
     output_path: str | None = None
-
-
-def row_cap() -> int:
-    raw = os.environ.get(ROW_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ROW_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ROW_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"{ROW_CAP_ENV} must be >= 1, got {cap}")
-    return cap
-
-
-def _parse_scalar(key, raw, line_no):
-    if key in ("seed", "n_samples"):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from exc
-    return raw
 
 
 def _parse_grid(key, kind, raw, line_no):
@@ -159,74 +112,80 @@ def load_config(path) -> SweepConfig:
 
     if "quantity" not in raw_entries:
         raise ConfigError("missing required key 'quantity'")
-    quantity = raw_entries["quantity"][0]
-    if quantity not in _QUANTITIES:
+    name, name_line = raw_entries["quantity"]
+    if name not in _QUANTITIES:
         raise ConfigError(
-            f"line {raw_entries['quantity'][1]}: unknown quantity {quantity!r}; "
+            f"line {name_line}: unknown quantity {name!r}; "
             f"expected one of {', '.join(_QUANTITIES)}"
         )
-    schema = _SCHEMAS[quantity]
-    grid_types = dict(schema["keys"])
-    allowed = set(_SCALAR_KEYS) | set(grid_types)
-
+    slots = _QUANTITIES[name].slots
+    kinds = dict(pair for slot in slots for pair in slot)
     for key, (_, line_no) in raw_entries.items():
-        if key not in allowed:
-            raise ConfigError(f"line {line_no}: unknown key '{key}' for quantity '{quantity}'")
+        if key not in kinds and key not in ("quantity", "seed", "n_samples", "out"):
+            raise ConfigError(f"line {line_no}: unknown key '{key}' for quantity '{name}'")
 
-    scalars = {"seed": 0, "n_samples": 100_000, "out": None}
-    for key in ("seed", "n_samples", "out"):
+    options = {}
+    for key in ("seed", "n_samples"):
         if key in raw_entries:
-            scalars[key] = _parse_scalar(key, *raw_entries[key])
-    if scalars["n_samples"] < 1000:
-        raise ConfigError("n_samples must be >= 1000")
+            raw, line_no = raw_entries[key]
+            try:
+                options[key] = int(raw)
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from exc
+    if "out" in raw_entries:
+        options["output_path"] = raw_entries["out"][0]
 
     grids = {}
-    for key, kind in schema["keys"]:
-        if key in raw_entries:
-            grids[key] = _parse_grid(key, kind, *raw_entries[key])
-
-    for group in schema["groups"]:
-        present = [key for key in group if key in grids]
-        if len(present) != 1:
+    for slot in slots:
+        given = [key for key, _ in slot if key in raw_entries]
+        if len(given) != 1:
+            keys = "/".join(key for key, _ in slot)
+            if len(slot) == 1:
+                raise ConfigError(f"quantity '{name}' needs a grid for '{keys}'")
             raise ConfigError(
-                f"quantity '{quantity}' needs exactly one of {'/'.join(group)}, "
-                f"got {present or 'none'}"
+                f"quantity '{name}' needs exactly one of {keys}, got {given or 'none'}"
             )
-    grouped = {key for group in schema["groups"] for key in group}
-    for key, _ in schema["keys"]:
-        if key not in grouped and key not in grids:
-            raise ConfigError(f"quantity '{quantity}' needs a grid for '{key}'")
+        (key,) = given
+        grids[key] = _parse_grid(key, kinds[key], *raw_entries[key])
 
+    config = SweepConfig(name, grids, **options)
+    if config.n_samples < 1000:
+        raise ConfigError("n_samples must be >= 1000")
     total = math.prod(len(v) for v in grids.values())
-    cap = row_cap()
-    if total > cap:
-        raise ConfigError(
-            f"grid cross-product has {total} rows, above the cap of {cap} "
-            f"(override with {ROW_CAP_ENV})"
-        )
-
-    return SweepConfig(
-        quantity=quantity,
-        grids=grids,
-        seed=scalars["seed"],
-        n_samples=scalars["n_samples"],
-        output_path=scalars["out"],
-    )
+    if total > ROW_CAP:
+        raise ConfigError(f"grid cross-product has {total} rows, above the cap of {ROW_CAP}")
+    return config
 
 
-# ---------------------------------------------------------------------------
-# Row evaluation, in two parts per quantity.  The grid is the outer keys times
-# the innermost key, the last one of the schema.  The point part runs once per
-# outer combination: it takes the outer values by key and the name of the
-# inner key, and returns the state the rows of that point share.  The row part
-# runs once per inner value: it takes that state, the value, the config and
-# the row's position in the grid, which Monte Carlo rows use as their stream
-# id, and returns the computed columns as a tuple, in the order _ROW_FUNCS
-# names them.  Library errors from either part become the error column; an
-# error from the point part fills every row of its point.  A point part
-# builds only what every row of the point would build first, so each row
-# still shows the error it would show alone.
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Quantity:
+    """One sweep quantity: its grid keys, its two row parts and its columns.
+
+    ``slots`` are the grid keys in column order.  A slot is a tuple of
+    alternative ``(key, type)`` pairs, exactly one of which a config must
+    give; a one-pair slot is a required key.  The last slot's key is the
+    innermost.
+
+    ``point`` runs once per outer combination: it takes the outer values by
+    key and the name of the inner key, and returns the state the rows of that
+    point share.  ``row`` runs once per inner value: it takes that state, the
+    value, the config and the row's grid index, which Monte Carlo rows use as
+    their stream id, and returns the cells of ``columns`` in order.  A library
+    error from either part becomes the error column; one from ``point`` fills
+    every row of its point, so ``point`` builds only what each of its rows
+    would build first, and each row still shows the error it would show alone.
+
+    ``threaded`` rows run on worker threads when threads > 1.  Only
+    oracle-check's are: their time goes to numpy sampling, which releases the
+    interpreter lock, while the other rows hold it (pure Python, or the
+    Python integrands of scipy's quad), so threads would only add hand-offs.
+    """
+
+    slots: tuple
+    point: Callable
+    row: Callable
+    columns: tuple
+    threaded: bool = False
 
 
 def _dims_point(p, inner_key):
@@ -319,40 +278,48 @@ def _row_oracle_check(dims, snr, cfg, index):
     )
 
 
-_ROW_FUNCS = {
-    "capacity": (
-        _dims_point, _row_capacity,
-        ["linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"],
+# Required keys, as one-pair slots.
+_T = (("t", int),)
+_R = (("r", int),)
+_L = (("l", int),)
+_SNR = (("snr", float),)
+# Exponent and outage rows share the grid of one reliability.operating_point
+# and a rate.
+_RATE_SLOTS = (_T, _R, _SNR, (("l", int), ("nu", float)), (("rate", float), ("kappa", float)))
+
+_QUANTITIES = {
+    "capacity": _Quantity(
+        (_T, _R, _L, _SNR), _dims_point, _row_capacity,
+        ("linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"),
     ),
-    "sublinear": (_params_point, _row_sublinear, ["value", "dropped"]),
-    "exponent": (
-        _exponent_point, _row_exponent,
-        ["rate_nats", "e_r", "rho", "region", "r_critical", "r_cutoff", "c_block",
-         "c_block_training_lb", "asymptotics_binding", "dropped"],
+    "sublinear": _Quantity(
+        (_T, _R, _SNR, (("alpha", float), ("l", int))), _params_point, _row_sublinear,
+        ("value", "dropped"),
     ),
-    "outage": (
-        _operating_point, _row_outage,
-        ["rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"],
+    "exponent": _Quantity(
+        _RATE_SLOTS, _exponent_point, _row_exponent,
+        ("rate_nats", "e_r", "rho", "region", "r_critical", "r_cutoff", "c_block",
+         "c_block_training_lb", "asymptotics_binding", "dropped"),
     ),
-    "iid": (
-        _params_point, _row_iid,
-        ["omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
-         "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"],
+    "outage": _Quantity(
+        _RATE_SLOTS, _operating_point, _row_outage,
+        ("rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"),
     ),
-    "oracle-check": (
-        _dims_point, _row_oracle_check,
-        ["n_samples", "mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form",
-         "abs_gap", "slack", "agree"],
+    "iid": _Quantity(
+        (_R, _SNR, (("amplitude_sq", float),)), _params_point, _row_iid,
+        ("omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
+         "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"),
+    ),
+    "oracle-check": _Quantity(
+        (_T, _R, _L, _SNR), _dims_point, _row_oracle_check,
+        ("n_samples", "mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form",
+         "abs_gap", "slack", "agree"),
+        threaded=True,
     ),
 }
 
 # Rows evaluated, and held, at a time: memory stays bounded by one chunk.
 _CHUNK_ROWS = 1024
-# The one quantity whose rows run on worker threads when threads > 1: its
-# time goes to numpy sampling, which releases the interpreter lock.  The
-# other rows hold the lock, in pure Python or in the Python integrands of
-# scipy's quad, so threads only add hand-offs and they always run serially.
-_THREADED = "oracle-check"
 
 
 def _fmt(value) -> str:
@@ -412,13 +379,14 @@ def run_sweep(
     path = out if out is not None else config.output_path
     start = time.perf_counter()
 
-    point_fn, row_fn, computed_cols = _ROW_FUNCS[config.quantity]
+    quantity = _QUANTITIES[config.quantity]
+    point_fn, row_fn = quantity.point, quantity.row
     grid_keys = list(config.grids)
     *outer_keys, inner_key = grid_keys
     inner_values = config.grids[inner_key]
     inner_texts = [_cell(value) for value in inner_values]
-    header = grid_keys + computed_cols + ["error"]
-    no_values = (None,) * len(computed_cols)
+    header = [*grid_keys, *quantity.columns, "error"]
+    no_values = (None,) * len(quantity.columns)
 
     def tasks():
         # (index, point, j) for every row, lazily, so only a chunk is held; a
@@ -451,7 +419,7 @@ def run_sweep(
     # cell (a landmark of the point, a note, a point's error) reuses its
     # text.  Identity, not equality: 0.0 == -0.0 and True == 1 format
     # differently.
-    prev_values = [object()] * (len(computed_cols) + 1)
+    prev_values = [object()] * (len(quantity.columns) + 1)
     prev_texts = [""] * len(prev_values)
     cell_text = _CELL_TEXT.get
     separators = len(header) - 1
@@ -461,7 +429,7 @@ def run_sweep(
         else:
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
         pool = None
-        if threads > 1 and config.quantity == _THREADED:
+        if threads > 1 and quantity.threaded:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
         csv.writer(fh, lineterminator="\n").writerow(header)
         # A chunk's lines gather in buf; the rows csv must quote are written

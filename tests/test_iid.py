@@ -18,7 +18,7 @@ from widemimo import (
     onoff_mi_quadrature,
     surrogate_m,
 )
-from widemimo._golden import golden_section_min
+from widemimo.iid import _golden_section_min
 
 
 class TestBuildingBlocks:
@@ -276,8 +276,8 @@ class TestMStar:
     def test_tolerance_invariance(self):
         big_l = math.log(1e4)
         f = lambda a: surrogate_m(1, 1e-4, a)
-        _, coarse = golden_section_min(f, big_l, big_l**3, tol=1e-10)
-        _, fine = golden_section_min(f, big_l, big_l**3, tol=5e-11)
+        _, coarse = _golden_section_min(f, big_l, big_l**3, tol=1e-10)
+        _, fine = _golden_section_min(f, big_l, big_l**3, tol=5e-11)
         assert abs(coarse - fine) <= 1e-9
 
     @pytest.mark.parametrize("r", [1, 2, 4])

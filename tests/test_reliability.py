@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from widemimo import (
     ChannelDims,
@@ -21,7 +22,6 @@ from widemimo import (
     training_f,
     training_f_star,
 )
-from widemimo._golden import golden_section_max
 from widemimo.reliability import rho_one_rate
 
 REF_DIMS = ChannelDims(1, 1, 2500)  # nu = 1 at snr = 0.01
@@ -122,10 +122,15 @@ class TestTrainingOptimumClosedForm:
 
     @pytest.mark.parametrize("t, l, snr_b", OPTIMUM_GRID)
     def test_matches_golden_section(self, t, l, snr_b):
+        # scipy's bounded Brent search: golden-section steps sped up by
+        # parabolic interpolation
         dims = ChannelDims(t, 1, l)
-        _, reference = golden_section_max(
-            lambda g: training_f(g, dims, snr_b), 1e-12, 1.0 - 1e-12, tol=1e-10
-        )
+        reference = -optimize.minimize_scalar(
+            lambda g: -training_f(g, dims, snr_b),
+            bounds=(1e-12, 1.0 - 1e-12),
+            method="bounded",
+            options={"xatol": 1e-10},
+        ).fun
         out = training_f_star(dims, snr_b)
         assert out.f_star == pytest.approx(reference, rel=1e-14, abs=0.0)
         assert out.f_star == training_f(out.gamma_star, dims, snr_b)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -7,6 +8,8 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from widemimo import (
 )
 from widemimo.check import expansion_gap
 from widemimo.reliability import operating_point
-from widemimo.sweep import _CHUNK_ROWS, _ROW_FUNCS, DEFAULT_ROW_CAP, ROW_CAP_ENV
+from widemimo.sweep import _CHUNK_ROWS, _QUANTITIES, ROW_CAP
 
 
 def write(tmp_path, name, text):
@@ -62,15 +65,16 @@ class TestLoadConfig:
 
     def test_missing_grid_rejected(self, tmp_path):
         text = "quantity = capacity\nt = 1\nr = 1\nl = 10\n"
-        with pytest.raises(ConfigError, match="snr"):
+        with pytest.raises(ConfigError, match=r"^quantity 'capacity' needs a grid for 'snr'$"):
             load_config(write(tmp_path, "c.cfg", text))
 
     def test_exactly_one_alternative(self, tmp_path):
         text = "quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nrate = 1\n"
-        with pytest.raises(ConfigError, match="l/nu"):
+        none_given = r"^quantity 'exponent' needs exactly one of l/nu, got none$"
+        with pytest.raises(ConfigError, match=none_given):
             load_config(write(tmp_path, "c.cfg", text))
         text += "l = 2500\nnu = 1\n"
-        with pytest.raises(ConfigError, match="l/nu"):
+        with pytest.raises(ConfigError, match=r"needs exactly one of l/nu, got \['l', 'nu'\]$"):
             load_config(write(tmp_path, "c.cfg2", text))
 
     def test_type_errors_carry_line_numbers(self, tmp_path):
@@ -84,13 +88,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"line 5: grid 'snr' expects finite values, got '{bad}'"):
             load_config(write(tmp_path, "c.cfg", text))
 
-    def test_row_cap_refusal(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ROW_CAP_ENV, "4")
-        with pytest.raises(ConfigError, match="cap"):
-            load_config(write(tmp_path, "c.cfg", CAPACITY_CFG))
-        monkeypatch.delenv(ROW_CAP_ENV)
-        assert load_config(write(tmp_path, "c2.cfg", CAPACITY_CFG)).quantity == "capacity"
-        assert DEFAULT_ROW_CAP == 10**6
+    def test_row_cap_refusal(self, tmp_path):
+        assert ROW_CAP == 10**6
+        l_grid = ", ".join(str(l) for l in range(1, 1001))
+        text = f"quantity = capacity\nt = 1\nr = 1\nl = {l_grid}\nsnr = "
+        at_cap = text + ", ".join(["0.01"] * 1000) + "\n"
+        assert load_config(write(tmp_path, "c.cfg", at_cap)).grids["snr"] == (0.01,) * 1000
+        over_cap = text + ", ".join(["0.01"] * 1001) + "\n"
+        with pytest.raises(
+            ConfigError, match=r"^grid cross-product has 1001000 rows, above the cap of 1000000$"
+        ):
+            load_config(write(tmp_path, "c2.cfg", over_cap))
 
 
 class TestRunSweep:
@@ -195,6 +203,16 @@ class TestRunSweep:
             row = next(csv.DictReader(fh))
         assert float(row["rate_nats"]) > 0.0
         assert 0.0 < float(row["outage"]) < 1.0
+
+    def test_readme_config_runs(self, tmp_path, monkeypatch):
+        # the README's exponent.cfg, verbatim, in a fresh working directory
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (text,) = re.findall(r"```ini\n(# exponent\.cfg\n.*?)```", readme, re.S)
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(write(tmp_path, "exponent.cfg", text))
+        summary = run_sweep(cfg, err_stream=io.StringIO())
+        assert summary.rows == 6 and summary.row_errors == []
+        assert summary.output_path == "curve.csv" and (tmp_path / "curve.csv").is_file()
 
     def test_sublinear_row_past_float_saturation(self, tmp_path):
         # the saturation length 0.25 snr^-2 overflows at snr = 1e-200: a value row
@@ -544,6 +562,17 @@ WRITER_ERRORS = {
     "exponent-kappa": _OVERFLOWS,
     "outage-kappa": _OVERFLOWS + ("TrainingInfeasibleError: training needs l > t",),
 }
+# sha256 of the CSV of each closed-form WRITER_CFGS grid, recorded with
+# numpy 2.4.6 and scipy 1.17.1 (the versions CI pins): any change to a cell's
+# value or text, a column, the row order or the quoting changes a digest.
+WRITER_DIGESTS = {
+    "capacity": "18b6e472fa9f3c6af663726779128be47d88dae9c9b4744f0f1d3f200ef643be",
+    "sublinear": "1f690c1af2bd9bbae500a85fe93b3f0bf817f66b53e4e9295d4aa49478a18b0a",
+    "exponent": "010458576e0df4abc5f6e0db1252e19a1af316d89fa606314b65bda48789a9b9",
+    "exponent-kappa": "2796237a8118bae634a9f0386190dc4264f98d1b7ef149b3f217f109e923e19e",
+    "outage": "aba0aa4e3bf2ca88a2d0b911eb3d556eaf2425a4dfb883c37e4b7a8cf9f32ed2",
+    "outage-kappa": "46c4392befa0a9156ed18b3e85fffe542180d3efadcc7ee081e55f1233ac1378",
+}
 
 
 def _raise_awkward(state, value, cfg, index):
@@ -576,22 +605,34 @@ ODD_POINTS = {"point-error": _raise_at_point}
 class TestWriter:
     """run_sweep's bytes against reference_csv, an independent renderer."""
 
-    @pytest.mark.parametrize("name", list(WRITER_CFGS))
-    def test_quantities_match_reference(self, tmp_path, name):
+    @staticmethod
+    def sweep(tmp_path, name):
         text = f"quantity = {name.removesuffix('-kappa')}\n{WRITER_CFGS[name]}"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
-        summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+        return cfg, out, run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+
+    @pytest.mark.parametrize("name", list(WRITER_CFGS))
+    def test_quantities_match_reference(self, tmp_path, name):
+        cfg, out, summary = self.sweep(tmp_path, name)
         assert out.read_bytes() == reference_csv(cfg)
         errors = [error for _, error in summary.row_errors]
         for kind in WRITER_ERRORS.get(name, ()):
             assert any(error.startswith(kind) for error in errors), kind
 
+    @pytest.mark.parametrize("name", list(WRITER_DIGESTS))
+    def test_closed_form_bytes_pinned(self, tmp_path, name):
+        _, out, _ = self.sweep(tmp_path, name)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
+
     @pytest.mark.parametrize("name", list(ODD_ROWS))
     def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
         point_fn = ODD_POINTS.get(name, lambda p, inner_key: p)
         row_fn = ODD_ROWS[name]
-        monkeypatch.setitem(_ROW_FUNCS, "sublinear", (point_fn, row_fn, ["first", "second"]))
+        odd = replace(
+            _QUANTITIES["sublinear"], point=point_fn, row=row_fn, columns=("first", "second")
+        )
+        monkeypatch.setitem(_QUANTITIES, "sublinear", odd)
         text = "quantity = sublinear\nt = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
