@@ -200,24 +200,41 @@ def sublinear_term(
     """
     if (alpha is None) == (coherence_length is None):
         raise DomainError("supply exactly one of alpha or coherence_length")
+    if coherence_length is not None:
+        return _coherence_gap(dims, snr)(coherence_length)
+    if not 0.0 <= snr < math.inf:
+        raise DomainError(f"snr must be >= 0, got {snr}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    return _second_order(dims.t, dims.r, snr, 1.0 + alpha)
+
+
+def _coherence_gap(dims: ChannelDims, snr: float):
+    """``sublinear_term``'s coherence form at (t, r, snr), as a function of the length.
+
+    The saturation length depends on (t, r, snr) alone, so a sweep along the
+    length finds it once.
+    """
     if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
-    if alpha is not None:
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-        return _second_order(t, r, snr, 1.0 + alpha)
-    if not coherence_length >= 1.0:
-        raise DomainError(f"coherence_length must be >= 1, got {coherence_length}")
-    if snr == 0.0:
-        return 0.0
-    try:
-        saturation = _coherence_length(t, r, snr, 1.0)
-    except DomainError:  # no finite coherence length saturates the gap
-        saturation = math.inf
-    if coherence_length >= saturation:
-        return _second_order(t, r, snr, 2.0)
-    return r * snr / (2.0 * math.sqrt(coherence_length))
+    saturation = math.inf
+    if snr != 0.0:
+        try:
+            saturation = _coherence_length(t, r, snr, 1.0)
+        except DomainError:  # no finite coherence length saturates the gap
+            pass
+
+    def gap(coherence_length: float) -> float:
+        if not coherence_length >= 1.0:
+            raise DomainError(f"coherence_length must be >= 1, got {coherence_length}")
+        if snr == 0.0:
+            return 0.0
+        if coherence_length >= saturation:
+            return _second_order(t, r, snr, 2.0)
+        return r * snr / (2.0 * math.sqrt(coherence_length))
+
+    return gap
 
 
 def energy_per_nat(r: int, snr: float, delta_term: float) -> EnergyPerNat:

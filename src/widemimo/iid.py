@@ -26,8 +26,6 @@ __all__ = [
     "iid_capacity_bracket",
 ]
 
-# log(1 + e^s) switches to its linear form once e^(-s) is below double rounding.
-_LOG1P_EXP_CUT = 30.0
 # 1/phi, the golden-section step of m_star's search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -130,20 +128,6 @@ def onoff_mi_asymptotic(r: int, snr: float, amplitude_sq: float) -> MiExpansion:
     return MiExpansion(value=value, zeta_ratio=zeta_star(r, snr, a) / (1.0 + a))
 
 
-def _log1p_exp(s: float) -> float:
-    """log(1 + e^s) without overflow."""
-    if s > _LOG1P_EXP_CUT:
-        return s
-    return math.log1p(math.exp(s))
-
-
-def _radial_weight(r: int, z: float, lgamma_r: float) -> float:
-    """Gamma(r, 1) density, the law of |y|^2 under the off branch."""
-    if z <= 0.0:
-        return 1.0 if (r == 1 and z == 0.0) else 0.0
-    return math.exp((r - 1) * math.log(z) - z - lgamma_r)
-
-
 def _tail_bound(r: int, c0: float, slope: float, upper: float) -> float:
     """Analytic bound on the truncated radial integral beyond ``upper``.
 
@@ -191,7 +175,14 @@ def onoff_mi_quadrature(
     pieces = []
     for slope, upper in ((slope_off, upper_off), (a, upper_on)):
         def integrand(z, _s=slope):
-            return _radial_weight(r, z, lg) * _log1p_exp(c0 + _s * z)
+            # the Gamma(r, 1) density, the law of |y|^2 under the off branch,
+            # times log(1 + e^s), which is s once e^(-s) is below double rounding
+            if z <= 0.0:
+                weight = 1.0 if (r == 1 and z == 0.0) else 0.0
+            else:
+                weight = math.exp((r - 1) * math.log(z) - z - lg)
+            s = c0 + _s * z
+            return weight * (s if s > 30.0 else math.log1p(math.exp(s)))
 
         crossing = -c0 / slope
         points = [crossing] if 0.0 < crossing < upper else None

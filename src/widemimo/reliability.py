@@ -271,6 +271,11 @@ class OperatingPoint:
             return None
         return TrainingOptimum(*_f_star_scalar(self.t, self.coherence, self.regime.snr_b))
 
+    @functools.cached_property
+    def _rt_kappa(self) -> tuple[int, float]:
+        """(rt, kappa) of the Gallager objective, found once per point."""
+        return self.r * self.t, _kappa(self.t, self.coherence, self.regime.snr_b)
+
     def rate_for_kappa(self, kappa: float) -> float:
         """Rate R = l r snr^kappa of the low-SNR scaling path; overflow is a DomainError."""
         try:
@@ -296,8 +301,7 @@ class OperatingPoint:
             return 0.0, 0.0, REGION_BEYOND
         if lm.asymptotics_binding and rate >= lm.c_block_training_lb:
             return 0.0, 0.0, REGION_C
-        rt = self.r * self.t
-        kappa = _kappa(self.t, self.coherence, self.regime.snr_b)
+        rt, kappa = self._rt_kappa
         rho = _rho_star_scalar(rt, kappa, rate)
         return _e0(rt, kappa, rho) - rho * rate, rho, REGION_A if rho >= 1.0 else REGION_B
 
@@ -311,6 +315,10 @@ class OperatingPoint:
 
     def outage(self, rate: float) -> OutageEstimate:
         """P(rt, rate / (coherence f_star)); see ``outage_probability``."""
+        return OutageEstimate(*self._outage(rate))
+
+    def _outage(self, rate: float) -> tuple[float, float]:
+        """(probability, error_weighted) of ``outage``; the sweep's outage rows take the tuple."""
         if not rate >= 0.0:
             raise DomainError(f"rate must be >= 0, got {rate}")
         if self.training is None:
@@ -319,7 +327,7 @@ class OperatingPoint:
             )
         f_star = self.training.f_star
         prob = gamma_lower_regularized(self.r * self.t, rate / (self.coherence * f_star))
-        return OutageEstimate(probability=prob, error_weighted=self.regime.delta * prob)
+        return prob, self.regime.delta * prob
 
 
 def _point(dims: ChannelDims, coherence: float, regime: RegimeParams) -> OperatingPoint:

@@ -19,21 +19,23 @@ inside one point, so memory is bounded by one chunk, not by the grid.
 
 The CSV is what ``csv.writer(lineterminator="\n")`` writes over cells
 rendered as ``.17g`` floats, ``str(int)``, ``true``/``false`` and ``""`` for
-a missing value.  Each cell is rendered by a C-level callable looked up by
-its exact type: the outer cells once per point, each innermost grid value
-once per sweep, and a computed cell once per row unless it is the very object
-of the previous row's cell.  A row's cells are joined with commas.  That fast
-line is kept only when it holds no cell csv would quote (no comma inside a
-cell, no double quote, no line break); any other row, such as an error whose
-message holds a comma, goes through ``csv.writer``.  A chunk's lines are
-gathered in memory and written to the output in one call.
+a missing value.  A chunk is rendered column by column with C-level
+callables looked up by exact type: each grid value's text is made once per
+sweep, and each distinct float of a computed column once per chunk.  The
+lines are the columns joined with commas.  They are kept when the chunk's
+text holds one comma per separator, one line break per row and no double
+quote or carriage return, so that csv would quote no cell; any other chunk,
+such as one with an error whose message holds a comma, goes through
+``csv.writer``.  Each chunk is written to the output in one call.
 """
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
+import operator
 import sys
 import time
 from collections.abc import Callable
@@ -201,25 +203,20 @@ def _row_capacity(dims, snr, cfg, index):
     )
 
 
-def _params_point(p, inner_key):
-    # sublinear and iid rows check everything themselves: hoisting their
-    # first check would change which message an error row shows
-    return p, inner_key
+def _sublinear_point(p, inner_key):
+    # a row checks t and r, then snr, before its own alpha or l, so the point
+    # may check them for all its rows
+    dims = ChannelDims(p["t"], p["r"], 1)
+    if inner_key == "alpha":
+        return (
+            lambda alpha: capacity.sublinear_term(dims, p["snr"], alpha=alpha),
+            "remainder beyond snr^(1+alpha) dropped",
+        )
+    return capacity._coherence_gap(dims, p["snr"]), "remainder beyond snr/sqrt(l) dropped"
 
 
 def _row_sublinear(state, value, cfg, index):
-    p, inner_key = state
-    if inner_key == "alpha":
-        dims = ChannelDims(p["t"], p["r"], 1)
-        return (
-            capacity.sublinear_term(dims, p["snr"], alpha=value),
-            "remainder beyond snr^(1+alpha) dropped",
-        )
-    dims = ChannelDims(p["t"], p["r"], max(value, 1))
-    return (
-        capacity.sublinear_term(dims, p["snr"], coherence_length=value),
-        "remainder beyond snr/sqrt(l) dropped",
-    )
+    return state[0](value), state[1]
 
 
 def _operating_point(p, inner_key):
@@ -246,21 +243,26 @@ def _row_exponent(state, value, cfg, index):
 def _row_outage(state, value, cfg, index):
     op, to_rate = state
     rate = to_rate(value)
-    outage = op.outage(rate)
+    probability, error_weighted = op._outage(rate)
     return (
-        rate, op.training.f_star, op.training.gamma_star, outage.probability,
-        outage.error_weighted, op.block_error_bound(rate),
+        rate, op.training.f_star, op.training.gamma_star, probability, error_weighted,
+        op.block_error_bound(rate),
     )
 
 
-def _row_iid(state, a, cfg, index):
-    p, _ = state
+def _iid_point(p, inner_key):
+    # the bracket and m* depend on (r, snr) alone; a row asks for them after its
+    # own checks, and cache keeps no exception: a row shows its error alone
     r, snr = p["r"], p["snr"]
+    return r, snr, functools.cache(lambda: (iid.iid_capacity_bracket(r, snr), iid.m_star(r, snr)))
+
+
+def _row_iid(state, a, cfg, index):
+    r, snr, bracket_and_m_star = state
     spec = iid.onoff_building_blocks(r, snr, a)
     quad = iid.onoff_mi_quadrature(r, snr, a, rel_tol=1e-10)
     expansion = iid.onoff_mi_asymptotic(r, snr, a)
-    bracket = iid.iid_capacity_bracket(r, snr)
-    mstar = iid.m_star(r, snr)
+    bracket, mstar = bracket_and_m_star()
     return (
         spec.omega, spec.divergence, spec.zeta_star, quad, expansion.value,
         expansion.zeta_ratio, bracket.lower, bracket.upper, bracket.delta_iid_dot,
@@ -293,7 +295,7 @@ _QUANTITIES = {
         ("linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"),
     ),
     "sublinear": _Quantity(
-        (_T, _R, _SNR, (("alpha", float), ("l", int))), _params_point, _row_sublinear,
+        (_T, _R, _SNR, (("alpha", float), ("l", int))), _sublinear_point, _row_sublinear,
         ("value", "dropped"),
     ),
     "exponent": _Quantity(
@@ -306,7 +308,7 @@ _QUANTITIES = {
         ("rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"),
     ),
     "iid": _Quantity(
-        (_R, _SNR, (("amplitude_sq", float),)), _params_point, _row_iid,
+        (_R, _SNR, (("amplitude_sq", float),)), _iid_point, _row_iid,
         ("omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
          "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"),
     ),
@@ -336,8 +338,9 @@ def _fmt(value) -> str:
 
 # The text of a cell by its exact type; every entry gives what _fmt gives.
 # Any other type, such as a numpy scalar, falls back to _fmt.
+_float_text = "%.17g".__mod__
 _CELL_TEXT = {
-    float: "%.17g".__mod__,
+    float: _float_text,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     str: str,
@@ -351,6 +354,29 @@ def _cell(value) -> str:
 
 def _error_cell(exc: WidemimoError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _column_texts(column) -> list:
+    """The text of each cell of one chunk's column, each distinct float formatted once.
+
+    Only floats share a text by value; equal values of two types may format
+    differently (True == 1 == 1.0), so mixed or other types go through
+    ``_cell``.  A str column is its own text, and a float column with zeros of
+    both signs, or whose first 64 cells are all distinct, is formatted straight.
+    """
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return column
+    if kinds != {float}:
+        return list(map(_CELL_TEXT.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell, column))
+    if len(set(column[:64])) == len(column[:64]):
+        return list(map(_float_text, column))
+    values = dict.fromkeys(column)
+    zeros = filter(operator.not_, column) if 0.0 in values else ()
+    if len(set(map(math.copysign, itertools.repeat(1.0), zeros))) > 1:
+        return list(map(_float_text, column))
+    texts = dict(zip(values, map(_float_text, values)))
+    return list(map(texts.__getitem__, column))
 
 
 def run_sweep(
@@ -387,79 +413,81 @@ def run_sweep(
     inner_texts = [_cell(value) for value in inner_values]
     header = [*grid_keys, *quantity.columns, "error"]
     no_values = (None,) * len(quantity.columns)
+    width = len(quantity.columns) + 1  # cells a row, the error's included
 
-    def tasks():
-        # (index, point, j) for every row, lazily, so only a chunk is held; a
-        # point is its outer cells' text, their line prefix, and its state or
-        # its error row
-        index = 0
-        for combo in itertools.product(*(config.grids[k] for k in outer_keys)):
-            cells = [_cell(value) for value in combo]
-            prefix = ",".join(cells) + ","
+    def chunks():
+        # each chunk's rows, lazily, as runs (point, j0, j1) of inner indices; a
+        # point is its outer cells' texts, their prefix, its state or error row
+        chunk, size = [], 0
+        grids = [list(zip(config.grids[k], map(_cell, config.grids[k]))) for k in outer_keys]
+        for pairs in itertools.product(*grids):
+            combo, cells = zip(*pairs)
             try:
-                point = (cells, prefix, point_fn(dict(zip(outer_keys, combo)), inner_key), None)
+                state, failed = point_fn(dict(zip(outer_keys, combo)), inner_key), None
             except WidemimoError as exc:
-                point = (cells, prefix, None, no_values + (_error_cell(exc),))
-            for j in range(len(inner_values)):
-                yield index, point, j
-                index += 1
+                state, failed = None, no_values + (_error_cell(exc),)
+            point = (cells, ",".join(cells), state, failed)
+            j = 0
+            while j < len(inner_values):
+                k = min(len(inner_values) - j, _CHUNK_ROWS - size)
+                chunk.append((point, j, j + k))
+                j, size = j + k, size + k
+                if size == _CHUNK_ROWS:
+                    yield chunk
+                    chunk, size = [], 0
+        if chunk:
+            yield chunk
 
-    def eval_row(task):
-        index, (_, _, state, failed), j = task
-        if failed is not None:
-            return failed
+    def eval_row(point, value, index):
+        if point[3] is not None:
+            return point[3]
         try:
-            return row_fn(state, inner_values[j], config, index) + ("",)
+            return row_fn(point[2], value, config, index) + ("",)
         except WidemimoError as exc:
             return no_values + (_error_cell(exc),)
 
     summary = SweepSummary(seed=seed, output_path=path)
-    items = tasks()
-    # A computed cell whose value is the very object of the previous row's
-    # cell (a landmark of the point, a note, a point's error) reuses its
-    # text.  Identity, not equality: 0.0 == -0.0 and True == 1 format
-    # differently.
-    prev_values = [object()] * (len(quantity.columns) + 1)
-    prev_texts = [""] * len(prev_values)
-    cell_text = _CELL_TEXT.get
-    separators = len(header) - 1
+    runs = itertools.chain.from_iterable
     with contextlib.ExitStack() as stack:
         if path is None:
             fh = sys.stdout
         else:
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-        pool = None
+        run = map
         if threads > 1 and quantity.threaded:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
         csv.writer(fh, lineterminator="\n").writerow(header)
-        # A chunk's lines gather in buf; the rows csv must quote are written
-        # there by csv itself, so the lines keep their order.
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        while chunk := list(itertools.islice(items, _CHUNK_ROWS)):
-            rows = pool.map(eval_row, chunk) if pool is not None else map(eval_row, chunk)
-            for (_, (cells, prefix, _, _), j), values in zip(chunk, rows):
-                texts = [
-                    text if value is prev else cell_text(type(value), _fmt)(value)
-                    for value, prev, text in zip(values, prev_values, prev_texts)
-                ]
-                line = prefix + inner_texts[j] + "," + ",".join(texts)
-                # One comma per separator and no quote or line break: csv
-                # would quote no cell, so its line is exactly this one.
-                if (
-                    line.count(",") == separators
-                    and '"' not in line and "\n" not in line and "\r" not in line
-                ):
-                    buf.write(line + "\n")
-                else:
-                    writer.writerow(cells + [inner_texts[j]] + texts)
-                prev_values, prev_texts = values, texts
-                if values[-1]:
-                    summary.row_errors.append((summary.rows, values[-1]))
-                summary.rows += 1
-            fh.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
+        for chunk in chunks():
+            points = list(runs(itertools.repeat(point, j1 - j0) for point, j0, j1 in chunk))
+            n = len(points)
+            values = runs(inner_values[j0:j1] for _, j0, j1 in chunk)
+            rows = run(eval_row, points, values, range(summary.rows, summary.rows + n))
+            # the chunk's cells in one list, each row's tuple freed as it goes
+            # in: a chunk of live tuples would set the garbage collector off
+            flat = list(runs(rows))
+            columns = [  # the outer cells' prefix, the inner cell, then each computed column
+                list(map(operator.itemgetter(1), points)),
+                list(runs(inner_texts[j0:j1] for _, j0, j1 in chunk)),
+                *(_column_texts(flat[i::width]) for i in range(width)),
+            ]
+            text = "\n".join(map(",".join, zip(*columns))) + "\n"
+            # One comma per separator, one line break per row and no quote: csv
+            # would quote no cell, so its lines are exactly these.
+            if not (
+                text.count(",") == (len(header) - 1) * n and text.count("\n") == n
+                and '"' not in text and "\r" not in text
+            ):
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(
+                    (*point[0], *cells) for point, *cells in zip(points, *columns[1:])
+                )
+                text = buf.getvalue()
+            fh.write(text)
+            errors = columns[-1]
+            summary.row_errors += [
+                (summary.rows + i, errors[i]) for i in itertools.compress(itertools.count(), errors)
+            ]
+            summary.rows += n
 
     summary.elapsed_s = time.perf_counter() - start
     for index, error in summary.row_errors:

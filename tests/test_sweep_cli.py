@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -180,6 +181,25 @@ class TestRunSweep:
             assert 0.0 < float(row["mi_quadrature"]) <= r * 0.01
             assert float(row["bracket_lower"]) <= float(row["bracket_upper"])
             assert float(row["m_star"]) > 0.0
+
+    def test_iid_point_parts_once(self, tmp_path, monkeypatch):
+        # the bracket and m* are built once a point, when a row first passes
+        # its own checks; where they fail, each row tries them again
+        calls = collections.Counter()
+        for name in ("iid_capacity_bracket", "m_star"):
+            def counting(r, snr, _name=name, _fn=getattr(wm.iid, name)):
+                calls[_name, snr] += 1
+                return _fn(r, snr)
+
+            monkeypatch.setattr(f"widemimo.iid.{name}", counting)
+        text = "quantity = iid\nr = 1\nsnr = 0.01, 0.5\namplitude_sq = 0.1, 20, 30\n"
+        cfg = load_config(write(tmp_path, "i.cfg", text))
+        summary = run_sweep(cfg, out=str(tmp_path / "i.csv"), err_stream=io.StringIO())
+        assert [i for i, _ in summary.row_errors] == [0, 3, 4, 5]
+        assert summary.row_errors[1][1].startswith("DomainError: amplitude_sq must be >= snr")
+        assert summary.row_errors[2][1].startswith("DomainError: need snr < r/e^2")
+        assert calls == {("iid_capacity_bracket", 0.01): 1, ("m_star", 0.01): 1,
+                         ("iid_capacity_bracket", 0.5): 2}
 
     def test_exponent_kappa_alternative(self, tmp_path):
         text = "quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nnu = 1\nkappa = 1.5\n"
@@ -545,6 +565,7 @@ def reference_csv(cfg, rows=REFERENCE_ROWS):
 WRITER_CFGS = {
     "capacity": "t = 0, 1, 2\nr = 1, 2\nl = 1, 100\nsnr = 0.0, -0.0, 0.01, 2.0\n",
     "sublinear": "t = 1, 2\nr = 1\nsnr = 1e-200, 0.01, -1.0\nalpha = 0.5, 1.0, 2.0\n",
+    "sublinear-l": "t = 0, 1, 2\nr = 1\nsnr = 0.0, 1e-200, 0.01, -1.0\nl = 0, 1, 10, 100000\n",
     "exponent": "t = 1, 2\nr = 1\nsnr = 0.01, 2.0\nl = 1, 2500\nrate = -0.0, 0.0, 1.5, -1.0\n",
     "exponent-kappa": (
         "t = 1, 2\nr = 1\nsnr = 0.01, 0.5, 1e-200\nnu = 0.5, 1\nkappa = 1.5, -500, 0.75\n"
@@ -555,6 +576,19 @@ WRITER_CFGS = {
     ),
     "iid": "r = 1\nsnr = 0.01, 0.5\namplitude_sq = 0.1, 20\n",
     "oracle-check": "t = 1\nr = 1, 2\nl = 0, 1\nsnr = 0.01\nn_samples = 1000\n",
+    # Grids of several chunks.  384 rates a point put chunk ends inside points
+    # and, at 3 chunks, between two; the rows span all four regions, so e_r and
+    # rho mix zeros with other values in each chunk.
+    "exponent-chunks": (
+        "t = 1, 2\nr = 1\nsnr = 0.01, 0.02\nl = 100, 1000, 2500\n"
+        f"rate = {', '.join(repr(0.1 * i) for i in range(384))}\n"
+    ),
+    # 50 snrs a point put about 20 points, and several l, in each chunk, so
+    # linear = r snr recurs across points, -0.0 among it.
+    "capacity-chunks": (
+        "t = 1, 2, 4\nr = 1, 2\nl = 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000\n"
+        f"snr = {', '.join(repr(v) for v in [-0.0] + [1e-4 * 1.15**i for i in range(49)])}\n"
+    ),
 }
 # The row errors each nu/kappa grid is there to hold, by the start of their text.
 _OVERFLOWS = ("DomainError: rate = l r snr^kappa overflows", "DomainError: coherence length")
@@ -562,16 +596,20 @@ WRITER_ERRORS = {
     "exponent-kappa": _OVERFLOWS,
     "outage-kappa": _OVERFLOWS + ("TrainingInfeasibleError: training needs l > t",),
 }
-# sha256 of the CSV of each closed-form WRITER_CFGS grid, recorded with
-# numpy 2.4.6 and scipy 1.17.1 (the versions CI pins): any change to a cell's
-# value or text, a column, the row order or the quoting changes a digest.
+# sha256 of the CSV of each WRITER_CFGS grid but the Monte Carlo one, recorded
+# with numpy 2.4.6 and scipy 1.17.1 (the versions CI pins): any change to a
+# cell's value or text, a column, the row order or the quoting changes a digest.
 WRITER_DIGESTS = {
     "capacity": "18b6e472fa9f3c6af663726779128be47d88dae9c9b4744f0f1d3f200ef643be",
     "sublinear": "1f690c1af2bd9bbae500a85fe93b3f0bf817f66b53e4e9295d4aa49478a18b0a",
+    "sublinear-l": "f3f1e65ff6938c772fa06efbb2731023af7233139bb1d319c821d932df5dd95c",
     "exponent": "010458576e0df4abc5f6e0db1252e19a1af316d89fa606314b65bda48789a9b9",
     "exponent-kappa": "2796237a8118bae634a9f0386190dc4264f98d1b7ef149b3f217f109e923e19e",
     "outage": "aba0aa4e3bf2ca88a2d0b911eb3d556eaf2425a4dfb883c37e4b7a8cf9f32ed2",
     "outage-kappa": "46c4392befa0a9156ed18b3e85fffe542180d3efadcc7ee081e55f1233ac1378",
+    "iid": "39c79cc04958e2a319f69c585ac8938218037441a15292287361a0a9f7c89616",
+    "exponent-chunks": "950f12f2fb66023f8a9e0bbd820e90e60b6f93db7cbc84cbcbf478220bf91d09",
+    "capacity-chunks": "4a0d32a72e7dc8d8c4fc0c7bebef87850623aad284cbcf4c822b8503c88951f9",
 }
 
 
@@ -587,8 +625,9 @@ def _raise_at_point(p, inner_key):
 
 # Row parts of the sweep's contract, (point part, row part), for a fake
 # sublinear whose rows hold cells that take the _fmt fallback, that need
-# quoting for one reason each, or that format differently while comparing
-# equal.  The point part passes the outer values on unless it fails.
+# quoting for one reason each, that format differently while comparing equal,
+# or that recur only after a chunk's first 64 rows.  The point part passes the
+# outer values on unless it fails.
 ODD_ROWS = {
     "numpy-scalars": lambda p, value, cfg, index: (np.float64(p["snr"]) / 3, np.int64(index)),
     "comma-cell": lambda p, value, cfg, index: ("a,b", 1.5),
@@ -596,10 +635,18 @@ ODD_ROWS = {
     "newline-cell": lambda p, value, cfg, index: ("one\ntwo", None),
     "carriage-return-cell": lambda p, value, cfg, index: ("cr\r", True),
     "bool-none-zero": lambda p, value, cfg, index: (index % 2 == 0, None if index else -0.0),
+    "signed-zeros-nan": lambda p, value, cfg, index: ((0.0, -0.0, math.nan)[index % 3], -0.0),
+    "true-one-float-one": lambda p, value, cfg, index: ((True, 1, 1.0)[index % 3], index % 2 == 0),
+    "late-repeats": lambda p, value, cfg, index: (index % 80 / 7, index % 80),
     "quoted-error": _raise_awkward,
     "point-error": lambda p, value, cfg, index: (p["t"], value),
 }
 ODD_POINTS = {"point-error": _raise_at_point}
+ODD_GRID = "t = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
+# 200 rows in one chunk, so late-repeats' cells recur only after the first 80
+ODD_GRIDS = {
+    "late-repeats": f"t = 1, 2\nr = 1\nsnr = 0.01\nalpha = {', '.join(map(str, range(100)))}\n",
+}
 
 
 class TestWriter:
@@ -607,7 +654,8 @@ class TestWriter:
 
     @staticmethod
     def sweep(tmp_path, name):
-        text = f"quantity = {name.removesuffix('-kappa')}\n{WRITER_CFGS[name]}"
+        quantity = name if name in _QUANTITIES else name.rsplit("-", 1)[0]
+        text = f"quantity = {quantity}\n{WRITER_CFGS[name]}"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
         return cfg, out, run_sweep(cfg, out=str(out), err_stream=io.StringIO())
@@ -625,6 +673,31 @@ class TestWriter:
         _, out, _ = self.sweep(tmp_path, name)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS[name]
 
+    def test_chunk_grids_cross_points_and_regions(self, tmp_path):
+        cfg, out, summary = self.sweep(tmp_path, "exponent-chunks")
+        ends = range(_CHUNK_ROWS, summary.rows, _CHUNK_ROWS)
+        assert len(ends) >= 2 and not summary.row_errors
+        per_point = len(cfg.grids["rate"])
+        assert {end % per_point == 0 for end in ends} == {True, False}
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        for start in range(0, summary.rows, _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            assert len({row["region"] for row in chunk}) == 4
+            for column in ("e_r", "rho"):
+                assert {row[column] == "0" for row in chunk} == {True, False}
+
+        cfg, out, summary = self.sweep(tmp_path, "capacity-chunks")
+        assert summary.rows > _CHUNK_ROWS and not summary.row_errors
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        for start in range(0, summary.rows, _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            assert len({row["l"] for row in chunk}) >= 2
+            # a point's snrs are distinct, so a linear text seen twice is
+            # seen at two points
+            linear = collections.Counter(row["linear"] for row in chunk)
+            assert linear["-0"] >= 2 and "0" not in linear
+            assert any(count >= 2 for text, count in linear.items() if text != "-0")
+
     @pytest.mark.parametrize("name", list(ODD_ROWS))
     def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
         point_fn = ODD_POINTS.get(name, lambda p, inner_key: p)
@@ -633,7 +706,7 @@ class TestWriter:
             _QUANTITIES["sublinear"], point=point_fn, row=row_fn, columns=("first", "second")
         )
         monkeypatch.setitem(_QUANTITIES, "sublinear", odd)
-        text = "quantity = sublinear\nt = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
+        text = f"quantity = sublinear\n{ODD_GRIDS.get(name, ODD_GRID)}"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
         run_sweep(cfg, out=str(out), err_stream=io.StringIO())
