@@ -40,7 +40,7 @@ def main():
         summary = run_sweep(
             load_config(cfg_path), out=str(out_path), err_stream=io.StringIO()
         )
-        print(f"sweep wrote {summary.rows} rows (errors: {len(summary.row_errors)})")
+        print(f"sweep wrote {summary.rows} rows (errors: {summary.errors})")
         with open(out_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 print(

@@ -128,8 +128,17 @@ def coherence_for_regime(t: int, r: int, regime: RegimeParams) -> float:
 
 
 def _second_order(t: int, r: int, snr: float, power: float) -> float:
-    """r (r+t)/(2t) snr^power; power 2 gives the coherent expansion's second-order term."""
-    return r * (r + t) / (2.0 * t) * snr**power
+    """r (r+t)/(2t) snr^power; power 2 gives the coherent expansion's second-order term.
+
+    A term past the float range is a DomainError, as in ``_coherence_length``.
+    """
+    try:
+        term = r * (r + t) / (2.0 * t) * snr**power
+    except OverflowError:
+        term = math.inf
+    if math.isinf(term):
+        raise DomainError(f"second-order term r(r+t)/(2t) snr^{power:g} overflows at snr={snr:g}")
+    return term
 
 
 def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:

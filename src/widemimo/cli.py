@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except (OSError, WidemimoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if not summary.row_errors else 1
+    return 0 if not summary.errors else 1
 
 
 if __name__ == "__main__":

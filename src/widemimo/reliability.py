@@ -216,7 +216,7 @@ def training_f(gamma: float, dims: ChannelDims, snr_b: float) -> float:
     snr_b for every split.
     """
     dims.require_training()
-    if not snr_b > 0.0:
+    if not 0.0 < snr_b < math.inf:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     return _training_f_scalar(gamma, dims.t, dims.l, snr_b)
 
@@ -234,7 +234,7 @@ def training_f_star(
     numbers (outage, the training exponent) always use the exact maximum.
     """
     dims.require_training()
-    if not snr_b > 0.0:
+    if not 0.0 < snr_b < math.inf:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     f_star, gamma_star = _f_star_scalar(dims.t, dims.l, snr_b)
     f_lb = None
@@ -383,7 +383,7 @@ def e0_upper(dims: ChannelDims, snr_b: float, rho: float) -> float:
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must be in [0, 1], got {rho}")
-    if not snr_b > 0.0:
+    if not 0.0 < snr_b < math.inf:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     return _e0(dims.r * dims.t, _kappa(dims.t, dims.l, snr_b), rho)
 

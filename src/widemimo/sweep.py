@@ -17,16 +17,16 @@ built once per outer combination; the rows of that point then run along the
 innermost key.  Rows are evaluated and written in fixed-size chunks, also
 inside one point, so memory is bounded by one chunk, not by the grid.
 
-The CSV is what ``csv.writer(lineterminator="\n")`` writes over cells
-rendered as ``.17g`` floats, ``str(int)``, ``true``/``false`` and ``""`` for
-a missing value.  A chunk is rendered column by column with C-level
-callables looked up by exact type: each grid value's text is made once per
-sweep, and each distinct float of a computed column once per chunk.  The
-lines are the columns joined with commas.  They are kept when the chunk's
-text holds one comma per separator, one line break per row and no double
-quote or carriage return, so that csv would quote no cell; any other chunk,
-such as one with an error whose message holds a comma, goes through
-``csv.writer``.  Each chunk is written to the output in one call.
+Every column has one type, a grid key's in its slot and a computed column's
+beside its name, and each type one text rule: ``.17g`` for a float, ``str`` for
+an int, ``true``/``false`` for a bool, the text itself for a str, and ``""``
+for the ``None`` cells of an error row.  Each grid value's text is made once
+per sweep, and each distinct value of a computed column once per chunk.  The
+columns joined with commas are the chunk's lines when its text holds one comma
+per separator, one line break per row and no double quote or carriage return,
+so that ``csv.writer(lineterminator="\n")`` would write the same; any other
+chunk goes through that writer.  Each chunk is written to the output in one
+call, then the ``row {index}: {error}`` lines of its errors to the error stream.
 """
 
 import contextlib
@@ -40,7 +40,7 @@ import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import capacity, iid, oracles, reliability
 from .channel import ChannelDims, RngStream
@@ -66,10 +66,10 @@ class SweepConfig:
 
 @dataclass
 class SweepSummary:
-    """What a sweep did: row counts, failures, timing, seed."""
+    """What a sweep did: rows written, rows that failed, timing, seed."""
 
     rows: int = 0
-    row_errors: list = field(default_factory=list)
+    errors: int = 0
     elapsed_s: float = 0.0
     seed: int = 0
     output_path: str | None = None
@@ -166,16 +166,18 @@ class _Quantity:
     ``slots`` are the grid keys in column order.  A slot is a tuple of
     alternative ``(key, type)`` pairs, exactly one of which a config must
     give; a one-pair slot is a required key.  The last slot's key is the
-    innermost.
+    innermost.  ``columns`` are the computed columns, ``(name, type)`` pairs too.
 
     ``point`` runs once per outer combination: it takes the outer values by
     key and the name of the inner key, and returns the state the rows of that
     point share.  ``row`` runs once per inner value: it takes that state, the
     value, the config and the row's grid index, which Monte Carlo rows use as
-    their stream id, and returns the cells of ``columns`` in order.  A library
-    error from either part becomes the error column; one from ``point`` fills
-    every row of its point, so ``point`` builds only what each of its rows
-    would build first, and each row still shows the error it would show alone.
+    their stream id, and returns the cells of ``columns`` in order, each of
+    exactly its column's type.  A library error from either part becomes the
+    error column and leaves the row's other cells ``None``; one from ``point``
+    fills every row of its point, so ``point`` builds only what each of its
+    rows would build first, and each row still shows the error it would show
+    alone.
 
     ``threaded`` rows run on worker threads when threads > 1.  Only
     oracle-check's are: their time goes to numpy sampling, which releases the
@@ -289,33 +291,44 @@ _SNR = (("snr", float),)
 # and a rate.
 _RATE_SLOTS = (_T, _R, _SNR, (("l", int), ("nu", float)), (("rate", float), ("kappa", float)))
 
+
+def _floats(*names):
+    return tuple((name, float) for name in names)
+
+
 _QUANTITIES = {
     "capacity": _Quantity(
         (_T, _R, _L, _SNR), _dims_point, _row_capacity,
-        ("linear", "sublinear", "total", "gaussian_lower_bound", "lb_negative", "dropped"),
+        (*_floats("linear", "sublinear", "total", "gaussian_lower_bound"),
+         ("lb_negative", bool), ("dropped", str)),
     ),
     "sublinear": _Quantity(
         (_T, _R, _SNR, (("alpha", float), ("l", int))), _sublinear_point, _row_sublinear,
-        ("value", "dropped"),
+        (("value", float), ("dropped", str)),
     ),
     "exponent": _Quantity(
         _RATE_SLOTS, _exponent_point, _row_exponent,
-        ("rate_nats", "e_r", "rho", "region", "r_critical", "r_cutoff", "c_block",
-         "c_block_training_lb", "asymptotics_binding", "dropped"),
+        (*_floats("rate_nats", "e_r", "rho"), ("region", str),
+         *_floats("r_critical", "r_cutoff", "c_block", "c_block_training_lb"),
+         ("asymptotics_binding", bool), ("dropped", str)),
     ),
     "outage": _Quantity(
         _RATE_SLOTS, _operating_point, _row_outage,
-        ("rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage", "block_error_bound"),
+        _floats("rate_nats", "f_star", "gamma_star", "outage", "delta_times_outage",
+                "block_error_bound"),
     ),
     "iid": _Quantity(
         (_R, _SNR, (("amplitude_sq", float),)), _iid_point, _row_iid,
-        ("omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic", "zeta_ratio",
-         "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star", "m_star_argmin"),
+        _floats("omega", "divergence", "zeta_star", "mi_quadrature", "mi_asymptotic",
+                "zeta_ratio", "bracket_lower", "bracket_upper", "delta_iid_dot", "m_star",
+                "m_star_argmin"),
     ),
     "oracle-check": _Quantity(
         (_T, _R, _L, _SNR), _dims_point, _row_oracle_check,
-        ("n_samples", "mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form",
-         "abs_gap", "slack", "agree"),
+        (("n_samples", int),
+         *_floats("mc_mean", "mc_std_error", "ci99_low", "ci99_high", "closed_form", "abs_gap",
+                  "slack"),
+         ("agree", bool)),
         threaded=True,
     ),
 }
@@ -324,58 +337,31 @@ _QUANTITIES = {
 _CHUNK_ROWS = 1024
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-# The text of a cell by its exact type; every entry gives what _fmt gives.
-# Any other type, such as a numpy scalar, falls back to _fmt.
-_float_text = "%.17g".__mod__
-_CELL_TEXT = {
-    float: _float_text,
-    int: int.__repr__,
+# The text of one value of each column type.
+_TEXT = {
+    float: "%.17g".__mod__,
+    int: str,
     bool: {True: "true", False: "false"}.__getitem__,
     str: str,
-    type(None): {None: ""}.__getitem__,
 }
-
-
-def _cell(value) -> str:
-    return _CELL_TEXT.get(type(value), _fmt)(value)
 
 
 def _error_cell(exc: WidemimoError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _column_texts(column) -> list:
-    """The text of each cell of one chunk's column, each distinct float formatted once.
+def _column_texts(kind, column) -> list:
+    """The text of each cell of one chunk's column of type ``kind``; ``None`` gives "".
 
-    Only floats share a text by value; equal values of two types may format
-    differently (True == 1 == 1.0), so mixed or other types go through
-    ``_cell``.  A str column is its own text, and a float column with zeros of
-    both signs, or whose first 64 cells are all distinct, is formatted straight.
+    Equal values of one type have one text, so each distinct value is rendered
+    once, but for float zeros of both signs: a column holding both goes cell by cell.
     """
-    kinds = set(map(type, column))
-    if kinds == {str}:
-        return column
-    if kinds != {float}:
-        return list(map(_CELL_TEXT.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell, column))
-    if len(set(column[:64])) == len(column[:64]):
-        return list(map(_float_text, column))
-    values = dict.fromkeys(column)
-    zeros = filter(operator.not_, column) if 0.0 in values else ()
-    if len(set(map(math.copysign, itertools.repeat(1.0), zeros))) > 1:
-        return list(map(_float_text, column))
-    texts = dict(zip(values, map(_float_text, values)))
+    text, values = _TEXT[kind], dict.fromkeys(column)
+    values.pop(None, None)
+    if kind is float and 0.0 in values:
+        if len({math.copysign(1.0, v) for v in column if v == 0.0}) > 1:
+            return ["" if value is None else text(value) for value in column]
+    texts = {None: ""} | dict(zip(values, map(text, values)))
     return list(map(texts.__getitem__, column))
 
 
@@ -395,8 +381,8 @@ def run_sweep(
     Carlo rows each get their own stream id, so the CSV bytes do not depend
     on ``threads``.  ``threads`` applies to the oracle-check quantity; the
     other quantities run serially.  The destination is opened before the
-    first row is evaluated.  Per-row library errors land in the error column
-    and the run continues.
+    first row is evaluated.  Per-row library errors land in the error column,
+    and on ``err_stream`` as each chunk is written, and the run continues.
     """
     err_stream = err_stream if err_stream is not None else sys.stderr
     if seed is not None:
@@ -410,16 +396,17 @@ def run_sweep(
     grid_keys = list(config.grids)
     *outer_keys, inner_key = grid_keys
     inner_values = config.grids[inner_key]
-    inner_texts = [_cell(value) for value in inner_values]
-    header = [*grid_keys, *quantity.columns, "error"]
+    slot_kinds = dict(pair for slot in quantity.slots for pair in slot)
+    grid_texts = {key: list(map(_TEXT[slot_kinds[key]], config.grids[key])) for key in grid_keys}
+    names, kinds = zip(*quantity.columns, ("error", str))
+    header = [*grid_keys, *names]
     no_values = (None,) * len(quantity.columns)
-    width = len(quantity.columns) + 1  # cells a row, the error's included
 
     def chunks():
         # each chunk's rows, lazily, as runs (point, j0, j1) of inner indices; a
         # point is its outer cells' texts, their prefix, its state or error row
         chunk, size = [], 0
-        grids = [list(zip(config.grids[k], map(_cell, config.grids[k]))) for k in outer_keys]
+        grids = [list(zip(config.grids[k], grid_texts[k])) for k in outer_keys]
         for pairs in itertools.product(*grids):
             combo, cells = zip(*pairs)
             try:
@@ -465,12 +452,12 @@ def run_sweep(
             # the chunk's cells in one list, each row's tuple freed as it goes
             # in: a chunk of live tuples would set the garbage collector off
             flat = list(runs(rows))
-            columns = [  # the outer cells' prefix, the inner cell, then each computed column
+            texts = [  # the outer cells' prefix, the inner cell, then each computed column
                 list(map(operator.itemgetter(1), points)),
-                list(runs(inner_texts[j0:j1] for _, j0, j1 in chunk)),
-                *(_column_texts(flat[i::width]) for i in range(width)),
+                list(runs(grid_texts[inner_key][j0:j1] for _, j0, j1 in chunk)),
+                *(_column_texts(kind, flat[i::len(kinds)]) for i, kind in enumerate(kinds)),
             ]
-            text = "\n".join(map(",".join, zip(*columns))) + "\n"
+            text = "\n".join(map(",".join, zip(*texts))) + "\n"
             # One comma per separator, one line break per row and no quote: csv
             # would quote no cell, so its lines are exactly these.
             if not (
@@ -479,23 +466,20 @@ def run_sweep(
             ):
                 buf = io.StringIO()
                 csv.writer(buf, lineterminator="\n").writerows(
-                    (*point[0], *cells) for point, *cells in zip(points, *columns[1:])
+                    (*point[0], *cells) for point, *cells in zip(points, *texts[1:])
                 )
                 text = buf.getvalue()
             fh.write(text)
-            errors = columns[-1]
-            summary.row_errors += [
-                (summary.rows + i, errors[i]) for i in itertools.compress(itertools.count(), errors)
-            ]
+            failed = itertools.compress(range(n), texts[-1])  # the rows with an error text
+            lines = [f"row {summary.rows + i}: {texts[-1][i]}\n" for i in failed]
+            err_stream.write("".join(lines))
+            summary.errors += len(lines)
             summary.rows += n
 
     summary.elapsed_s = time.perf_counter() - start
-    for index, error in summary.row_errors:
-        print(f"row {index}: {error}", file=err_stream)
     print(
-        f"sweep quantity={config.quantity} rows={summary.rows} "
-        f"errors={len(summary.row_errors)} seed={seed} "
-        f"elapsed={summary.elapsed_s:.2f}s out={path or '<stdout>'}",
+        f"sweep quantity={config.quantity} rows={summary.rows} errors={summary.errors} "
+        f"seed={seed} elapsed={summary.elapsed_s:.2f}s out={path or '<stdout>'}",
         file=err_stream,
     )
     return summary

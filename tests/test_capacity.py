@@ -280,3 +280,22 @@ def test_inf_is_a_domain_error(name):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+# snr^2 overflows a float at snr = 1e200: the second-order term raises its own
+# error, also where a coherence length saturates the gap.
+OVERFLOW_CALLS = {
+    "coherent_expansion": lambda: coherent_expansion(ChannelDims(1, 1, 10), 1e200),
+    "gaussian_lower_bound": lambda: gaussian_lower_bound(ChannelDims(1, 1, 10), 1e200),
+    "sublinear_term-alpha": lambda: sublinear_term(ChannelDims(1, 1, 1), 1e200, alpha=1.0),
+    "sublinear_term-coherence": lambda: sublinear_term(
+        ChannelDims(1, 1, 1), 1e200, coherence_length=10
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_CALLS))
+def test_second_order_overflow_is_a_domain_error(name):
+    with pytest.raises(DomainError) as err:
+        OVERFLOW_CALLS[name]()
+    assert str(err.value) == "second-order term r(r+t)/(2t) snr^2 overflows at snr=1e+200"

@@ -49,6 +49,21 @@ class TestE0Upper:
         with pytest.raises(DomainError, match="^snr_b must be > 0, got nan$"):
             e0_upper(ChannelDims(1, 1, 1), math.nan, 0.5)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: e0_upper(ChannelDims(1, 1, 100), math.inf, 0.5),
+            lambda: training_f(0.5, ChannelDims(1, 1, 100), math.inf),
+            lambda: training_f_star(ChannelDims(1, 1, 100), math.inf),
+        ],
+        ids=["e0_upper", "training_f", "training_f_star"],
+    )
+    def test_infinite_snr_b(self, call):
+        # bounded above, as the Monte Carlo E0 oracles are: +inf would come
+        # back as inf, nan or an error about gamma
+        with pytest.raises(DomainError, match="^snr_b must be > 0, got inf$"):
+            call()
+
 
 class TestTraining:
     def test_f_hand_value(self):

@@ -12,14 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import cli_env
 import widemimo as wm
 from widemimo import cli
 from widemimo import (
-    ChannelDims, ConfigError, DimensionError, DomainError, RngStream, WidemimoError,
+    ChannelDims, ConfigError, DimensionError, DomainError, RngStream, SweepConfig, WidemimoError,
     load_config, outage_probability, run_sweep,
 )
 from widemimo.check import expansion_gap
@@ -31,6 +30,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def sweep_errors(cfg, **kwargs):
+    """run_sweep's summary and the (row index, message) of each error line it printed."""
+    err = io.StringIO()
+    summary = run_sweep(cfg, err_stream=err, **kwargs)
+    errors = [(int(i), text) for i, text in re.findall(r"^row (\d+): (.*)$", err.getvalue(), re.M)]
+    assert len(errors) == summary.errors
+    return summary, errors
 
 
 # One line of the `check` table: verdict, name, gap, slack and margin.
@@ -108,7 +116,7 @@ class TestRunSweep:
         out = tmp_path / "cap.csv"
         summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
         assert summary.rows == 8
-        assert not summary.row_errors
+        assert not summary.errors
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
@@ -151,7 +159,7 @@ class TestRunSweep:
         out = tmp_path / "o.csv"
         summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
         assert summary.rows == 2
-        assert len(summary.row_errors) == 1
+        assert summary.errors == 1
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] != "" and rows[0]["outage"] == ""
@@ -173,7 +181,7 @@ class TestRunSweep:
         cfg = load_config(write(tmp_path, "i.cfg", text))
         out = tmp_path / "i.csv"
         summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
-        assert summary.rows == 2 and not summary.row_errors
+        assert summary.rows == 2 and not summary.errors
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -194,10 +202,10 @@ class TestRunSweep:
             monkeypatch.setattr(f"widemimo.iid.{name}", counting)
         text = "quantity = iid\nr = 1\nsnr = 0.01, 0.5\namplitude_sq = 0.1, 20, 30\n"
         cfg = load_config(write(tmp_path, "i.cfg", text))
-        summary = run_sweep(cfg, out=str(tmp_path / "i.csv"), err_stream=io.StringIO())
-        assert [i for i, _ in summary.row_errors] == [0, 3, 4, 5]
-        assert summary.row_errors[1][1].startswith("DomainError: amplitude_sq must be >= snr")
-        assert summary.row_errors[2][1].startswith("DomainError: need snr < r/e^2")
+        _, errors = sweep_errors(cfg, out=str(tmp_path / "i.csv"))
+        assert [i for i, _ in errors] == [0, 3, 4, 5]
+        assert errors[1][1].startswith("DomainError: amplitude_sq must be >= snr")
+        assert errors[2][1].startswith("DomainError: need snr < r/e^2")
         assert calls == {("iid_capacity_bracket", 0.01): 1, ("m_star", 0.01): 1,
                          ("iid_capacity_bracket", 0.5): 2}
 
@@ -206,7 +214,7 @@ class TestRunSweep:
         cfg = load_config(write(tmp_path, "k.cfg", text))
         out = tmp_path / "k.csv"
         summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
-        assert summary.rows == 1 and not summary.row_errors
+        assert summary.rows == 1 and not summary.errors
         with open(out, newline="") as fh:
             row = next(csv.DictReader(fh))
         # rate = l r snr^kappa = 2500 * 0.01^1.5 = 2.5
@@ -218,7 +226,7 @@ class TestRunSweep:
         cfg = load_config(write(tmp_path, "o.cfg", text))
         out = tmp_path / "o.csv"
         summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
-        assert summary.rows == 1 and not summary.row_errors
+        assert summary.rows == 1 and not summary.errors
         with open(out, newline="") as fh:
             row = next(csv.DictReader(fh))
         assert float(row["rate_nats"]) > 0.0
@@ -231,7 +239,7 @@ class TestRunSweep:
         monkeypatch.chdir(tmp_path)
         cfg = load_config(write(tmp_path, "exponent.cfg", text))
         summary = run_sweep(cfg, err_stream=io.StringIO())
-        assert summary.rows == 6 and summary.row_errors == []
+        assert summary.rows == 6 and summary.errors == 0
         assert summary.output_path == "curve.csv" and (tmp_path / "curve.csv").is_file()
 
     def test_sublinear_row_past_float_saturation(self, tmp_path):
@@ -239,10 +247,25 @@ class TestRunSweep:
         text = "quantity = sublinear\nt = 1\nr = 1\nsnr = 1e-200\nl = 10\n"
         cfg = load_config(write(tmp_path, "s.cfg", text))
         summary = run_sweep(cfg, out=str(tmp_path / "s.csv"), err_stream=io.StringIO())
-        assert summary.row_errors == []
+        assert summary.errors == 0
         with open(tmp_path / "s.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert float(row["value"]) == 1e-200 / (2.0 * math.sqrt(10))
+
+    def test_second_order_overflow_is_a_row_error(self, tmp_path):
+        # snr^2 overflows at snr = 1e200; so does a saturated sublinear row
+        overflow = "DomainError: second-order term r(r+t)/(2t) snr^2 overflows at snr=1e+200"
+        text = "quantity = capacity\nt = 1\nr = 1\nl = 10\nsnr = 0.01, 1e200\n"
+        out = tmp_path / "c.csv"
+        summary, errors = sweep_errors(load_config(write(tmp_path, "c.cfg", text)), out=str(out))
+        assert summary.rows == 2 and errors == [(1, overflow)]
+        with open(out, newline="") as fh:
+            first, second = csv.DictReader(fh)
+        assert first["error"] == "" and float(first["total"]) == 0.01 - 0.0001
+        assert second["error"] == overflow and second["total"] == ""
+        text = "quantity = sublinear\nt = 1\nr = 1\nsnr = 1e200\nl = 10\n"
+        _, errors = sweep_errors(load_config(write(tmp_path, "s.cfg", text)), out=str(out))
+        assert errors == [(0, overflow)]
 
 
 class TestStreaming:
@@ -265,9 +288,9 @@ class TestStreaming:
         outputs = []
         for threads in (1, 3):
             out = tmp_path / f"o{threads}.csv"
-            summary = run_sweep(cfg, out=str(out), threads=threads, err_stream=io.StringIO())
+            summary, errors = sweep_errors(cfg, out=str(out), threads=threads)
             assert summary.rows == len(grid) > _CHUNK_ROWS
-            assert [i for i, _ in summary.row_errors] == expected
+            assert [i for i, _ in errors] == expected
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         rows = list(csv.DictReader(io.StringIO(outputs[0].decode())))
@@ -303,8 +326,8 @@ class TestStreaming:
         outputs = []
         for threads in (1, 3):
             out = tmp_path / f"oc{threads}.csv"
-            summary = run_sweep(cfg, out=str(out), threads=threads, err_stream=io.StringIO())
-            assert [i for i, _ in summary.row_errors] == expected
+            _, errors = sweep_errors(cfg, out=str(out), threads=threads)
+            assert [i for i, _ in errors] == expected
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -345,6 +368,33 @@ class TestStreaming:
         assert summary.rows == 20_000
         assert peak < 8 * 2**20
 
+    def test_error_lines_stream_with_their_chunks(self, monkeypatch):
+        # every row fails, and its error line goes out with its chunk: traced
+        # memory does not grow with the number of failed rows
+        class LineCounter:
+            def __init__(self):
+                self.lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+        peaks = []
+        for n in (3_000, 30_000):  # the inner axis, whose texts a sweep holds, stays 100 long
+            snrs = tuple(-1.0 - i for i in range(100))
+            grids = {"t": (1,), "r": (1,), "l": tuple(range(1, n // 100 + 1)), "snr": snrs}
+            out, err = LineCounter(), LineCounter()
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                summary = run_sweep(SweepConfig("capacity", grids), err_stream=err)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.rows == summary.errors == n
+            assert out.lines == err.lines == n + 1
+        assert peaks[1] < peaks[0] + 2**20, peaks
+
     def test_point_built_once_per_outer_combination(self, tmp_path, monkeypatch):
         calls = []
 
@@ -362,7 +412,7 @@ class TestStreaming:
         summary = run_sweep(cfg, out=str(tmp_path / "p.csv"), err_stream=io.StringIO())
         assert summary.rows == 3 * 2 * 2 * 2 * 40
         assert len(calls) == 3 * 2 * 2 * 2
-        assert len(summary.row_errors) == 2 * 2 * 2 * 40
+        assert summary.errors == 2 * 2 * 2 * 40
 
     def test_capacity_row_expands_once(self, tmp_path, monkeypatch):
         # the row's gaussian_lower_bound reuses its expansion
@@ -376,7 +426,7 @@ class TestStreaming:
         text = "quantity = capacity\nt = 1, 2\nr = 1, 3\nl = 10, 1000\nsnr = 0.001, 0.01, 0.1\n"
         cfg = load_config(write(tmp_path, "e.cfg", text))
         summary = run_sweep(cfg, out=str(tmp_path / "e.csv"), err_stream=io.StringIO())
-        assert summary.rows == 2 * 2 * 2 * 3 and not summary.row_errors
+        assert summary.rows == 2 * 2 * 2 * 3 and not summary.errors
         assert len(calls) == summary.rows
 
     def test_inner_axis_longer_than_chunks(self, tmp_path, monkeypatch):
@@ -392,12 +442,12 @@ class TestStreaming:
         cfg = load_config(write(tmp_path, "c.cfg", text))
         tracemalloc.start()
         try:
-            summary = run_sweep(cfg, out=str(tmp_path / "c.csv"), err_stream=io.StringIO())
+            summary, errors = sweep_errors(cfg, out=str(tmp_path / "c.csv"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert summary.rows == n
-        assert [i for i, _ in summary.row_errors] == sorted(negative)
+        assert [i for i, _ in errors] == sorted(negative)
         assert peak < 8 * 2**20
         with open(tmp_path / "c.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -623,23 +673,26 @@ def _raise_at_point(p, inner_key):
     return p
 
 
-# Row parts of the sweep's contract, (point part, row part), for a fake
-# sublinear whose rows hold cells that take the _fmt fallback, that need
-# quoting for one reason each, that format differently while comparing equal,
-# or that recur only after a chunk's first 64 rows.  The point part passes the
-# outer values on unless it fails.
+# Row parts of the sweep's contract for a fake sublinear, (column types, row
+# part), whose rows hold cells that need quoting for one reason each, that
+# format differently while comparing equal, that sit beside an error row's
+# None, or that recur only after a chunk's first 80 rows.  Every cell is None
+# or of exactly its column's type.  The point part passes the outer values on
+# unless it fails.
 ODD_ROWS = {
-    "numpy-scalars": lambda p, value, cfg, index: (np.float64(p["snr"]) / 3, np.int64(index)),
-    "comma-cell": lambda p, value, cfg, index: ("a,b", 1.5),
-    "quote-cell": lambda p, value, cfg, index: ('say "hi"', 2),
-    "newline-cell": lambda p, value, cfg, index: ("one\ntwo", None),
-    "carriage-return-cell": lambda p, value, cfg, index: ("cr\r", True),
-    "bool-none-zero": lambda p, value, cfg, index: (index % 2 == 0, None if index else -0.0),
-    "signed-zeros-nan": lambda p, value, cfg, index: ((0.0, -0.0, math.nan)[index % 3], -0.0),
-    "true-one-float-one": lambda p, value, cfg, index: ((True, 1, 1.0)[index % 3], index % 2 == 0),
-    "late-repeats": lambda p, value, cfg, index: (index % 80 / 7, index % 80),
-    "quoted-error": _raise_awkward,
-    "point-error": lambda p, value, cfg, index: (p["t"], value),
+    "comma-cell": ((str, float), lambda p, value, cfg, index: ("a,b", 1.5)),
+    "quote-cell": ((str, int), lambda p, value, cfg, index: ('say "hi"', 2)),
+    "newline-cell": ((str, float), lambda p, value, cfg, index: ("one\ntwo", None)),
+    "carriage-return-cell": ((str, bool), lambda p, value, cfg, index: ("cr\r", True)),
+    "bool-none-zero": (
+        (bool, float), lambda p, value, cfg, index: (index % 2 == 0, None if index else -0.0)
+    ),
+    "signed-zeros-nan": (
+        (float, float), lambda p, value, cfg, index: ((0.0, -0.0, math.nan)[index % 3], -0.0)
+    ),
+    "late-repeats": ((float, int), lambda p, value, cfg, index: (index % 80 / 7, index % 80)),
+    "quoted-error": ((float, float), _raise_awkward),
+    "point-error": ((int, float), lambda p, value, cfg, index: (p["t"], value)),
 }
 ODD_POINTS = {"point-error": _raise_at_point}
 ODD_GRID = "t = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
@@ -653,20 +706,42 @@ class TestWriter:
     """run_sweep's bytes against reference_csv, an independent renderer."""
 
     @staticmethod
-    def sweep(tmp_path, name):
-        quantity = name if name in _QUANTITIES else name.rsplit("-", 1)[0]
-        text = f"quantity = {quantity}\n{WRITER_CFGS[name]}"
+    def quantity(name):
+        return name if name in _QUANTITIES else name.rsplit("-", 1)[0]
+
+    @classmethod
+    def sweep(cls, tmp_path, name):
+        text = f"quantity = {cls.quantity(name)}\n{WRITER_CFGS[name]}"
         cfg = load_config(write(tmp_path, "w.cfg", text))
         out = tmp_path / "w.csv"
         return cfg, out, run_sweep(cfg, out=str(out), err_stream=io.StringIO())
 
     @pytest.mark.parametrize("name", list(WRITER_CFGS))
     def test_quantities_match_reference(self, tmp_path, name):
-        cfg, out, summary = self.sweep(tmp_path, name)
+        cfg, out, _ = self.sweep(tmp_path, name)
         assert out.read_bytes() == reference_csv(cfg)
-        errors = [error for _, error in summary.row_errors]
+        errors = [row["error"] for row in csv.DictReader(io.StringIO(out.read_text()))]
         for kind in WRITER_ERRORS.get(name, ()):
             assert any(error.startswith(kind) for error in errors), kind
+
+    @pytest.mark.parametrize("name", list(WRITER_CFGS))
+    def test_rows_hold_their_declared_types(self, tmp_path, monkeypatch, name):
+        # the writer renders a column by its declared type alone, so every
+        # cell a row returns must be None or of exactly that type
+        record = _QUANTITIES[self.quantity(name)]
+        returned = set()  # ((column name, declared type), type returned)
+
+        def row(state, value, cfg, index):
+            cells = record.row(state, value, cfg, index)
+            assert len(cells) == len(record.columns)
+            returned.update(zip(record.columns, map(type, cells)))
+            return cells
+
+        monkeypatch.setitem(_QUANTITIES, self.quantity(name), replace(record, row=row))
+        self.sweep(tmp_path, name)
+        assert returned
+        wrong = {(column, got) for (column, kind), got in returned if got not in (kind, type(None))}
+        assert wrong == set()
 
     @pytest.mark.parametrize("name", list(WRITER_DIGESTS))
     def test_closed_form_bytes_pinned(self, tmp_path, name):
@@ -676,7 +751,7 @@ class TestWriter:
     def test_chunk_grids_cross_points_and_regions(self, tmp_path):
         cfg, out, summary = self.sweep(tmp_path, "exponent-chunks")
         ends = range(_CHUNK_ROWS, summary.rows, _CHUNK_ROWS)
-        assert len(ends) >= 2 and not summary.row_errors
+        assert len(ends) >= 2 and not summary.errors
         per_point = len(cfg.grids["rate"])
         assert {end % per_point == 0 for end in ends} == {True, False}
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -687,7 +762,7 @@ class TestWriter:
                 assert {row[column] == "0" for row in chunk} == {True, False}
 
         cfg, out, summary = self.sweep(tmp_path, "capacity-chunks")
-        assert summary.rows > _CHUNK_ROWS and not summary.row_errors
+        assert summary.rows > _CHUNK_ROWS and not summary.errors
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         for start in range(0, summary.rows, _CHUNK_ROWS):
             chunk = rows[start:start + _CHUNK_ROWS]
@@ -701,9 +776,10 @@ class TestWriter:
     @pytest.mark.parametrize("name", list(ODD_ROWS))
     def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
         point_fn = ODD_POINTS.get(name, lambda p, inner_key: p)
-        row_fn = ODD_ROWS[name]
+        (first, second), row_fn = ODD_ROWS[name]
         odd = replace(
-            _QUANTITIES["sublinear"], point=point_fn, row=row_fn, columns=("first", "second")
+            _QUANTITIES["sublinear"], point=point_fn, row=row_fn,
+            columns=(("first", first), ("second", second)),
         )
         monkeypatch.setitem(_QUANTITIES, "sublinear", odd)
         text = f"quantity = sublinear\n{ODD_GRIDS.get(name, ODD_GRID)}"
