@@ -141,18 +141,36 @@ def _second_order(t: int, r: int, snr: float, power: float) -> float:
     return term
 
 
-def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
-    """Second-order expansion of the coherent capacity per channel use.
+def _third_order(t: int, r: int) -> float:
+    """c3 = r (r^2 + t^2 + 3 r t + 1) / (3 t^2): the dropped cubic remainder is c3 snr^3.
 
-    linear = r snr, sublinear = r (r+t) / (2 t) * snr^2; the cubic remainder
-    is dropped (it is positive and ~ r t (r^2 + 3 r t + t^2 + 1)/(3 t^3) snr^3
-    at leading order, which the oracle tests budget for).
+    That is the remainder's leading term; it is positive, so the expansion
+    lies below the coherent capacity by about c3 snr^3.
+    """
+    return r * (r * r + t * t + 3 * r * t + 1) / (3.0 * t * t)
+
+
+def _expansion(dims: ChannelDims, snr: float) -> tuple[float, float, float]:
+    """(linear, sublinear, total) of ``coherent_expansion``, as a plain tuple.
+
+    The one copy of the formula: per-row callers (sweep rows, operating
+    points) take the tuple and build no ``CapacityBreakdown``.
     """
     if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     linear = dims.r * snr
     sub = _second_order(dims.t, dims.r, snr, 2.0)
-    return CapacityBreakdown(linear=linear, sublinear=sub, total=linear - sub)
+    return linear, sub, linear - sub
+
+
+def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
+    """Second-order expansion of the coherent capacity per channel use.
+
+    linear = r snr, sublinear = r (r+t) / (2 t) * snr^2; the cubic remainder
+    is dropped (it is positive and ``_third_order(t, r)`` snr^3 at leading
+    order, which the oracle checks budget for).
+    """
+    return CapacityBreakdown(*_expansion(dims, snr))
 
 
 def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
@@ -162,8 +180,8 @@ def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
     r (t/l) log(1 + l snr / t).  Cubic remainder dropped.  The value can be
     negative for short blocks and is returned as-is; sweep output flags it.
     """
-    expansion = coherent_expansion(dims, snr)  # checks 0 <= snr < inf
-    return expansion.total - _uncertainty_penalty(dims, snr)
+    total = _expansion(dims, snr)[2]  # checks 0 <= snr < inf
+    return total - _uncertainty_penalty(dims, snr)
 
 
 def _uncertainty_penalty(dims: ChannelDims, snr: float) -> float:

@@ -55,13 +55,18 @@ def contains(est, ref: float) -> Verdict:
     return Verdict(gap, slack)
 
 
-def expansion_gap(est, closed: float, snr: float) -> Verdict:
-    """Coherent expansion ``closed`` against the sampled coherent MI ``est``.
+def expansion_gap(est, closed: float, dims: ChannelDims, snr: float) -> Verdict:
+    """Coherent expansion ``closed`` at (dims, snr) against the sampled coherent MI ``est``.
 
-    The budget is the interval's half-width plus 10 snr^3 for the cubic
-    remainder the expansion drops.
+    The budget is the interval's half-width plus max(10, c3) snr^3 for the
+    cubic remainder the expansion drops, c3 snr^3 at leading order
+    (``capacity._third_order``): 3.5 at (t, r) = (2, 2), but 20 at (1, 3) and
+    40 at (1, 4).  Where c3 is below 10 the flat 10 snr^3 stays, the budget
+    the benchmark's gate (``perfbench/gate.py``) recomputes for its
+    oracle-check rows.
     """
-    return Verdict(abs(est.mean - closed), est.ci99_half + 10.0 * snr**3)
+    c3 = max(10.0, capacity._third_order(dims.t, dims.r))
+    return Verdict(abs(est.mean - closed), est.ci99_half + c3 * snr**3)
 
 
 def _worst(verdicts) -> Verdict:
@@ -95,7 +100,7 @@ def _checks(seed: int, threads: int):
     dims, snr = ChannelDims(2, 2, 1), 0.02
     est = mc_coherent_mi(dims, snr, _N_MC, stream(3), threads)
     closed = capacity.coherent_expansion(dims, snr).total
-    yield "coherent-expansion-gap", expansion_gap(est, closed, snr)
+    yield "coherent-expansion-gap", expansion_gap(est, closed, dims, snr)
 
     # exact Gallager sampler against -log(e E1(1)); by parts e E1(1) = int e^-u / (1+u) du too
     est = mc_e0_exact(ChannelDims(1, 1, 1), 2.0, 1.0, _N_MC, stream(4), threads)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import RegimeParams, coherence_for_regime, coherent_expansion
+from .capacity import RegimeParams, _expansion, coherence_for_regime
 from .capacity import regime_from_coherence, regime_from_nu
 from .channel import ChannelDims, gamma_lower_regularized
 from .errors import DomainError, TrainingInfeasibleError
@@ -334,7 +334,7 @@ def _point(dims: ChannelDims, coherence: float, regime: RegimeParams) -> Operati
     """The operating point of checked dims at a coherence length that stands in for dims.l."""
     t, r, snr_b = dims.t, dims.r, regime.snr_b
     rt = r * t
-    c_block = coherence * coherent_expansion(dims, snr_b).total
+    c_block = coherence * _expansion(dims, snr_b)[2]
     c_tlb = c_block - 2.0 * r * math.sqrt(t * snr_b * coherence)
     r_critical = rt / 2.0
     landmarks = RateLandmarks(

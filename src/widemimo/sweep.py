@@ -20,13 +20,18 @@ inside one point, so memory is bounded by one chunk, not by the grid.
 Every column has one type, a grid key's in its slot and a computed column's
 beside its name, and each type one text rule: ``.17g`` for a float, ``str`` for
 an int, ``true``/``false`` for a bool, the text itself for a str, and ``""``
-for the ``None`` cells of an error row.  Each grid value's text is made once
-per sweep, and each distinct value of a computed column once per chunk.  The
-columns joined with commas are the chunk's lines when its text holds one comma
-per separator, one line break per row and no double quote or carriage return,
-so that ``csv.writer(lineterminator="\n")`` would write the same; any other
-chunk goes through that writer.  Each chunk is written to the output in one
-call, then the ``row {index}: {error}`` lines of its errors to the error stream.
+for the ``None`` cells of an error row.  A point's outer texts are made when
+the point is built, and the texts of the inner values a chunk touches once
+per chunk.  The rows of one point inside one chunk, a run, are written through
+one ``%`` line template: a computed column whose cells all have one text (a
+landmark, a ``dropped`` note) is that text, made once for the run; one whose
+every cell is the row's inner grid value is the inner text; any other takes
+its type's conversion row by row.  Only str cells can hold a comma, a double
+quote or a line break, which csv quotes; a run with such a cell, an error row
+or a ``None`` cell goes cell by cell through ``csv.writer(lineterminator="\n")``
+instead, so every line is what that writer would write.  Each chunk is written to the output
+in one call, then the ``row {index}: {error}`` lines of its errors to the
+error stream.
 """
 
 import contextlib
@@ -197,12 +202,9 @@ def _dims_point(p, inner_key):
 
 
 def _row_capacity(dims, snr, cfg, index):
-    expansion = capacity.coherent_expansion(dims, snr)
-    lb = expansion.total - capacity._uncertainty_penalty(dims, snr)  # gaussian_lower_bound
-    return (
-        expansion.linear, expansion.sublinear, expansion.total, lb, lb < 0.0,
-        "snr^3 remainder dropped",
-    )
+    linear, sublinear, total = capacity._expansion(dims, snr)
+    lb = total - capacity._uncertainty_penalty(dims, snr)  # gaussian_lower_bound
+    return linear, sublinear, total, lb, lb < 0.0, "snr^3 remainder dropped"
 
 
 def _sublinear_point(p, inner_key):
@@ -274,8 +276,8 @@ def _row_iid(state, a, cfg, index):
 
 def _row_oracle_check(dims, snr, cfg, index):
     est = oracles.mc_coherent_mi(dims, snr, cfg.n_samples, RngStream(cfg.seed, index))
-    closed = capacity.coherent_expansion(dims, snr).total
-    verdict = expansion_gap(est, closed, snr)
+    closed = capacity._expansion(dims, snr)[2]
+    verdict = expansion_gap(est, closed, dims, snr)
     return (
         cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
         verdict.gap, verdict.slack, verdict.ok,
@@ -344,25 +346,67 @@ _TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     str: str,
 }
+# Each type's conversion in a run's line template; a bool cell goes in as its text.
+_FIELD = {float: "%.17g", int: "%d", bool: "%s", str: "%s"}
 
 
 def _error_cell(exc: WidemimoError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _column_texts(kind, column) -> list:
-    """The text of each cell of one chunk's column of type ``kind``; ``None`` gives "".
+def _quoted(text: str) -> bool:
+    """Would csv quote ``text``?  It does when it holds a comma, a quote or a line break."""
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
-    Equal values of one type have one text, so each distinct value is rendered
-    once, but for float zeros of both signs: a column holding both goes cell by cell.
+
+def _run_text(run, kinds):
+    """One run's lines through one ``%`` line template; None if a cell is None or quoted.
+
+    A run is the rows of one point inside one chunk: ``(outer, texts, values,
+    columns)``, the point's outer texts, the texts of the run's inner grid
+    values ``values``, and its computed columns, error column last, each a
+    list of one cell per row.  A column whose cells all have one text is that
+    text, made once; one whose every cell is the row's inner value (identity)
+    is the inner text; any other goes through its type's conversion.  Equal
+    cells of one type have one text, but for float zeros of both signs, so a
+    float column of zeros must be one object; a nan equals only itself.  Grid
+    values are ints and floats, whose texts hold no %.
     """
-    text, values = _TEXT[kind], dict.fromkeys(column)
-    values.pop(None, None)
-    if kind is float and 0.0 in values:
-        if len({math.copysign(1.0, v) for v in column if v == 0.0}) > 1:
-            return ["" if value is None else text(value) for value in column]
-    texts = {None: ""} | dict(zip(values, map(text, values)))
-    return list(map(texts.__getitem__, column))
+    outer, texts, values, columns = run
+    fields, args = [*outer, "%s"], [texts]
+    for column, kind in zip(columns, kinds):
+        first = column[0]
+        if column.count(first) == len(column) and (
+            first or kind is not float or all(map(operator.is_, column, itertools.repeat(first)))
+        ):
+            if first is None or kind is str and _quoted(first):
+                return None
+            fields.append(_TEXT[kind](first).replace("%", "%%"))
+        elif all(map(operator.is_, column, values)):
+            fields.append("%s")
+            args.append(texts)
+        elif None in column or kind is str and _quoted("".join(column)):
+            return None
+        else:
+            fields.append(_FIELD[kind])
+            args.append(list(map(_TEXT[bool], column)) if kind is bool else column)
+    return "".join(map((",".join(fields) + "\n").__mod__, zip(*args)))
+
+
+def _cells(run, kinds):
+    """One run's rows of cell texts, cell by cell; a None cell is ""."""
+    outer, texts, _, columns = run
+    return zip(
+        *map(itertools.repeat, outer), texts,
+        *([_TEXT[kind](cell) if cell is not None else "" for cell in column]
+          for column, kind in zip(columns, kinds)),
+    )
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def run_sweep(
@@ -393,27 +437,26 @@ def run_sweep(
 
     quantity = _QUANTITIES[config.quantity]
     point_fn, row_fn = quantity.point, quantity.row
-    grid_keys = list(config.grids)
-    *outer_keys, inner_key = grid_keys
+    *outer_keys, inner_key = config.grids
     inner_values = config.grids[inner_key]
     slot_kinds = dict(pair for slot in quantity.slots for pair in slot)
-    grid_texts = {key: list(map(_TEXT[slot_kinds[key]], config.grids[key])) for key in grid_keys}
+    outer_text = [_TEXT[slot_kinds[key]] for key in outer_keys]
+    inner_text = _TEXT[slot_kinds[inner_key]]
     names, kinds = zip(*quantity.columns, ("error", str))
-    header = [*grid_keys, *names]
+    width = len(kinds)
+    header = [*config.grids, *names]
     no_values = (None,) * len(quantity.columns)
 
     def chunks():
         # each chunk's rows, lazily, as runs (point, j0, j1) of inner indices; a
-        # point is its outer cells' texts, their prefix, its state or error row
+        # point is its outer cells' texts, its state or error row
         chunk, size = [], 0
-        grids = [list(zip(config.grids[k], grid_texts[k])) for k in outer_keys]
-        for pairs in itertools.product(*grids):
-            combo, cells = zip(*pairs)
+        for combo in itertools.product(*(config.grids[key] for key in outer_keys)):
             try:
                 state, failed = point_fn(dict(zip(outer_keys, combo)), inner_key), None
             except WidemimoError as exc:
                 state, failed = None, no_values + (_error_cell(exc),)
-            point = (cells, ",".join(cells), state, failed)
+            point = ([text(value) for text, value in zip(outer_text, combo)], state, failed)
             j = 0
             while j < len(inner_values):
                 k = min(len(inner_values) - j, _CHUNK_ROWS - size)
@@ -426,10 +469,10 @@ def run_sweep(
             yield chunk
 
     def eval_row(point, value, index):
-        if point[3] is not None:
-            return point[3]
+        if point[2] is not None:
+            return point[2]
         try:
-            return row_fn(point[2], value, config, index) + ("",)
+            return row_fn(point[1], value, config, index) + ("",)
         except WidemimoError as exc:
             return no_values + (_error_cell(exc),)
 
@@ -440,38 +483,35 @@ def run_sweep(
             fh = sys.stdout
         else:
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-        run = map
+        evaluate = map
         if threads > 1 and quantity.threaded:
-            run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+            evaluate = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
         csv.writer(fh, lineterminator="\n").writerow(header)
         for chunk in chunks():
-            points = list(runs(itertools.repeat(point, j1 - j0) for point, j0, j1 in chunk))
-            n = len(points)
+            n = sum(j1 - j0 for _, j0, j1 in chunk)
+            points = runs(itertools.repeat(point, j1 - j0) for point, j0, j1 in chunk)
             values = runs(inner_values[j0:j1] for _, j0, j1 in chunk)
-            rows = run(eval_row, points, values, range(summary.rows, summary.rows + n))
+            rows = evaluate(eval_row, points, values, range(summary.rows, summary.rows + n))
             # the chunk's cells in one list, each row's tuple freed as it goes
             # in: a chunk of live tuples would set the garbage collector off
             flat = list(runs(rows))
-            texts = [  # the outer cells' prefix, the inner cell, then each computed column
-                list(map(operator.itemgetter(1), points)),
-                list(runs(grid_texts[inner_key][j0:j1] for _, j0, j1 in chunk)),
-                *(_column_texts(kind, flat[i::len(kinds)]) for i, kind in enumerate(kinds)),
-            ]
-            text = "\n".join(map(",".join, zip(*texts))) + "\n"
-            # One comma per separator, one line break per row and no quote: csv
-            # would quote no cell, so its lines are exactly these.
-            if not (
-                text.count(",") == (len(header) - 1) * n and text.count("\n") == n
-                and '"' not in text and "\r" not in text
-            ):
-                buf = io.StringIO()
-                csv.writer(buf, lineterminator="\n").writerows(
-                    (*point[0], *cells) for point, *cells in zip(points, *texts[1:])
-                )
-                text = buf.getvalue()
-            fh.write(text)
-            failed = itertools.compress(range(n), texts[-1])  # the rows with an error text
-            lines = [f"row {summary.rows + i}: {texts[-1][i]}\n" for i in failed]
+            # the texts of the inner values the chunk's runs touch
+            lo = min(j0 for _, j0, _ in chunk)
+            inner_texts = list(map(inner_text, inner_values[lo:max(j1 for *_, j1 in chunk)]))
+            parts, lines, at = [], [], 0
+            for (outer, _, _), j0, j1 in chunk:
+                k = j1 - j0
+                columns = [flat[at * width + c:(at + k) * width:width] for c in range(width)]
+                run = (outer, inner_texts[j0 - lo:j1 - lo], inner_values[j0:j1], columns)
+                text = None
+                if any(columns[-1]):  # error rows: their lines, and the run cell by cell
+                    base = summary.rows + at
+                    lines += [f"row {base + i}: {e}\n" for i, e in enumerate(columns[-1]) if e]
+                else:
+                    text = _run_text(run, kinds)
+                parts.append(text if text is not None else _csv_text(_cells(run, kinds)))
+                at += k
+            fh.write("".join(parts))
             err_stream.write("".join(lines))
             summary.errors += len(lines)
             summary.rows += n

@@ -169,6 +169,18 @@ class TestGammaKernel:
                 float(special.gammainc(k, x)), rel=1e-12, abs=1e-300
             )
 
+    def test_scalar_kernel_is_the_ufunc_bit_for_bit(self):
+        # both functions call the ufuncs' scalar kernel: the same bits, as a float
+        gen = np.random.default_rng(SEED)
+        args = [(k, 0.0) for k in range(1, 18)] + list(zip(
+            gen.integers(1, 18, 3000).tolist(), (10.0 ** gen.uniform(-12, 3, 3000)).tolist()
+        ))
+        for k, x in args:
+            lower, upper = gamma_lower_regularized(k, x), gamma_upper_regularized(k, x)
+            assert type(lower) is float and type(upper) is float
+            assert lower.hex() == float(special.gammainc(k, x)).hex(), (k, x)
+            assert upper.hex() == float(special.gammaincc(k, x)).hex(), (k, x)
+
     @pytest.mark.parametrize("k", [1, 2, 4, 9, 16])
     def test_complement_against_poisson_series(self, k):
         # Q(k, x) = e^-x sum_{j<k} x^j / j! for integer k

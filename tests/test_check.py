@@ -2,7 +2,8 @@
 
 A verdict is a (gap, slack) pair that passes when gap <= slack; its margin is
 (slack - gap)/slack.  ``contains`` must give the same verdict as
-``OracleEstimate.contains`` at and next to both interval ends, and the
+``OracleEstimate.contains`` at and next to both interval ends, the expansion
+budget must cover the cubic remainder the expansion drops, and the
 oracle-check row must carry exactly the cells of ``expansion_gap``.
 """
 
@@ -81,10 +82,28 @@ def test_worst_verdict_prefers_a_failure():
     assert _worst([Verdict(-0.5, 1.0), passing]) == passing
 
 
+@pytest.mark.parametrize("t, r, c3", [(1, 1, 2.0), (2, 2, 3.5), (1, 2, 8.0), (1, 3, 20.0), (1, 4, 40.0)])
+def test_expansion_budget_takes_the_cubic_coefficient(t, r, c3):
+    # c3 = r (r^2 + t^2 + 3 r t + 1) / (3 t^2); below 10 the flat 10 snr^3 stays
+    est, snr = ESTIMATES[0], 0.05
+    verdict = expansion_gap(est, 0.5, ChannelDims(t, r, 1), snr)
+    assert verdict.slack == est.ci99_half + max(10.0, c3) * snr**3
+
+
+def test_expansion_agrees_where_the_remainder_passes_ten_snr_cubed():
+    # at (t, r) = (1, 4) the dropped remainder is about 40 snr^3, so a flat
+    # 10 snr^3 budget called a correct expansion wrong there
+    dims, snr = ChannelDims(1, 4, 1), 0.05
+    est = mc_coherent_mi(dims, snr, 200_000, RngStream(0, 0))
+    closed = coherent_expansion(dims, snr).total
+    assert abs(est.mean - closed) > est.ci99_half + 10.0 * snr**3
+    assert expansion_gap(est, closed, dims, snr).ok
+
+
 def test_oracle_check_cells_are_the_expansion_verdict(tmp_path):
     cfg_path = tmp_path / "oc.cfg"
     cfg_path.write_text(
-        "quantity = oracle-check\nt = 1, 2\nr = 2\nl = 1\nsnr = 0.05, 0.3\n"
+        "quantity = oracle-check\nt = 1, 2\nr = 2, 4\nl = 1\nsnr = 0.05, 0.3\n"
         "n_samples = 2000\nseed = 9\n",
         encoding="utf-8",
     )
@@ -92,11 +111,11 @@ def test_oracle_check_cells_are_the_expansion_verdict(tmp_path):
     run_sweep(load_config(cfg_path), out=str(out), err_stream=io.StringIO())
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
+    assert len(rows) == 8
     for index, row in enumerate(rows):
         dims, snr = ChannelDims(int(row["t"]), int(row["r"]), int(row["l"])), float(row["snr"])
         est = mc_coherent_mi(dims, snr, 2000, RngStream(9, index))
-        verdict = expansion_gap(est, coherent_expansion(dims, snr).total, snr)
+        verdict = expansion_gap(est, coherent_expansion(dims, snr).total, dims, snr)
         assert float(row["abs_gap"]) == verdict.gap
         assert float(row["slack"]) == verdict.slack
         assert row["agree"] == ("true" if verdict.ok else "false")

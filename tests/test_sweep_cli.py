@@ -16,7 +16,7 @@ import pytest
 
 from conftest import cli_env
 import widemimo as wm
-from widemimo import cli
+from widemimo import capacity, cli
 from widemimo import (
     ChannelDims, ConfigError, DimensionError, DomainError, RngStream, SweepConfig, WidemimoError,
     load_config, outage_probability, run_sweep,
@@ -395,6 +395,23 @@ class TestStreaming:
             assert out.lines == err.lines == n + 1
         assert peaks[1] < peaks[0] + 2**20, peaks
 
+    def test_inner_texts_bounded_by_a_chunk(self, tmp_path):
+        # a sweep holds the texts of the inner values one chunk touches, not
+        # those of the whole axis: ten times the snrs, the same traced peak
+        # (a text per snr would add about 2.6 MiB at 40,000)
+        peaks = []
+        for n in (4_000, 40_000):
+            grids = {"t": (1,), "r": (1,), "l": (10,), "snr": tuple(1e-7 * i for i in range(n))}
+            config = SweepConfig("capacity", grids)
+            tracemalloc.start()
+            try:
+                summary = run_sweep(config, out=str(tmp_path / "s.csv"), err_stream=io.StringIO())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.rows == n and not summary.errors
+        assert peaks[1] < peaks[0] + 2**20, peaks
+
     def test_point_built_once_per_outer_combination(self, tmp_path, monkeypatch):
         calls = []
 
@@ -415,14 +432,16 @@ class TestStreaming:
         assert summary.errors == 2 * 2 * 2 * 40
 
     def test_capacity_row_expands_once(self, tmp_path, monkeypatch):
-        # the row's gaussian_lower_bound reuses its expansion
+        # the row's gaussian_lower_bound reuses its expansion, the tuple that
+        # coherent_expansion wraps
         calls = []
+        expansion = capacity._expansion
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return wm.coherent_expansion(*args, **kwargs)
+            return expansion(*args, **kwargs)
 
-        monkeypatch.setattr("widemimo.capacity.coherent_expansion", counting)
+        monkeypatch.setattr(capacity, "_expansion", counting)
         text = "quantity = capacity\nt = 1, 2\nr = 1, 3\nl = 10, 1000\nsnr = 0.001, 0.01, 0.1\n"
         cfg = load_config(write(tmp_path, "e.cfg", text))
         summary = run_sweep(cfg, out=str(tmp_path / "e.csv"), err_stream=io.StringIO())
@@ -550,7 +569,7 @@ def _reference_oracle_check(p, cfg, index):
     dims = ChannelDims(p["t"], p["r"], p["l"])
     est = wm.mc_coherent_mi(dims, p["snr"], cfg.n_samples, RngStream(cfg.seed, index))
     closed = wm.coherent_expansion(dims, p["snr"]).total
-    verdict = expansion_gap(est, closed, p["snr"])
+    verdict = expansion_gap(est, closed, dims, p["snr"])
     return (
         cfg.n_samples, est.mean, est.std_error, est.ci99_low, est.ci99_high, closed,
         verdict.gap, verdict.slack, verdict.ok,
@@ -684,6 +703,11 @@ ODD_ROWS = {
     "quote-cell": ((str, int), lambda p, value, cfg, index: ('say "hi"', 2)),
     "newline-cell": ((str, float), lambda p, value, cfg, index: ("one\ntwo", None)),
     "carriage-return-cell": ((str, bool), lambda p, value, cfg, index: ("cr\r", True)),
+    # a str column whose cells differ along the run, one of them quoted
+    "varying-quoted-cell": (
+        (str, float),
+        lambda p, value, cfg, index: (("plain", "a,b", 'say "hi"', "cr\r")[index % 4], 1.5),
+    ),
     "bool-none-zero": (
         (bool, float), lambda p, value, cfg, index: (index % 2 == 0, None if index else -0.0)
     ),
@@ -691,6 +715,11 @@ ODD_ROWS = {
         (float, float), lambda p, value, cfg, index: ((0.0, -0.0, math.nan)[index % 3], -0.0)
     ),
     "late-repeats": ((float, int), lambda p, value, cfg, index: (index % 80 / 7, index % 80)),
+    # the inner value itself, then a float equal to it, a new object with the
+    # other zero sign at the zeros
+    "inner-itself": ((float, float), lambda p, value, cfg, index: (value, -value)),
+    # a new nan object in every row, beside an inner value
+    "fresh-nan": ((float, float), lambda p, value, cfg, index: (float("nan"), value)),
     "quoted-error": ((float, float), _raise_awkward),
     "point-error": ((int, float), lambda p, value, cfg, index: (p["t"], value)),
 }
@@ -699,6 +728,8 @@ ODD_GRID = "t = 1, 2\nr = 1\nsnr = 0.0, -0.0, 0.01\nalpha = 0.5, 1.0\n"
 # 200 rows in one chunk, so late-repeats' cells recur only after the first 80
 ODD_GRIDS = {
     "late-repeats": f"t = 1, 2\nr = 1\nsnr = 0.01\nalpha = {', '.join(map(str, range(100)))}\n",
+    # runs of zeros alone, so every -value equals its row's inner value
+    "inner-itself": "t = 1, 2\nr = 1\nsnr = 0.0, 0.01\nalpha = 0.0, -0.0, 0.0\n",
 }
 
 
@@ -772,6 +803,30 @@ class TestWriter:
             linear = collections.Counter(row["linear"] for row in chunk)
             assert linear["-0"] >= 2 and "0" not in linear
             assert any(count >= 2 for text, count in linear.items() if text != "-0")
+
+    @pytest.mark.parametrize("quantity, grid, bad", [
+        ("capacity", "t = 1, 2\nr = 1, 2\nl = 10, 100\nsnr = {}\n", ("0.01", "0.02", "-1.0", "0.03")),
+        ("outage", "t = 1\nr = 1, 2\nsnr = 0.01\nl = 100, 2500\nrate = {}\n",
+         ("0.5", "1.0", "-1.0", "1.5")),
+    ])
+    def test_row_error_inside_a_run(self, tmp_path, quantity, grid, bad):
+        # one row of every point fails mid-run, in a chunk of several points:
+        # the run goes cell by cell, and its other rows keep their bytes
+        results = []
+        for values in (bad, tuple(v for v in bad if v != "-1.0")):
+            text = f"quantity = {quantity}\n" + grid.format(", ".join(values))
+            cfg = load_config(write(tmp_path, "e.cfg", text))
+            out = tmp_path / "e.csv"
+            summary = run_sweep(cfg, out=str(out), err_stream=io.StringIO())
+            assert summary.rows < _CHUNK_ROWS
+            assert out.read_bytes() == reference_csv(cfg)
+            results.append((summary, list(csv.DictReader(io.StringIO(out.read_text())))))
+        (summary, rows), (_, good) = results
+        inner = list(cfg.grids)[-1]
+        failed = [row for row in rows if row["error"]]
+        assert summary.errors == len(failed) == len(rows) // 4
+        assert {row[inner] for row in failed} == {"-1"}
+        assert [row for row in rows if not row["error"]] == good
 
     @pytest.mark.parametrize("name", list(ODD_ROWS))
     def test_odd_cells_match_reference(self, tmp_path, monkeypatch, name):
