@@ -2,15 +2,16 @@
 
 One transmit antenna suffices at this extreme, so everything here is SIMO:
 the scalar input is sqrt(A) with probability omega = snr / A and zero
-otherwise.  The module provides the exact mutual information of that input by
-adaptive quadrature, its large-A expansion, the surrogate objective whose
+otherwise.  The module provides the exact mutual information of that input
+(closed-form hinge means plus an adaptive quadrature of the remainder at the
+density crossing), its large-A expansion, the surrogate objective whose
 minimum governs the capacity gap, and the resulting capacity sandwich.
 """
 
 import math
 from dataclasses import dataclass
 
-from .channel import _positive_int, gamma_upper_regularized
+from .channel import _positive_int, gamma_lower_regularized, gamma_upper_regularized
 from .errors import ConsistencyError, DomainError, QuadratureError
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
 
 # 1/phi, the golden-section step of m_star's search.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Half-width, in u, of onoff_mi_quadrature's window: outside it the remainder
+# is below 2 e^-40.
+_WINDOW = 40.0
 
 
 @dataclass(frozen=True)
@@ -128,16 +132,32 @@ def onoff_mi_asymptotic(r: int, snr: float, amplitude_sq: float) -> MiExpansion:
     return MiExpansion(value=value, zeta_ratio=zeta_star(r, snr, a) / (1.0 + a))
 
 
-def _tail_bound(r: int, c0: float, slope: float, upper: float) -> float:
-    """Analytic bound on the truncated radial integral beyond ``upper``.
+def _mean_excess(r: int, x: float) -> float:
+    """E[max(z - x, 0)] for z ~ Gamma(r, 1): sum_{k=1..r} Q(k, x) when x > 0."""
+    if x <= 0.0:
+        return r - x
+    return sum(gamma_upper_regularized(k, x) for k in range(1, r + 1))
 
-    Past the crossing point the integrand is below
-    weight(z) * (c0 + slope z + 1) (the +1 covers log(1+e^s) <= s + 1 for
-    s >= 0), which integrates to upper incomplete gamma terms.
+
+def _onoff_hinges(r: int, snr: float, a: float) -> tuple[float, float, float, float]:
+    """(omega, lam, g_x, exact) of on-off signaling at peak power ``a``.
+
+    u = A g - lam, zero at g_x = lam/A, is the weighted log-ratio of the on
+    and off output densities at the on-branch output z = (1 + A) g,
+    g ~ Gamma(r, 1).  ``exact`` is the mutual information with both
+    branches' hinge means in closed form; the rest is
+    -omega E[(1 + e^-u) log(1 + e^-|u|)] (see ``oracles.mc_onoff_mi``).
     """
-    q_r = gamma_upper_regularized(r, upper)
-    q_r1 = gamma_upper_regularized(r + 1, upper)
-    return abs(c0 + 1.0) * q_r + abs(slope) * r * q_r1
+    omega = snr / a
+    slope = a / (1.0 + a)
+    lam = r * math.log1p(a) + math.log1p(-omega) - math.log(omega)
+    z_x, g_x = lam / slope, lam / a
+    hinge_on = g_x - r + _mean_excess(r, g_x) if g_x > 0.0 else 0.0
+    exact = (
+        -(1.0 - omega) * (math.log1p(-omega) + slope * _mean_excess(r, z_x))
+        - omega * (math.log(omega) + a * hinge_on)
+    )
+    return omega, lam, g_x, exact
 
 
 def onoff_mi_quadrature(
@@ -145,14 +165,20 @@ def onoff_mi_quadrature(
 ) -> float:
     """Exact on-off mutual information by adaptive quadrature, nats/channel use.
 
-    Evaluates
-        I = -log(1 - omega) + r snr - r snr log(1+A)/A - I1 - I2
-    where I1 and I2 are the radial cross-entropy integrals of the off and on
-    output branches against log(1 + (omega/(1-omega)) (1+A)^(-r) e^(A z/(1+A))).
-    The log term is computed in log space, switching to its linear form when
-    the exponent exceeds 30.  Integration runs on [0, zeta_star + 40 (1+A)]
-    (rescaled so the on branch shares the Gamma(r,1) weight) and the truncated
-    tail is bounded analytically against rel_tol.
+    With omega = snr/A, lam, g_x = lam/A and u = A g - lam as in
+    ``_onoff_hinges``, w_r the Gamma(r, 1) density and
+        h(u) = (1 + e^-u) log(1 + e^-|u|) - 1{u < 0},
+    the mutual information is
+        I = exact - omega [P(r, g_x) + integral w_r(g) h(A g - lam) dg],
+    where ``exact`` holds both hinge means in closed form and P(r, g_x) is
+    the mass of u < 0, on which the remainder tends to 1.  h is positive,
+    jumps by 1 at g_x and is at most 2 e^-|u|, so one adaptive quadrature
+    with g_x as a breakpoint covers only the window |u| <= 40, that is
+    g in g_x -/+ 40/A, clipped at 0.  For u < 0, h is evaluated as
+    log1p(v) + (log1p(v) - v)/v with v = e^u.  The part outside the window
+    is at most 2 omega e^-40; it is added to omega times the quadrature's
+    abserr, and a QuadratureError is raised when that reported error
+    exceeds 10 rel_tol max(I, snr).
     """
     r = _positive_int("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
@@ -164,48 +190,32 @@ def onoff_mi_quadrature(
     from scipy import integrate
 
     a = float(amplitude_sq)
-    omega = snr / a
-    zs = zeta_star(r, snr, a)
+    omega, lam, g_x, exact = _onoff_hinges(r, snr, a)
     lg = math.lgamma(r)
-    c0 = math.log(omega / (1.0 - omega)) - r * math.log1p(a)
-    slope_off = a / (1.0 + a)  # d s / d z along the off branch
-    upper_off = zs + 40.0 * (1.0 + a)
-    upper_on = zs / (1.0 + a) + 40.0  # on branch after z -> (1 + A) u
 
-    pieces = []
-    for slope, upper in ((slope_off, upper_off), (a, upper_on)):
-        def integrand(z, _s=slope):
-            # the Gamma(r, 1) density, the law of |y|^2 under the off branch,
-            # times log(1 + e^s), which is s once e^(-s) is below double rounding
-            if z <= 0.0:
-                weight = 1.0 if (r == 1 and z == 0.0) else 0.0
-            else:
-                weight = math.exp((r - 1) * math.log(z) - z - lg)
-            s = c0 + _s * z
-            return weight * (s if s > 30.0 else math.log1p(math.exp(s)))
+    def integrand(g):
+        # w_r(g) h(u); quad never evaluates an end of the window, so g > 0
+        weight = math.exp((r - 1) * math.log(g) - g - lg)
+        u = a * g - lam
+        if u < 0.0:
+            v = math.exp(u)
+            soft = math.log1p(v)
+            return weight * (soft + (soft - v) / v)
+        e = math.exp(-u)
+        return weight * (1.0 + e) * math.log1p(e)
 
-        crossing = -c0 / slope
-        points = [crossing] if 0.0 < crossing < upper else None
-        value, abserr, info, *overflow = integrate.quad(
-            integrand, 0.0, upper, points=points, limit=500,
-            epsabs=0.0, epsrel=rel_tol, full_output=1,
-        )
-        if overflow:
-            raise QuadratureError(
-                f"radial integral did not converge: {overflow[0]}", estimate=value
-            )
-        pieces.append((value, abserr, _tail_bound(r, c0, slope, upper)))
-
-    i1 = (1.0 - omega) * pieces[0][0]
-    i2 = omega * pieces[1][0]
-    mi = -math.log1p(-omega) + r * snr - r * snr * math.log1p(a) / a - i1 - i2
-
-    scale = max(abs(mi), snr)
-    reported_err = (
-        (1.0 - omega) * (pieces[0][1] + pieces[0][2])
-        + omega * (pieces[1][1] + pieces[1][2])
+    # 1 - omega >= 2^-53, so lam > -37 and the window's upper end is above 0
+    value, abserr, _, *overflow = integrate.quad(
+        integrand, max(0.0, g_x - _WINDOW / a), g_x + _WINDOW / a,
+        points=(g_x,) if g_x > 0.0 else None, limit=500,
+        epsabs=0.0, epsrel=rel_tol, full_output=1,
     )
-    if reported_err > 10.0 * rel_tol * scale + 1e-300:
+    below = gamma_lower_regularized(r, g_x) if g_x > 0.0 else 0.0
+    mi = exact - omega * (below + value)
+    if overflow:
+        raise QuadratureError(f"remainder integral did not converge: {overflow[0]}", estimate=mi)
+    reported_err = omega * (abserr + 2.0 * math.exp(-_WINDOW))
+    if reported_err > 10.0 * rel_tol * max(abs(mi), snr) + 1e-300:
         raise QuadratureError(
             f"quadrature error estimate {reported_err:g} exceeds budget for rel_tol={rel_tol:g}",
             estimate=mi,

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import ChannelDims, RngStream, _positive_int, gamma_upper_regularized
+from .channel import ChannelDims, RngStream, _positive_int
 from .errors import DomainError
+from .iid import _onoff_hinges
 
 __all__ = [
     "OracleEstimate",
@@ -390,7 +391,7 @@ def mc_onoff_mi(
     zero at the crossing radius z_x, the off value is
     -log(1 - omega) - log(1 + e^u) and the on value -log(omega) - log(1 + e^-u).
     Each log(1 + e^(+-u)) is the hinge max(+-u, 0), whose mean is exact
-    (``_mean_excess``), plus the remainder log(1 + e^-|u|) in (0, log 2],
+    (``iid._onoff_hinges``), plus the remainder log(1 + e^-|u|) in (0, log 2],
     which is the only sampled part.
 
     The remainder peaks at z_x, which the off branch rarely reaches.  By the
@@ -410,16 +411,7 @@ def mc_onoff_mi(
     if snr == 0.0:
         return OracleEstimate(0.0, 0.0, n, 0.0, 0.0)
     a = float(amplitude_sq)
-    omega = snr / a
-    slope = a / (1.0 + a)
-    # u = slope z - lam off, and a g - lam on with z = (1 + A) g
-    lam = r * math.log1p(a) + math.log1p(-omega) - math.log(omega)
-    z_x, g_x = lam / slope, lam / a
-    hinge_on = g_x - r + _mean_excess(r, g_x) if g_x > 0.0 else 0.0
-    exact = (
-        -(1.0 - omega) * (math.log1p(-omega) + slope * _mean_excess(r, z_x))
-        - omega * (math.log(omega) + a * hinge_on)
-    )
+    omega, lam, _, exact = _onoff_hinges(r, snr, a)
 
     def chunk(gen, work):
         # (1 + e^-u) log(1 + e^-|u|) in place, from x = -u = lam - a g
@@ -438,13 +430,6 @@ def mc_onoff_mi(
     value = exact - omega * moments[1]
     se = omega * math.sqrt(_sample_variance(moments) / n)
     return _normal_estimate(value, se, n)
-
-
-def _mean_excess(r: int, x: float) -> float:
-    """E[max(z - x, 0)] for z ~ Gamma(r, 1): sum_{k=1..r} Q(k, x) when x > 0."""
-    if x <= 0.0:
-        return r - x
-    return sum(gamma_upper_regularized(k, x) for k in range(1, r + 1))
 
 
 def empirical_tail_cdf(

@@ -114,6 +114,37 @@ class TestQuadratureMi:
             0.0039577656047954405, rel=1e-8
         )
 
+    # 40-digit values of the textbook two-branch integral
+    #   I = -(1-w) log(1-w) - w log w - (1-w) E_off[softplus(u)] - w E_on[softplus(-u)],
+    # u the weighted log density ratio, w = snr/A, each branch integrated
+    # by mpmath tanh-sinh quadrature split at the crossing and at powers of
+    # 2, at 60 and 80 digits (agreeing to 1e-56), so they owe nothing to the
+    # hinge identity the quadrature rests on
+    @pytest.mark.parametrize(
+        "r, snr, a, exact",
+        [
+            (1, 1e-2, 10.0, 3.957765604795438754641744406446818173373e-3),
+            (2, 1e-2, 20.0, 3.817904989153179453173315927228362511345e-3),
+            (2, 1e-3, 50.0, 2.277832299154336660055895216692854969487e-4),
+            (3, 1e-2, 30.0, 2.950448411113306274792175284140756698261e-3),
+            (4, 1e-3, 12.0, 8.218206903931621791568966774709787401687e-4),
+            (1, 1e-4, 800.0, 2.068525582665684746469497369169286348693e-6),
+            (1, 1e-6, 1000.0, 2.131516967419223903814994084071437143435e-8),
+            (2, 1e-6, 800.0, 2.686150542042843184860566066630935588078e-8),
+            (1, 1e-8, 6000.0, 4.667849277311032901809954808010872932741e-11),
+        ],
+    )
+    def test_matches_40_digit_references(self, r, snr, a, exact):
+        assert abs(onoff_mi_quadrature(r, snr, a) - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("snr", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_converges_across_the_m_star_domain(self, r, snr):
+        # five peak powers log-spaced over m_star's search domain [L, L^3]
+        big_l = math.log(r / snr)
+        for a in np.geomspace(big_l, big_l**3, 5):
+            assert 0.0 < onoff_mi_quadrature(r, snr, float(a)) <= r * snr, a
+
     def test_agrees_with_asymptotic_at_reference_point(self):
         quad = onoff_mi_quadrature(1, 0.01, 10.0, rel_tol=1e-8)
         asym = onoff_mi_asymptotic(1, 0.01, 10.0).value

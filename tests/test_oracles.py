@@ -25,12 +25,12 @@ from widemimo import (
     slope_fit,
 )
 from widemimo.channel import _sample_cn
+from widemimo.iid import _mean_excess
 from widemimo.oracles import (
     _CHUNK,
     _Z99,
     _collect,
     _gamma_int,
-    _mean_excess,
     _merge_moments,
     _moments,
     _tilt,

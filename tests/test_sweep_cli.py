@@ -676,7 +676,7 @@ WRITER_DIGESTS = {
     "exponent-kappa": "2796237a8118bae634a9f0386190dc4264f98d1b7ef149b3f217f109e923e19e",
     "outage": "aba0aa4e3bf2ca88a2d0b911eb3d556eaf2425a4dfb883c37e4b7a8cf9f32ed2",
     "outage-kappa": "46c4392befa0a9156ed18b3e85fffe542180d3efadcc7ee081e55f1233ac1378",
-    "iid": "39c79cc04958e2a319f69c585ac8938218037441a15292287361a0a9f7c89616",
+    "iid": "2ef20836d32d26b26e41e52c301df0145a35e0367ef3d3b314fa99b40be2ecbe",
     "exponent-chunks": "950f12f2fb66023f8a9e0bbd820e90e60b6f93db7cbc84cbcbf478220bf91d09",
     "capacity-chunks": "4a0d32a72e7dc8d8c4fc0c7bebef87850623aad284cbcf4c822b8503c88951f9",
 }
