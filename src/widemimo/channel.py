@@ -1,12 +1,17 @@
 """Rayleigh block-fading channel kernel.
 
-Everything downstream rests on two things defined here: the complex-Gaussian
-convention and the regularized lower incomplete gamma function.
+Defined here: channel dimensions, the PCG64 streams every oracle draws from,
+the regularized incomplete gamma functions the closed forms use, and the
+complex-Gaussian convention.
 
 Convention, fixed once for the whole package: CN(0, 1) means a circularly
 symmetric complex Gaussian with *total* variance 1, i.e. independent real and
 imaginary parts of variance 1/2 each.  Implementations in the wild often
-differ by a factor of 2; the test suite pins this one down.
+differ by a factor of 2; the test suite pins this one down.  No oracle draws
+CN entries: each draws only the Gamma statistic its estimand depends on.
+``sample_channel_matrix`` serves the benchmark's channel-sampling layer
+metric and ``test_channel.py``; ``_sample_cn`` is the explicit construction
+that ``test_oracles.py``'s ``TestSamplerLaws`` checks those samplers against.
 """
 
 import math

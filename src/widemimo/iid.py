@@ -177,8 +177,8 @@ def onoff_mi_quadrature(
     g in g_x -/+ 40/A, clipped at 0.  For u < 0, h is evaluated as
     log1p(v) + (log1p(v) - v)/v with v = e^u.  The part outside the window
     is at most 2 omega e^-40; it is added to omega times the quadrature's
-    abserr, and a QuadratureError is raised when that reported error
-    exceeds 10 rel_tol max(I, snr).
+    abserr, and a QuadratureError carrying the value as its ``estimate`` is
+    raised when that reported error exceeds 10 rel_tol |I|.
     """
     r = _positive_int("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
@@ -215,7 +215,7 @@ def onoff_mi_quadrature(
     if overflow:
         raise QuadratureError(f"remainder integral did not converge: {overflow[0]}", estimate=mi)
     reported_err = omega * (abserr + 2.0 * math.exp(-_WINDOW))
-    if reported_err > 10.0 * rel_tol * max(abs(mi), snr) + 1e-300:
+    if reported_err > 10.0 * rel_tol * abs(mi) + 1e-300:
         raise QuadratureError(
             f"quadrature error estimate {reported_err:g} exceeds budget for rel_tol={rel_tol:g}",
             estimate=mi,
@@ -269,33 +269,21 @@ def _golden_section_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def m_star(
-    r: int, snr: float, a_domain: tuple[float, float] | None = None
-) -> MStarResult:
+def m_star(r: int, snr: float) -> MStarResult:
     """Minimize the surrogate objective over the peak power and sandwich it.
 
-    Default domain is [log(r/snr), log(r/snr)^3]: below the lower end the
-    expansion behind the surrogate is invalid (its apparent minimum near
-    A -> 1 is spurious), and the true minimizer sits at the scale of
-    log(r/snr).  Golden-section search runs to 1e-10 in A.  The result is
-    checked against the proved bounds
+    The search runs over [L, L^3], L = log(r/snr) > 2: below L the expansion
+    behind the surrogate is invalid (its apparent minimum near A -> 1 is
+    spurious), and the true minimizer sits at the scale of L.
+    Golden-section search runs to 1e-10 in A.  The result is checked against
+    the proved bounds
         loglog(r/snr)/log(r/snr) <= m_star <= (loglog(r/snr)^2 + 1)/log(r/snr)
-    and a ConsistencyError signals a mis-set domain.
+    and a ConsistencyError signals a search that missed them.
     """
     r, big_l, lower, upper = _sandwich(r, snr)
-    if a_domain is None:
-        a_domain = (big_l, big_l**3)
-    a_lo, a_hi = float(a_domain[0]), float(a_domain[1])
-    if not 1.0 < a_lo < a_hi < math.inf:
-        raise DomainError(f"a_domain must satisfy 1 < lo < hi < inf, got {a_domain}")
-    argmin, value = _golden_section_min(
-        lambda a: surrogate_m(r, snr, a), a_lo, a_hi, tol=1e-10
-    )
+    argmin, value = _golden_section_min(lambda a: surrogate_m(r, snr, a), big_l, big_l**3, 1e-10)
     if not lower <= value <= upper:
-        raise ConsistencyError(
-            f"m_star={value:g} escaped its sandwich [{lower:g}, {upper:g}]; "
-            "the search domain is set too wide or too narrow"
-        )
+        raise ConsistencyError(f"m_star={value:g} escaped its sandwich [{lower:g}, {upper:g}]")
     return MStarResult(
         m_star=value, argmin_amplitude_sq=argmin, lower_bound=lower, upper_bound=upper
     )

@@ -323,7 +323,8 @@ def mc_e0_curve(
     outside the mean, so the weights exp(log w - h(s*)) neither underflow
     nor overflow; each chunk is reduced to their (count, mean, M2) and the
     value is pq log(1 + theta) - h(s*) - log(mean) with the delta-method
-    interval.
+    interval.  At rho = 0, theta = 0 and h(s*) = 0, so every weight is
+    exactly 1 and the column is 0 with a zero-width interval.
 
     The tilted weight grows as e^((theta - 1) tr W') against the tilted law,
     so it has a finite variance only for theta < 1 and a finite third moment
@@ -346,13 +347,12 @@ def mc_e0_curve(
             raise DomainError(f"rho must be in [0, 1], got {rho}")
     t, r, l = dims.t, dims.r, dims.l
     pq = t * r
-    columns = []  # (-rho l, c', theta/(1 + theta), h(s*), pq log(1 + theta) - h(s*)) per live rho
+    columns = []  # (-rho l, c', theta/(1 + theta), h(s*), pq log(1 + theta) - h(s*)) per rho
     for rho in rho_list:
-        if rho > 0.0:
-            c = snr_b / (t * (1.0 + rho))
-            theta, mode = _tilt(pq, c, rho * l)
-            shift = pq * math.log1p(theta) - mode
-            columns.append((-rho * l, c / (1.0 + theta), theta / (1.0 + theta), mode, shift))
+        c = snr_b / (t * (1.0 + rho))
+        theta, mode = _tilt(pq, c, rho * l)
+        shift = pq * math.log1p(theta) - mode
+        columns.append((-rho * l, c / (1.0 + theta), theta / (1.0 + theta), mode, shift))
 
     edge_count = 2 * min(t, r) - 1
 
@@ -369,14 +369,11 @@ def mc_e0_curve(
             parts.append(_moments(np.exp(log_w, out=log_w), rows[1]))
         return parts
 
-    chunks = _collect(chunk, n, rng, threads, edge_count + 4) if columns else []
-    live = iter(
+    chunks = _collect(chunk, n, rng, threads, edge_count + 4)
+    return [
         _log_of_mean_estimate(_merge_moments(parts[k] for parts in chunks), column[-1])
         for k, column in enumerate(columns)
-    )
-    # rho = 0 weighs every draw by det^0 = 1: n equal weights
-    zero = OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean", ess=float(n))
-    return [next(live) if rho > 0.0 else zero for rho in rho_list]
+    ]
 
 
 def mc_onoff_mi(

@@ -106,12 +106,12 @@ class ExponentPoint:
 
 @dataclass(frozen=True)
 class ExponentCurve:
-    """Sampled exponent curve plus its rate landmarks."""
+    """Sampled exponent curve plus the ``rate_landmarks`` of its operating point.
 
-    r_critical: float
-    r_cutoff: float
-    c_block: float
-    c_block_training_lb: float
+    The landmarks carry their asymptotics_binding flag and dropped-term note.
+    """
+
+    landmarks: RateLandmarks
     samples: tuple[ExponentPoint, ...]
 
 
@@ -342,7 +342,7 @@ def _point(dims: ChannelDims, coherence: float, regime: RegimeParams) -> Operati
         r_cutoff=_e0(rt, _kappa(t, coherence, snr_b), 1.0),
         c_block=c_block,
         c_block_training_lb=c_tlb,
-        asymptotics_binding=c_tlb > max(r_critical, 0.0),
+        asymptotics_binding=c_tlb > r_critical,
     )
     return OperatingPoint(t, r, coherence, regime, landmarks)
 
@@ -434,14 +434,7 @@ def error_exponent(dims: ChannelDims, snr: float, rate: float) -> ExponentPoint:
 def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
     """Evaluate the exponent on a rate grid and attach the landmarks."""
     point = _point_at(dims, snr)
-    lm = point.landmarks
-    return ExponentCurve(
-        r_critical=lm.r_critical,
-        r_cutoff=lm.r_cutoff,
-        c_block=lm.c_block,
-        c_block_training_lb=lm.c_block_training_lb,
-        samples=tuple(point.exponent(float(rate)) for rate in rates),
-    )
+    return ExponentCurve(point.landmarks, tuple(point.exponent(float(rate)) for rate in rates))
 
 
 def block_error_bound(dims: ChannelDims, snr: float, rate: float) -> float:

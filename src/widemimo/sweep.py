@@ -71,13 +71,11 @@ class SweepConfig:
 
 @dataclass
 class SweepSummary:
-    """What a sweep did: rows written, rows that failed, timing, seed."""
+    """What a sweep did: rows written, rows that failed, timing."""
 
     rows: int = 0
     errors: int = 0
     elapsed_s: float = 0.0
-    seed: int = 0
-    output_path: str | None = None
 
 
 def _parse_grid(key, kind, raw, line_no):
@@ -431,7 +429,6 @@ def run_sweep(
     err_stream = err_stream if err_stream is not None else sys.stderr
     if seed is not None:
         config = replace(config, seed=seed)
-    seed = config.seed
     path = out if out is not None else config.output_path
     start = time.perf_counter()
 
@@ -476,7 +473,7 @@ def run_sweep(
         except WidemimoError as exc:
             return no_values + (_error_cell(exc),)
 
-    summary = SweepSummary(seed=seed, output_path=path)
+    summary = SweepSummary()
     runs = itertools.chain.from_iterable
     with contextlib.ExitStack() as stack:
         if path is None:
@@ -519,7 +516,7 @@ def run_sweep(
     summary.elapsed_s = time.perf_counter() - start
     print(
         f"sweep quantity={config.quantity} rows={summary.rows} errors={summary.errors} "
-        f"seed={seed} elapsed={summary.elapsed_s:.2f}s out={path or '<stdout>'}",
+        f"seed={config.seed} elapsed={summary.elapsed_s:.2f}s out={path or '<stdout>'}",
         file=err_stream,
     )
     return summary

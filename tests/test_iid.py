@@ -201,6 +201,16 @@ class TestQuadratureMi:
                 onoff_mi_quadrature(1, snr, a)
             assert str(err.value) == f"need amplitude_sq > snr >= 0, got A={a}, snr={snr}"
 
+    def test_error_budget_is_relative_to_the_value(self):
+        # at a peak power just above snr the reported error exceeds
+        # 10 rel_tol |I| (the value is 7.5e-10 off relative here), so the call
+        # raises and carries the value; 40-digit reference as in
+        # test_matches_40_digit_references
+        exact = 4.496702090663687758861989656561457833676e-8
+        with pytest.raises(QuadratureError) as exc:
+            onoff_mi_quadrature(1, 1e-4, 1e-3, rel_tol=1e-10)
+        assert abs(exc.value.estimate - exact) <= 1e-8 * exact
+
     def test_nonconvergence_carries_estimate(self, monkeypatch):
         # a quadrature that reports trouble must surface the achieved value
         from scipy import integrate
@@ -261,15 +271,6 @@ DOMAIN_CALLS = {
         lambda: onoff_mi_quadrature(1, 0.01, math.inf),
         "need amplitude_sq > snr >= 0, got A=inf, snr=0.01",
     ),
-    # an infinite end of the search domain fails the domain check, not the search
-    "m_star-inf-upper": (
-        lambda: m_star(1, 1e-4, (2.0, math.inf)),
-        "a_domain must satisfy 1 < lo < hi < inf, got (2.0, inf)",
-    ),
-    "m_star-inf-lower": (
-        lambda: m_star(1, 1e-4, (-math.inf, 10.0)),
-        "a_domain must satisfy 1 < lo < hi < inf, got (-inf, 10.0)",
-    ),
 }
 
 
@@ -328,14 +329,15 @@ class TestMStar:
         assert res.lower_bound == pytest.approx(0.190061, abs=1e-6)
         assert res.upper_bound == pytest.approx(0.571443, abs=1e-6)
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
         with pytest.raises(DomainError):
             m_star(1, 0.2)  # snr >= r/e^2
-        with pytest.raises(DomainError):
-            m_star(1, 1e-4, a_domain=(5.0, 2.0))
+        # a search that lands far above the minimizer scale escapes the sandwich
+        monkeypatch.setattr(
+            "widemimo.iid._golden_section_min", lambda f, lo, hi, tol: (1e5, f(1e5))
+        )
         with pytest.raises(ConsistencyError):
-            # domain far above the minimizer scale: the minimum escapes the sandwich
-            m_star(1, 1e-4, a_domain=(1e5, 1e7))
+            m_star(1, 1e-4)
 
 
 class TestCapacityBracket:

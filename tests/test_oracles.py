@@ -12,6 +12,7 @@ from conftest import SEED
 from widemimo import (
     ChannelDims,
     DomainError,
+    OracleEstimate,
     RngStream,
     coherent_expansion,
     e0_upper,
@@ -99,6 +100,25 @@ class TestE0Exact:
         # each rho column is reduced on its own from the shared unit draws
         assert curve[1] == mc_e0_exact(dims, 0.1, 0.5, 20_000, RngStream(SEED, 213))
         assert curve[2] == mc_e0_exact(dims, 0.1, 1.0, 20_000, RngStream(SEED, 213))
+
+    @pytest.mark.parametrize(
+        "dims, snr_b",
+        [(ChannelDims(2, 2, 10), 0.1), (ChannelDims(3, 3, 10), 1.0)],
+        ids=["2x2x10", "3x3x10"],
+    )
+    def test_rho_zero_column_is_exactly_zero(self, dims, snr_b):
+        # theta = 0 and h(s*) = 0 at rho = 0, so every weight is exactly 1;
+        # n spans three chunks
+        n = 2 * _CHUNK + 1
+        zero = OracleEstimate(0.0, 0.0, n, 0.0, 0.0, estimator="log-of-mean", ess=float(n))
+        alone = mc_e0_curve(dims, snr_b, [0.0], n, RngStream(SEED, 216))
+        mixed = mc_e0_curve(dims, snr_b, [1.0, 0.0, 0.25], n, RngStream(SEED, 216))
+        for est in (alone[0], mixed[1]):
+            assert est == zero
+            assert all(
+                math.copysign(1.0, x) == 1.0
+                for x in (est.mean, est.std_error, est.ci99_low, est.ci99_high)
+            )
 
     def test_below_closed_form_bound(self):
         dims = ChannelDims(2, 3, 10)

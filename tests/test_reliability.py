@@ -307,7 +307,8 @@ class TestErrorExponent:
     def test_curve_builder(self):
         rates = np.linspace(0.0, 30.0, 31)
         curve = exponent_curve(REF_DIMS, REF_SNR, rates)
-        assert curve.c_block == pytest.approx(24.75, rel=1e-9)
+        assert curve.landmarks == rate_landmarks(REF_DIMS, REF_SNR)
+        assert curve.landmarks.c_block == pytest.approx(24.75, rel=1e-9)
         assert len(curve.samples) == 31
         regions = [p.region for p in curve.samples]
         assert regions[0] == "A"
