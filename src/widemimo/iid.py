@@ -32,6 +32,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Half-width, in u, of onoff_mi_quadrature's window: outside it the remainder
 # is below 2 e^-40.
 _WINDOW = 40.0
+# Half-width, in u, of the quadrature's shoulders: beyond them h <= 2 e^-5.
+_SHOULDER = 5.0
 
 
 @dataclass(frozen=True)
@@ -173,12 +175,18 @@ def onoff_mi_quadrature(
     where ``exact`` holds both hinge means in closed form and P(r, g_x) is
     the mass of u < 0, on which the remainder tends to 1.  h is positive,
     jumps by 1 at g_x and is at most 2 e^-|u|, so one adaptive quadrature
-    with g_x as a breakpoint covers only the window |u| <= 40, that is
-    g in g_x -/+ 40/A, clipped at 0.  For u < 0, h is evaluated as
-    log1p(v) + (log1p(v) - v)/v with v = e^u.  The part outside the window
-    is at most 2 omega e^-40; it is added to omega times the quadrature's
-    abserr, and a QuadratureError carrying the value as its ``estimate`` is
-    raised when that reported error exceeds 10 rel_tol |I|.
+    covers only the window |u| <= 40, that is g in g_x -/+ 40/A, clipped
+    at 0, with breakpoints at g_x and at the shoulders g_x -/+ 5/A, beyond
+    which h <= 2 e^-5.  For u < 0, h is evaluated as
+    log1p(v) + (log1p(v) - v)/v with v = e^u.
+    The integral J is at most 2 log 2, so I >= i_low = exact -
+    omega (P(r, g_x) + 2 log 2).  Only omega J needs rel_tol of I: where
+    i_low > 0 the quadrature runs to the absolute error rel_tol i_low/omega
+    in J, and elsewhere (A below about 3 at r = 1 and 2 at r = 2) to rel_tol
+    relative to J.  The part outside the window is at most 2 omega e^-40;
+    it is added to omega times the quadrature's abserr, and a
+    QuadratureError carrying the value as its ``estimate`` is raised when
+    that reported error exceeds 10 rel_tol |I|.
     """
     r = _positive_int("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
@@ -204,13 +212,16 @@ def onoff_mi_quadrature(
         e = math.exp(-u)
         return weight * (1.0 + e) * math.log1p(e)
 
-    # 1 - omega >= 2^-53, so lam > -37 and the window's upper end is above 0
-    value, abserr, _, *overflow = integrate.quad(
-        integrand, max(0.0, g_x - _WINDOW / a), g_x + _WINDOW / a,
-        points=(g_x,) if g_x > 0.0 else None, limit=500,
-        epsabs=0.0, epsrel=rel_tol, full_output=1,
-    )
     below = gamma_lower_regularized(r, g_x) if g_x > 0.0 else 0.0
+    i_low = exact - omega * (below + 2.0 * math.log(2.0))
+    epsabs, epsrel = (rel_tol * i_low / omega, 0.0) if i_low > 0.0 else (0.0, rel_tol)
+    # 1 - omega >= 2^-53, so lam > -37 and the window's upper end is above 0
+    lo = max(0.0, g_x - _WINDOW / a)
+    breaks = [g for g in (g_x - _SHOULDER / a, g_x, g_x + _SHOULDER / a) if g > lo]
+    value, abserr, _, *overflow = integrate.quad(
+        integrand, lo, g_x + _WINDOW / a, points=breaks or None, limit=500,
+        epsabs=epsabs, epsrel=epsrel, full_output=1,
+    )
     mi = exact - omega * (below + value)
     if overflow:
         raise QuadratureError(f"remainder integral did not converge: {overflow[0]}", estimate=mi)
@@ -279,6 +290,14 @@ def m_star(r: int, snr: float) -> MStarResult:
     the proved bounds
         loglog(r/snr)/log(r/snr) <= m_star <= (loglog(r/snr)^2 + 1)/log(r/snr)
     and a ConsistencyError signals a search that missed them.
+
+    The window holds the minimizer only down to snr of about 8e-15 at
+    r = 1, 1e-16 at r = 2 and 7e-21 at r = 4.  Below, the search ends on L
+    itself with M above the upper bound, and a ConsistencyError is raised:
+    at (r, snr) = (1, 1e-15), M(L = 34.54) = 0.4022 > 0.3922, while the
+    surrogate's interior minimum, 0.2441 at A = 12.3, lies inside the
+    sandwich but below the window.  Every measured cell at r <= 4 with snr
+    from 1e-8 to 1e-2 converges onto L itself as well.
     """
     r, big_l, lower, upper = _sandwich(r, snr)
     argmin, value = _golden_section_min(lambda a: surrogate_m(r, snr, a), big_l, big_l**3, 1e-10)

@@ -110,7 +110,9 @@ def _collect(chunk_fn, n, rng, threads, width):
     workspace.  A worker allocates its workspace on its first chunk and
     reuses it for every later chunk of this call; calls share none, even
     when they run at once.  A chunk's result must not alias ``work``.
+    ``threads`` must be a positive integer.
     """
+    threads = _positive_int("threads", threads)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
     workspaces = threading.local()
 
@@ -221,13 +223,18 @@ def _wishart_logdet(edges, c, rows):
     det(I + c B B^T) is the matching polynomial of the path with the edge
     weights, so G = det - 1 follows G_j = G_{j-1} + c x_j (1 + G_{j-2}) from
     G_{-1} = G_{-2} = 0 with no cancelling terms; the value is log1p(G).
-    ``rows`` holds three rows: the two latest G, which rotate, and the term
+    The first two terms are written directly, G_0 = c x_0 and
+    G_1 = G_0 + c x_1, so p = 1 costs one multiply and a log1p.  ``rows``
+    holds three rows: the two latest G, which rotate, and the term
     c x_j (1 + G_{j-2}).
     """
     g, g_prev, term = rows
-    g.fill(0.0)
-    g_prev.fill(0.0)
-    for x in edges:
+    np.multiply(edges[0], c, out=g)
+    if len(edges) > 1:
+        np.multiply(edges[1], c, out=g_prev)
+        g_prev += g
+        g, g_prev = g_prev, g
+    for x in edges[2:]:
         np.multiply(x, c, out=term)
         g_prev += 1.0
         term *= g_prev
@@ -345,6 +352,8 @@ def mc_e0_curve(
     for rho in rho_list:
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"rho must be in [0, 1], got {rho}")
+    if not rho_list:
+        raise DomainError("rhos must hold at least one rho")
     t, r, l = dims.t, dims.r, dims.l
     pq = t * r
     columns = []  # (-rho l, c', theta/(1 + theta), h(s*), pq log(1 + theta) - h(s*)) per rho

@@ -164,7 +164,10 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     rate = 0 returns 1 (the objective is increasing in rho).  The interior
     stationary point solves (1+kappa) rho^2 + (2+kappa) rho + 1 - rt kappa/R = 0;
     it is clipped into [0, 1].  The zero branch triggers exactly when
-    rt/R <= 1/kappa, i.e. when the slope at rho = 0 is nonpositive.
+    rt/R <= 1/kappa, i.e. when the slope at rho = 0 is nonpositive.  The
+    root is taken as 2 (rt kappa/R - 1)/(b + sqrt(disc)), the product of
+    the roots over the other root, so no cancellation loses it when it is
+    far below 1 (large kappa with rt kappa/R near 1).
     """
     if rate <= 0.0:
         return 1.0
@@ -173,7 +176,7 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     a = 1.0 + kappa
     b = 2.0 + kappa
     disc = kappa * kappa + 4.0 * a * rt * kappa / rate
-    rho = (math.sqrt(disc) - b) / (2.0 * a)
+    rho = 2.0 * (rt * kappa / rate - 1.0) / (b + math.sqrt(disc))
     return min(1.0, max(0.0, rho))
 
 

@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import capacity, iid, oracles, reliability
-from .channel import ChannelDims, RngStream
+from .channel import ChannelDims, RngStream, _positive_int
 from .check import expansion_gap
 from .errors import ConfigError, WidemimoError
 
@@ -421,11 +421,13 @@ def run_sweep(
     combination of the outer keys is built once, then its rows run along the
     innermost key.  Rows are evaluated and written one chunk at a time; Monte
     Carlo rows each get their own stream id, so the CSV bytes do not depend
-    on ``threads``.  ``threads`` applies to the oracle-check quantity; the
-    other quantities run serially.  The destination is opened before the
-    first row is evaluated.  Per-row library errors land in the error column,
-    and on ``err_stream`` as each chunk is written, and the run continues.
+    on ``threads``.  ``threads``, a positive integer (else a DomainError),
+    applies to the oracle-check quantity; the other quantities run serially.
+    The destination is opened before the first row is evaluated.  Per-row
+    library errors land in the error column, and on ``err_stream`` as each
+    chunk is written, and the run continues.
     """
+    threads = _positive_int("threads", threads)
     err_stream = err_stream if err_stream is not None else sys.stderr
     if seed is not None:
         config = replace(config, seed=seed)

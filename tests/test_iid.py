@@ -201,6 +201,18 @@ class TestQuadratureMi:
                 onoff_mi_quadrature(1, snr, a)
             assert str(err.value) == f"need amplitude_sq > snr >= 0, got A={a}, snr={snr}"
 
+    # Peak powers on both sides of i_low = 0, where the quadrature switches
+    # from a relative to an absolute tolerance on the remainder (between
+    # A = 2.5 and 3 at r = 1), up to the top of m_star's domain L^3
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("snr", [1e-2, 1e-6])
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 5.0, 20.0, "L^3"])
+    def test_default_tolerance_agrees_with_the_finest(self, r, snr, a):
+        a = math.log(r / snr) ** 3 if a == "L^3" else a
+        fine = onoff_mi_quadrature(r, snr, a, rel_tol=1e-13)
+        assert 0.0 < fine <= r * snr
+        assert abs(onoff_mi_quadrature(r, snr, a) - fine) <= 1e-10 * fine
+
     def test_error_budget_is_relative_to_the_value(self):
         # at a peak power just above snr the reported error exceeds
         # 10 rel_tol |I| (the value is 7.5e-10 off relative here), so the call
@@ -328,6 +340,21 @@ class TestMStar:
         )
         assert res.lower_bound == pytest.approx(0.190061, abs=1e-6)
         assert res.upper_bound == pytest.approx(0.571443, abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConsistencyError,
+        reason=(
+            "the search window [L, L^3] misses the minimizer below snr of about "
+            "8e-15 at r = 1: the search ends on L = 34.54 with M = 0.4022 above "
+            "the upper bound 0.3922, while the surrogate's minimum 0.2441 at "
+            "A = 12.3 lies inside the sandwich; moving the window needs the "
+            "paper's domain"
+        ),
+    )
+    def test_sandwich_below_the_window_range(self):
+        res = m_star(1, 1e-15)
+        assert res.lower_bound <= res.m_star <= res.upper_bound
 
     def test_domain(self, monkeypatch):
         with pytest.raises(DomainError):

@@ -769,3 +769,30 @@ def test_inf_is_a_domain_error(name):
     with pytest.raises(DomainError) as err:
         call(RngStream(SEED, 291))
     assert str(err.value) == message
+
+
+# Every oracle takes its thread count through ``_collect``, which rejects a
+# count below 1 (or not an integer) before any chunk is drawn.
+THREADS_CALLS = {
+    "mc_coherent_mi": lambda rng, threads: mc_coherent_mi(DIMS11, 1.0, 1000, rng, threads),
+    "mc_e0_exact": lambda rng, threads: mc_e0_exact(DIMS11, 1.0, 0.5, 1000, rng, threads),
+    "mc_e0_curve": lambda rng, threads: mc_e0_curve(DIMS11, 1.0, [0.5], 1000, rng, threads),
+    "mc_onoff_mi": lambda rng, threads: mc_onoff_mi(1, 0.01, 10.0, 10_000, rng, threads),
+    "empirical_tail_cdf": lambda rng, threads: empirical_tail_cdf(1, 1.0, 1000, rng, threads),
+}
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.0, True])
+@pytest.mark.parametrize("name", list(THREADS_CALLS))
+def test_threads_not_a_positive_integer_is_a_domain_error(name, threads, monkeypatch):
+    monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
+    with pytest.raises(DomainError) as err:
+        THREADS_CALLS[name](RngStream(SEED, 292), threads)
+    assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
+
+
+def test_empty_rho_grid_is_a_domain_error_before_drawing(monkeypatch):
+    monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
+    with pytest.raises(DomainError) as err:
+        mc_e0_curve(DIMS11, 1.0, [], 1_000_000, RngStream(SEED, 293))
+    assert str(err.value) == "rhos must hold at least one rho"

@@ -22,7 +22,7 @@ from widemimo import (
     training_f,
     training_f_star,
 )
-from widemimo.reliability import rho_one_rate
+from widemimo.reliability import operating_point, rho_one_rate
 
 REF_DIMS = ChannelDims(1, 1, 2500)  # nu = 1 at snr = 0.01
 REF_SNR = 0.01
@@ -198,6 +198,26 @@ class TestRhoStar:
         assert rho_star(REF_DIMS, regime, 10.0) == pytest.approx(
             0.05286441464013528, rel=1e-12
         )
+
+    # On the nu = 1 path at rate l r snr^1.5, rt kappa/R is near 1 and rho*
+    # far below 1.  The literals are 40 digits of 2 (rt kappa/R - 1)/(b +
+    # sqrt(disc)) and of delta e^-E at the same float rate and kappa, by
+    # mpmath at 60 digits.  Solving the quadratic by its "-b + sqrt(disc)"
+    # form cancels to rho* = 0 there, and the bound reads 1.
+    @pytest.mark.parametrize(
+        "t, snr, rho, bound",
+        [
+            (1, 1e-34, 3.999999999999999800000000000000019846381e-17,
+             2.718281828459044838057487828635821210991e-17),
+            (2, 1e-50, 8.000000000000000993211180000000123308556e-25,
+             5.459815003314419530151096731448590740266e-99),
+        ],
+    )
+    def test_far_below_one_without_cancellation(self, t, snr, rho, bound):
+        op = operating_point(t, t, snr, nu=1.0)
+        rate = op.rate_for_kappa(1.5)
+        assert op.exponent(rate).rho == pytest.approx(rho, rel=1e-14)
+        assert op.block_error_bound(rate) == pytest.approx(bound, rel=1e-13)
 
     @pytest.mark.parametrize("rate", [1.0, 5.0, 10.0, 14.0])
     def test_matches_grid_argmax(self, rate):

@@ -352,6 +352,16 @@ class TestStreaming:
         run_sweep(oc_cfg, out=str(tmp_path / "oc.csv"), threads=3, err_stream=io.StringIO())
         assert pools == [3]
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_is_a_domain_error(self, tmp_path, threads):
+        # rejected before the destination is opened, for a serial quantity too
+        out = tmp_path / "cap.csv"
+        cap = load_config(write(tmp_path, "cap.cfg", CAPACITY_CFG))
+        with pytest.raises(DomainError) as err:
+            run_sweep(cap, out=str(out), threads=threads, err_stream=io.StringIO())
+        assert str(err.value) == f"threads must be a positive integer, got {threads}"
+        assert not out.exists()
+
     def test_memory_bounded_by_a_chunk(self, tmp_path):
         rates = ", ".join(str(0.25 * i) for i in range(50))
         text = (
@@ -672,12 +682,12 @@ WRITER_DIGESTS = {
     "capacity": "18b6e472fa9f3c6af663726779128be47d88dae9c9b4744f0f1d3f200ef643be",
     "sublinear": "1f690c1af2bd9bbae500a85fe93b3f0bf817f66b53e4e9295d4aa49478a18b0a",
     "sublinear-l": "f3f1e65ff6938c772fa06efbb2731023af7233139bb1d319c821d932df5dd95c",
-    "exponent": "010458576e0df4abc5f6e0db1252e19a1af316d89fa606314b65bda48789a9b9",
-    "exponent-kappa": "2796237a8118bae634a9f0386190dc4264f98d1b7ef149b3f217f109e923e19e",
+    "exponent": "d9888de08e0d820b1e9281c36c31eac40a181302d954a25a49172deaf2a08974",
+    "exponent-kappa": "42aa23c6707d4282987674867ed60f7ae42b737e284e3e54c92bc94db9a86c5b",
     "outage": "aba0aa4e3bf2ca88a2d0b911eb3d556eaf2425a4dfb883c37e4b7a8cf9f32ed2",
-    "outage-kappa": "46c4392befa0a9156ed18b3e85fffe542180d3efadcc7ee081e55f1233ac1378",
-    "iid": "2ef20836d32d26b26e41e52c301df0145a35e0367ef3d3b314fa99b40be2ecbe",
-    "exponent-chunks": "950f12f2fb66023f8a9e0bbd820e90e60b6f93db7cbc84cbcbf478220bf91d09",
+    "outage-kappa": "bca63bdf109ebc307fddd1fe15b7c587e55461a92a6068da462723de9d07bf77",
+    "iid": "39c79cc04958e2a319f69c585ac8938218037441a15292287361a0a9f7c89616",
+    "exponent-chunks": "962207ebe4792842c35f04d11bb0395040e3cad535f39e4c4007afdece42ec01",
     "capacity-chunks": "4a0d32a72e7dc8d8c4fc0c7bebef87850623aad284cbcf4c822b8503c88951f9",
 }
 
