@@ -50,21 +50,19 @@ def _positive_int(name, value) -> int:
 
 @dataclass(frozen=True)
 class ChannelDims:
-    """Antenna counts and coherence length: t transmit, r receive, l symbols per block."""
+    """Antenna counts and coherence length: t transmit, r receive, l symbols per block.
+
+    A plain int >= 1 is kept; any other count goes through ``_as_count``.
+    """
 
     t: int
     r: int
     l: int
 
     def __post_init__(self):
-        t, r, l = self.t, self.r, self.l
-        # Plain ints >= 1 are already what _as_count returns; a bool, a
-        # float, a numpy integer or a count below 1 takes the full check.
-        if type(t) is int and type(r) is int and type(l) is int and t >= 1 and r >= 1 and l >= 1:
-            return
-        object.__setattr__(self, "t", _as_count("t", self.t))
-        object.__setattr__(self, "r", _as_count("r", self.r))
-        object.__setattr__(self, "l", _as_count("l", self.l))
+        for name, value in (("t", self.t), ("r", self.r), ("l", self.l)):
+            if type(value) is not int or value < 1:
+                object.__setattr__(self, name, _as_count(name, value))
 
     def require_training(self):
         """Training uses the first t symbols; it needs l > t."""

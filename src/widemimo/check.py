@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from scipy import special
 
 from . import capacity, iid, reliability
-from .channel import ChannelDims, RngStream, gamma_lower_regularized
+from .channel import ChannelDims, RngStream, _positive_int, gamma_lower_regularized
 from .oracles import empirical_tail_cdf, mc_coherent_mi, mc_e0_curve, mc_e0_exact, mc_onoff_mi
 
 __all__ = ["run_check"]
@@ -187,7 +187,11 @@ def _line(name: str, v: Verdict) -> str:
 
 
 def run_check(seed: int = 0, threads: int = 1, out=None) -> int:
-    """Run the battery; print one line per check; return a process exit code."""
+    """Run the battery; print one line per check; return a process exit code.
+
+    A ``threads`` other than a positive integer raises a DomainError first.
+    """
+    threads = _positive_int("threads", threads)
     out = out if out is not None else sys.stdout
     failures = 0
     for name, verdict in _checks(seed, threads):

@@ -45,12 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    if args.command == "check":
-        return run_check(seed=args.seed, threads=args.threads)
     try:
+        if args.command == "check":
+            return run_check(seed=args.seed, threads=args.threads)
         config = load_config(args.config)
         summary = run_sweep(config, out=args.out, seed=args.seed, threads=args.threads)
     except (OSError, WidemimoError) as exc:

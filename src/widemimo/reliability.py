@@ -258,8 +258,8 @@ def training_f_star(
 class OperatingPoint:
     """Rate-independent state of one point, built by ``operating_point``.
 
-    training is computed on first use; it is None when coherence <= t leaves
-    no symbol for data.
+    training is computed on first use; it raises TrainingInfeasibleError when
+    coherence <= t leaves no symbol for data.
     """
 
     t: int
@@ -269,9 +269,11 @@ class OperatingPoint:
     landmarks: RateLandmarks
 
     @functools.cached_property
-    def training(self) -> TrainingOptimum | None:
+    def training(self) -> TrainingOptimum:
         if self.coherence <= self.t:
-            return None
+            raise TrainingInfeasibleError(
+                f"training needs l > t, got l={self.coherence:g}, t={self.t}"
+            )
         return TrainingOptimum(*_f_star_scalar(self.t, self.coherence, self.regime.snr_b))
 
     @functools.cached_property
@@ -324,10 +326,6 @@ class OperatingPoint:
         """(probability, error_weighted) of ``outage``; the sweep's outage rows take the tuple."""
         if not rate >= 0.0:
             raise DomainError(f"rate must be >= 0, got {rate}")
-        if self.training is None:
-            raise TrainingInfeasibleError(
-                f"training needs l > t, got l={self.coherence:g}, t={self.t}"
-            )
         f_star = self.training.f_star
         prob = gamma_lower_regularized(self.r * self.t, rate / (self.coherence * f_star))
         return prob, self.regime.delta * prob

@@ -16,6 +16,7 @@ import pytest
 
 from widemimo import (
     ChannelDims,
+    DomainError,
     RngStream,
     coherent_expansion,
     load_config,
@@ -23,7 +24,7 @@ from widemimo import (
     mc_e0_exact,
     run_sweep,
 )
-from widemimo.check import Verdict, _line, _worst, contains, expansion_gap
+from widemimo.check import Verdict, _line, _worst, contains, expansion_gap, run_check
 from widemimo.oracles import OracleEstimate
 
 ESTIMATES = [
@@ -119,3 +120,12 @@ def test_oracle_check_cells_are_the_expansion_verdict(tmp_path):
         assert float(row["abs_gap"]) == verdict.gap
         assert float(row["slack"]) == verdict.slack
         assert row["agree"] == ("true" if verdict.ok else "false")
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+def test_run_check_rejects_threads_before_printing(threads):
+    out = io.StringIO()
+    with pytest.raises(DomainError) as err:
+        run_check(threads=threads, out=out)
+    assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
+    assert out.getvalue() == ""

@@ -30,6 +30,7 @@ from widemimo import (
     slope_fit,
     training_f_star,
 )
+from widemimo.reliability import operating_point
 from widemimo.sweep import SweepConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "widemimo"
@@ -128,6 +129,18 @@ def test_nu_kappa_rows_equal_diversity_fits(tmp_path):
         assert row["rate_nats"] == bound_row["rate_nats"]
         delta = regime_from_nu(float(row["snr"]), NU).delta
         assert delta * math.exp(-float(row["e_r"])) == float(bound_row["block_error_bound"])
+
+
+def test_training_raises_where_the_point_cannot_train():
+    # l = t = 2 leaves no symbol for data; the point still has its landmarks
+    point = operating_point(2, 1, 0.01, l=2)
+    assert point.landmarks == rate_landmarks(ChannelDims(2, 1, 2), 0.01)
+    for _ in range(2):  # a failed cached_property caches nothing
+        with pytest.raises(TrainingInfeasibleError) as err:
+            point.training
+        assert str(err.value) == "training needs l > t, got l=2, t=2"
+    with pytest.raises(TrainingInfeasibleError):
+        point.outage(1.0)
 
 
 def private_reliability_uses(tree):

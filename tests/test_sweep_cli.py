@@ -943,6 +943,29 @@ class TestCli:
         assert proc.returncode == 2
         assert "no-such-file" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_threads_below_one_is_the_library_error(self, tmp_path, run_main, command):
+        # one rule, the library's, for both subcommands: one error line, no output
+        args = [command]
+        if command == "sweep":
+            args.append(str(write(tmp_path, "c.cfg", CAPACITY_CFG)))
+        proc = run_main([*args, "--threads", "0"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: threads must be a positive integer, got 0\n"
+        assert proc.stdout == ""
+
+    def test_check_library_error_is_an_error_line(self, tmp_path, run_main, monkeypatch):
+        # a library error inside the battery ends the run with exit code 2, not a traceback
+        def checks(seed, threads):
+            yield "first", wm.check.Verdict(0.0, 1.0)
+            raise DomainError("x must be finite and >= 0, got nan")
+
+        monkeypatch.setattr("widemimo.check._checks", checks)
+        proc = run_main(["check"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("PASS  first ")
+        assert proc.stderr == "error: x must be finite and >= 0, got nan\n"
+
     def test_csv_to_stdout_when_no_out(self, tmp_path, run_main):
         cfg = write(tmp_path, "cap.cfg", CAPACITY_CFG)
         proc = run_main(["sweep", str(cfg)], tmp_path)
