@@ -95,13 +95,18 @@ def regime_from_coherence(dims: ChannelDims, snr: float) -> RegimeParams:
     """
     snr = _check_snr_open_unit(snr)
     t, r = dims.t, dims.r
-    ratio = dims.l * (r + t) ** 2 / t**2
-    if ratio <= 1.0:
-        raise RegimeError(
-            "coherence too short for the parameterization: "
-            f"l (r+t)^2 / t^2 = {ratio:g} <= 1"
-        )
-    nu = math.log(ratio) / (2.0 * math.log(1.0 / snr))
+    try:
+        ratio = dims.l * (r + t) ** 2 / t**2
+    except OverflowError:  # l near the float range: its log still is a float
+        log_ratio = math.log(dims.l) + 2.0 * math.log((r + t) / t)
+    else:
+        if ratio <= 1.0:
+            raise RegimeError(
+                "coherence too short for the parameterization: "
+                f"l (r+t)^2 / t^2 = {ratio:g} <= 1"
+            )
+        log_ratio = math.log(ratio)
+    nu = log_ratio / (2.0 * math.log(1.0 / snr))
     return regime_from_nu(snr, nu)
 
 

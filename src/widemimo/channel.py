@@ -15,6 +15,7 @@ that ``test_oracles.py``'s ``TestSamplerLaws`` checks those samplers against.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_FLOAT_MAX = sys.float_info.max
 
 
 def _as_count(name, value):
@@ -38,6 +40,10 @@ def _as_count(name, value):
         raise DimensionError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise DimensionError(f"{name} must be >= 1, got {value}")
+    if value > _FLOAT_MAX:  # the closed forms take counts as floats
+        raise DimensionError(
+            f"{name} must be at most {_FLOAT_MAX:g}, got a {value.bit_length()}-bit integer"
+        )
     return int(value)
 
 
@@ -52,7 +58,8 @@ def _positive_int(name, value) -> int:
 class ChannelDims:
     """Antenna counts and coherence length: t transmit, r receive, l symbols per block.
 
-    A plain int >= 1 is kept; any other count goes through ``_as_count``.
+    A plain int in [1, sys.float_info.max] is kept; any other count goes
+    through ``_as_count``, which rejects it or makes it an int.
     """
 
     t: int
@@ -61,7 +68,7 @@ class ChannelDims:
 
     def __post_init__(self):
         for name, value in (("t", self.t), ("r", self.r), ("l", self.l)):
-            if type(value) is not int or value < 1:
+            if type(value) is not int or not 1 <= value <= _FLOAT_MAX:
                 object.__setattr__(self, name, _as_count(name, value))
 
     def require_training(self):

@@ -158,6 +158,11 @@ def _e0(rt: int, kappa: float, rho: float) -> float:
     return rt * math.log1p(kappa * rho / (1.0 + rho))
 
 
+def _rho_one(rt: int, kappa: float) -> float:
+    """The rate rt kappa / (2 (2 + kappa)) below which rho* is 1."""
+    return rt * kappa / (2.0 * (2.0 + kappa))
+
+
 def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     """Exact maximizer of the Gallager objective over rho in [0, 1].
 
@@ -168,6 +173,10 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     root is taken as 2 (rt kappa/R - 1)/(b + sqrt(disc)), the product of
     the roots over the other root, so no cancellation loses it when it is
     far below 1 (large kappa with rt kappa/R near 1).
+
+    Where kappa^2 or rt kappa/R overflows the disc, the root is 1 below
+    ``rho_one_rate``; above it kappa is past about 1e154, and the same root
+    is taken with its numerator and denominator divided by kappa.
     """
     if rate <= 0.0:
         return 1.0
@@ -176,7 +185,13 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
     a = 1.0 + kappa
     b = 2.0 + kappa
     disc = kappa * kappa + 4.0 * a * rt * kappa / rate
-    rho = 2.0 * (rt * kappa / rate - 1.0) / (b + math.sqrt(disc))
+    if disc < math.inf:
+        rho = 2.0 * (rt * kappa / rate - 1.0) / (b + math.sqrt(disc))
+    elif rate <= _rho_one(rt, kappa):
+        return 1.0
+    else:
+        q, inv = rt / rate, 1.0 / kappa
+        rho = 2.0 * (q - inv) / (b * inv + math.sqrt(1.0 + 4.0 * (inv + 1.0) * q))
     return min(1.0, max(0.0, rho))
 
 
@@ -202,12 +217,21 @@ def _f_star_scalar(t: int, coherence: float, snr_b: float) -> tuple[float, float
     With E = l snr_b, f(gamma) = E^2 gamma (1 - gamma) / (c + d gamma) where
     c = t (E + l - t) and d = E (l - 2t), so the maximizer is the root in
     (0, 1) of d gamma^2 + 2 c gamma - c = 0 (Hassibi & Hochwald 2003).  Written
-    as 1 / (1 + sqrt((c + d) / c)) it needs no special case for d = 0.
+    as 1 / (1 + sqrt((c + d) / c)) it needs no special case for d = 0.  Where
+    the product (l - t)(E + t) in (c + d) / c overflows, about l^2 snr_b past
+    1.8e308, the ratio is formed as ((l - t)/t) ((E + t)/(E + l - t)) instead,
+    its second factor divided through by l.  A block energy E past the float
+    range is a DomainError.
     """
     e_total = coherence * snr_b
-    gamma = 1.0 / (
-        1.0 + math.sqrt((coherence - t) * (e_total + t) / (t * (e_total + coherence - t)))
-    )
+    if math.isinf(e_total):
+        raise DomainError(f"block energy l snr_b overflows at l={coherence:g}, snr_b={snr_b:g}")
+    ratio = (coherence - t) * (e_total + t) / (t * (e_total + coherence - t))
+    if not ratio < math.inf:
+        ratio = (coherence - t) / t * (
+            (snr_b + t / coherence) / (snr_b + (coherence - t) / coherence)
+        )
+    gamma = 1.0 / (1.0 + math.sqrt(ratio))
     return _training_f_scalar(gamma, t, coherence, snr_b), gamma
 
 
@@ -406,8 +430,7 @@ def rho_one_rate(dims: ChannelDims, regime: RegimeParams) -> float:
 
     rt kappa / (2 (2 + kappa)) with kappa = l snr_b / t.
     """
-    kappa = _kappa(dims.t, dims.l, regime.snr_b)
-    return dims.r * dims.t * kappa / (2.0 * (2.0 + kappa))
+    return _rho_one(dims.r * dims.t, _kappa(dims.t, dims.l, regime.snr_b))
 
 
 def rate_landmarks(dims: ChannelDims, snr: float) -> RateLandmarks:
@@ -479,11 +502,13 @@ def diversity_low_snr(
 
     Closed form: rt (kappa - min(1, nu)) + 1 - min(1, nu).  When an snr grid
     is supplied, two empirical estimates come along: least-squares slopes of
-    log block_error_bound and of log(delta * outage) against log snr, with
-    the coherence length re-derived from nu at every grid point (it is
+    log block_error_bound, taken as log delta - E_r so that it never
+    underflows, and of log(delta * outage) against log snr, with the
+    coherence length re-derived from nu at every grid point (it is
     real-valued along this scaling path, so dims.l is not used).  A grid
     point whose coherence length is <= t cannot train and raises
-    TrainingInfeasibleError.
+    TrainingInfeasibleError; one where delta * outage underflows to 0 raises
+    a DomainError.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
@@ -502,8 +527,11 @@ def diversity_low_snr(
         point = operating_point(dims.t, dims.r, float(snr), nu=nu)
         rate = point.rate_for_kappa(kappa)
         x = math.log(float(snr))
-        bound_pts.append((x, math.log(point.block_error_bound(rate))))
-        outage_pts.append((x, math.log(point.outage(rate).error_weighted)))
+        bound_pts.append((x, math.log(point.regime.delta) - point._exponent(rate)[0]))
+        weighted = point.outage(rate).error_weighted
+        if weighted == 0.0:
+            raise DomainError(f"delta * outage underflows to 0 at snr={float(snr):g}")
+        outage_pts.append((x, math.log(weighted)))
     return DiversityEstimate(
         order=order,
         bound_fit=slope_fit(bound_pts),

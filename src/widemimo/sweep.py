@@ -90,7 +90,7 @@ def _parse_grid(key, kind, raw, line_no):
             raise ConfigError(
                 f"line {line_no}: grid '{key}' expects {kind.__name__} values, got {tok!r}"
             ) from exc
-        if not math.isfinite(values[-1]):
+        if not abs(values[-1]) <= sys.float_info.max:  # an int is compared exactly
             raise ConfigError(f"line {line_no}: grid '{key}' expects finite values, got {tok!r}")
     return tuple(values)
 
@@ -353,7 +353,12 @@ def _error_cell(exc: WidemimoError) -> str:
 
 
 def _quoted(text: str) -> bool:
-    """Would csv quote ``text``?  It does when it holds a comma, a quote or a line break."""
+    """Might csv quote ``text``?  True when it holds a comma, a quote, a \\n or a \\r.
+
+    ``csv.writer(lineterminator="\\n")`` quotes the first three but leaves a
+    lone \\r bare, so this over-approximates: a run with such a cell goes
+    through that writer, which decides.
+    """
     return "," in text or '"' in text or "\n" in text or "\r" in text
 
 

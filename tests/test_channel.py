@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def test_dims_reject_non_counts_with_their_message(args, message):
     with pytest.raises(DimensionError) as err:
         ChannelDims(*args)
     assert str(err.value) == message
+
+
+def test_dims_reject_counts_past_the_float_range():
+    # the closed forms take counts as floats: int(float max) is the largest count
+    largest = int(sys.float_info.max)
+    assert ChannelDims(1, largest, 1).r == largest
+    for count in (largest + 1, 10**400, 10**5000):
+        with pytest.raises(DimensionError) as err:
+            ChannelDims(1, 1, count)
+        assert str(err.value) == (
+            f"l must be at most 1.79769e+308, got a {count.bit_length()}-bit integer"
+        )
 
 
 def test_dims_numpy_integer_becomes_int():

@@ -116,19 +116,20 @@ def test_nu_kappa_rows_equal_diversity_fits(tmp_path):
     grid = [float(row["snr"]) for row in feasible]
     est = diversity_low_snr(dims, NU, KAPPA, snr_grid=grid)
     x = [math.log(snr) for snr in grid]
-    assert est.bound_fit == slope_fit(
-        zip(x, (math.log(float(row["block_error_bound"])) for row in feasible))
-    )
     assert est.outage_fit == slope_fit(
         zip(x, (math.log(float(row["delta_times_outage"])) for row in feasible))
     )
-    # the exponent rows hold the exponent behind the outage rows' bound column
+    # the exponent rows hold the exponent behind the outage rows' bound column,
+    # and the bound fit's log delta - E_r
     exponent_rows = sweep_rows(tmp_path, "exponent", NU_GRID)
     assert not any(row["error"] for row in exponent_rows)
+    log_bounds = []
     for row, bound_row in zip(exponent_rows[1:], feasible):
         assert row["rate_nats"] == bound_row["rate_nats"]
         delta = regime_from_nu(float(row["snr"]), NU).delta
         assert delta * math.exp(-float(row["e_r"])) == float(bound_row["block_error_bound"])
+        log_bounds.append(math.log(delta) - float(row["e_r"]))
+    assert est.bound_fit == slope_fit(zip(x, log_bounds))
 
 
 def test_training_raises_where_the_point_cannot_train():

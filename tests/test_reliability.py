@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,31 @@ class TestTraining:
         lower = (100 * 0.01 / 1.1) * g * (1 - g) / (1 + g * q)
         assert lower == pytest.approx(0.052116, abs=5e-6)
         assert lower <= out.f_star
+
+    # Past l^2 snr_b ~ 1.8e308 the product (l - t)(E + t) overflows.  The
+    # literals are 40 digits of gamma* and f(gamma*) at the same float l and
+    # snr_b, by mpmath at 60 digits.
+    @pytest.mark.parametrize(
+        "optimum, gamma, f",
+        [
+            (lambda: training_f_star(ChannelDims(1, 1, 10**160), 0.01),
+             1.004987562112089013384755959217452810797e-79,
+             0.01000000000000000020816681711721685132943),
+            (lambda: operating_point(2, 2, 1e-300, nu=0.5).training,
+             2.82842712474619022474340035916457281093e-75,
+             1.000000000000000006295358232172963997211e-150),
+        ],
+        ids=["l=1e160", "nu=0.5-snr=1e-300"],
+    )
+    def test_f_star_where_the_product_overflows(self, optimum, gamma, f):
+        opt = optimum()
+        assert opt.gamma_star == pytest.approx(gamma, rel=1e-15)
+        assert opt.f_star == pytest.approx(f, rel=1e-15)
+
+    def test_block_energy_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            training_f_star(ChannelDims(1, 1, 10**300), 1e10)
+        assert str(err.value) == "block energy l snr_b overflows at l=1e+300, snr_b=1e+10"
 
     def test_f_star_monotone_in_coherence(self):
         values = [
@@ -218,6 +244,31 @@ class TestRhoStar:
         rate = op.rate_for_kappa(1.5)
         assert op.exponent(rate).rho == pytest.approx(rho, rel=1e-14)
         assert op.block_error_bound(rate) == pytest.approx(bound, rel=1e-13)
+
+    # Past kappa ~ 1e154 (l ~ 1e156 at t = r = 1, snr = 0.01) kappa^2 overflows
+    # the disc.  The literals are 40 digits of the Gallager objective at its
+    # stationary rho, at the same float kappa and R = 1, by mpmath at 60 digits;
+    # at l = 10^155 the disc is still finite.
+    @pytest.mark.parametrize(
+        "l, value",
+        [
+            (10**155, 350.7150615892198879112859909096165025438),
+            (10**160, 362.2279870541901164064592024621457236565),
+            (10**300, 684.5899000733565121699007482848959366378),
+        ],
+        ids=["l=1e155", "l=1e160", "l=1e300"],
+    )
+    def test_root_where_the_disc_overflows(self, l, value):
+        point = error_exponent(ChannelDims(1, 1, l), 0.01, 1.0)
+        assert point.region == "B"
+        assert point.rho == pytest.approx(0.6180339887498948482045868343656381177203, rel=1e-15)
+        assert point.value == pytest.approx(value, rel=1e-15)
+
+    def test_clips_to_one_where_the_disc_overflows(self):
+        # rt kappa/R overflows at R = 1e-300, far below rho_one_rate: rho* is 1
+        dims = ChannelDims(1, 1, 10**10)
+        regime = regime_from_coherence(dims, 0.01)
+        assert rho_star(dims, regime, 1e-300) == 1.0
 
     @pytest.mark.parametrize("rate", [1.0, 5.0, 10.0, 14.0])
     def test_matches_grid_argmax(self, rate):
@@ -384,6 +435,20 @@ class TestOutage:
         with pytest.raises(TrainingInfeasibleError):
             outage_probability(ChannelDims(2, 1, 2), 0.01, 1.0)
 
+    def test_where_the_training_product_overflows(self):
+        # P(1, x) at x = 1/(l f*); the literal is 40 digits by mpmath at the same
+        # float l and snr_b.  The 1e-13 is the incomplete gamma's own accuracy.
+        outage = outage_probability(ChannelDims(1, 1, 10**160), 0.01, 1.0)
+        assert outage.probability == pytest.approx(
+            9.999999999999999726549105432100889220654e-159, rel=1e-13
+        )
+
+    def test_largest_count(self):
+        # l = int(float max): l (r+t)^2/t^2 is past the float range, its log is not
+        dims = ChannelDims(1, 1, int(sys.float_info.max))
+        assert math.isfinite(error_exponent(dims, 0.01, 1.0).value)
+        assert 0.0 < outage_probability(dims, 0.01, 1.0).probability < 1e-300
+
 
 class TestDiversity:
     def test_hand_values(self):
@@ -423,6 +488,13 @@ class TestDiversity:
     def test_grid_point_that_cannot_train(self, dims, nu, kappa, grid):
         with pytest.raises(TrainingInfeasibleError, match="training needs l > t"):
             diversity_low_snr(dims, nu, kappa, snr_grid=grid)
+
+    def test_grid_point_whose_outage_underflows(self):
+        # delta = 1e-150 and the outage near 7e-301 at snr = 1e-300: log(0) would
+        # be a bare ValueError; the bound leg, log delta - E_r, stays finite
+        with pytest.raises(DomainError) as err:
+            diversity_low_snr(ChannelDims(2, 2, 10), 0.5, 0.75, snr_grid=[1e-300, 1e-299])
+        assert str(err.value) == "delta * outage underflows to 0 at snr=1e-300"
 
     def test_grid_point_whose_coherence_overflows(self):
         # 1e-200 ** -2 overflows the coherence map: a library error, not OverflowError

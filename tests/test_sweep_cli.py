@@ -97,6 +97,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"line 5: grid 'snr' expects finite values, got '{bad}'"):
             load_config(write(tmp_path, "c.cfg", text))
 
+    @pytest.mark.parametrize(
+        "key, grid", [("l", "1" + "0" * 400), ("t", "-" + "9" * 309)], ids=["l=1e400", "t=-1e309"]
+    )
+    def test_counts_past_the_float_range_rejected(self, tmp_path, key, grid):
+        # an int grid value is compared with the float range exactly, not converted
+        counts = {"t": "1", "r": "1", "l": "10", key: grid}
+        text = f"quantity = capacity\nt = {counts['t']}\nr = 1\nl = {counts['l']}\nsnr = 0.01\n"
+        line = 4 if key == "l" else 2
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, "c.cfg", text))
+        assert str(err.value) == f"line {line}: grid '{key}' expects finite values, got '{grid}'"
+
     def test_row_cap_refusal(self, tmp_path):
         assert ROW_CAP == 10**6
         l_grid = ", ".join(str(l) for l in range(1, 1001))
@@ -965,6 +977,14 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout.startswith("PASS  first ")
         assert proc.stderr == "error: x must be finite and >= 0, got nan\n"
+
+    def test_count_past_the_float_range_is_one_error_line(self, tmp_path, run_main):
+        grid = "1" + "0" * 400
+        text = f"quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nl = {grid}\nrate = 1\n"
+        proc = run_main(["sweep", str(write(tmp_path, "big.cfg", text))], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: line 5: grid 'l' expects finite values, got '{grid}'\n"
+        assert proc.stdout == ""
 
     def test_csv_to_stdout_when_no_out(self, tmp_path, run_main):
         cfg = write(tmp_path, "cap.cfg", CAPACITY_CFG)
