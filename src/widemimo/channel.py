@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import cython_special
 
-from .errors import DimensionError, DomainError, TrainingInfeasibleError
+from .errors import DimensionError, DomainError
 
 __all__ = [
     "ChannelDims",
@@ -59,7 +59,8 @@ class ChannelDims:
     """Antenna counts and coherence length: t transmit, r receive, l symbols per block.
 
     A plain int in [1, sys.float_info.max] is kept; any other count goes
-    through ``_as_count``, which rejects it or makes it an int.
+    through ``_as_count``, which rejects it or makes it an int.  Counts only:
+    the training scheme's l > t is checked by ``reliability._training_domain``.
     """
 
     t: int
@@ -70,13 +71,6 @@ class ChannelDims:
         for name, value in (("t", self.t), ("r", self.r), ("l", self.l)):
             if type(value) is not int or not 1 <= value <= _FLOAT_MAX:
                 object.__setattr__(self, name, _as_count(name, value))
-
-    def require_training(self):
-        """Training uses the first t symbols; it needs l > t."""
-        if self.l <= self.t:
-            raise TrainingInfeasibleError(
-                f"training needs l > t, got l={self.l}, t={self.t}"
-            )
 
 
 @dataclass(frozen=True)

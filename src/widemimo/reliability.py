@@ -201,18 +201,29 @@ def _rho_star_scalar(rt: int, kappa: float, rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _training_f_scalar(gamma: float, t: int, coherence: float, snr_b: float) -> float:
+def _training_domain(t: int, coherence: float, snr_b: float) -> float:
+    """The training scheme's one domain check (pilots take t symbols); returns E = l snr_b."""
+    if coherence <= t:
+        raise TrainingInfeasibleError(f"training needs l > t, got l={coherence:g}, t={t}")
+    if not 0.0 < snr_b < math.inf:
+        raise DomainError(f"snr_b must be > 0, got {snr_b}")
+    e_total = coherence * snr_b
+    if e_total == math.inf:
+        raise DomainError(f"block energy l snr_b overflows at l={coherence:g}, snr_b={snr_b:g}")
+    return e_total
+
+
+def _training_f_scalar(gamma: float, t: int, coherence: float, e_total: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must be in (0, 1), got {gamma}")
-    ls = coherence * snr_b
-    est_gain = gamma * ls / (t + gamma * ls)  # MMSE estimate quality
-    data_power = (1.0 - gamma) * ls / (coherence - t)
-    residual = t * data_power / (t + gamma * ls) + 1.0  # estimation-error noise lift
+    est_gain = gamma * e_total / (t + gamma * e_total)  # MMSE estimate quality
+    data_power = (1.0 - gamma) * e_total / (coherence - t)
+    residual = t * data_power / (t + gamma * e_total) + 1.0  # estimation-error noise lift
     return est_gain * data_power / residual
 
 
 def _f_star_scalar(t: int, coherence: float, snr_b: float) -> tuple[float, float]:
-    """Exact maximum of f over gamma, as (f_star, gamma_star); needs l > t.
+    """Exact maximum of f over gamma, as (f_star, gamma_star).
 
     With E = l snr_b, f(gamma) = E^2 gamma (1 - gamma) / (c + d gamma) where
     c = t (E + l - t) and d = E (l - 2t), so the maximizer is the root in
@@ -220,19 +231,16 @@ def _f_star_scalar(t: int, coherence: float, snr_b: float) -> tuple[float, float
     as 1 / (1 + sqrt((c + d) / c)) it needs no special case for d = 0.  Where
     the product (l - t)(E + t) in (c + d) / c overflows, about l^2 snr_b past
     1.8e308, the ratio is formed as ((l - t)/t) ((E + t)/(E + l - t)) instead,
-    its second factor divided through by l.  A block energy E past the float
-    range is a DomainError.
+    its second factor divided through by l.  ``_training_domain`` checks the domain.
     """
-    e_total = coherence * snr_b
-    if math.isinf(e_total):
-        raise DomainError(f"block energy l snr_b overflows at l={coherence:g}, snr_b={snr_b:g}")
+    e_total = _training_domain(t, coherence, snr_b)
     ratio = (coherence - t) * (e_total + t) / (t * (e_total + coherence - t))
     if not ratio < math.inf:
         ratio = (coherence - t) / t * (
             (snr_b + t / coherence) / (snr_b + (coherence - t) / coherence)
         )
     gamma = 1.0 / (1.0 + math.sqrt(ratio))
-    return _training_f_scalar(gamma, t, coherence, snr_b), gamma
+    return _training_f_scalar(gamma, t, coherence, e_total), gamma
 
 
 def training_f(gamma: float, dims: ChannelDims, snr_b: float) -> float:
@@ -240,12 +248,10 @@ def training_f(gamma: float, dims: ChannelDims, snr_b: float) -> float:
 
     gamma of the block energy l*snr_b goes to pilots, the rest to data; the
     MMSE estimation error folds into the noise, which is what caps f below
-    snr_b for every split.
+    snr_b for every split.  ``_training_domain`` checks the domain, then gamma is checked.
     """
-    dims.require_training()
-    if not 0.0 < snr_b < math.inf:
-        raise DomainError(f"snr_b must be > 0, got {snr_b}")
-    return _training_f_scalar(gamma, dims.t, dims.l, snr_b)
+    e_total = _training_domain(dims.t, dims.l, snr_b)
+    return _training_f_scalar(gamma, dims.t, dims.l, e_total)
 
 
 def training_f_star(
@@ -258,11 +264,9 @@ def training_f_star(
     is needed in multiple-antenna wireless links?", IEEE T-IT 2003), and
     f_star = f(gamma_star).  With a regime supplied, also evaluates the
     leading-order asymptotic form of the maximum for cross-checks; concrete
-    numbers (outage, the training exponent) always use the exact maximum.
+    numbers (outage, the training exponent) always use the exact maximum;
+    ``_training_domain`` checks the domain.
     """
-    dims.require_training()
-    if not 0.0 < snr_b < math.inf:
-        raise DomainError(f"snr_b must be > 0, got {snr_b}")
     f_star, gamma_star = _f_star_scalar(dims.t, dims.l, snr_b)
     f_lb = None
     if regime is not None:
@@ -282,8 +286,8 @@ def training_f_star(
 class OperatingPoint:
     """Rate-independent state of one point, built by ``operating_point``.
 
-    training is computed on first use; it raises TrainingInfeasibleError when
-    coherence <= t leaves no symbol for data.
+    training is computed on first use; ``_training_domain`` raises
+    TrainingInfeasibleError when coherence <= t leaves no symbol for data.
     """
 
     t: int
@@ -294,10 +298,6 @@ class OperatingPoint:
 
     @functools.cached_property
     def training(self) -> TrainingOptimum:
-        if self.coherence <= self.t:
-            raise TrainingInfeasibleError(
-                f"training needs l > t, got l={self.coherence:g}, t={self.t}"
-            )
         return TrainingOptimum(*_f_star_scalar(self.t, self.coherence, self.regime.snr_b))
 
     @functools.cached_property

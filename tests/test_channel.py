@@ -11,7 +11,6 @@ from widemimo import (
     DimensionError,
     DomainError,
     RngStream,
-    TrainingInfeasibleError,
     empirical_tail_cdf,
     energy_per_nat,
     gamma_lower_regularized,
@@ -30,9 +29,6 @@ def test_dims_validation():
         ChannelDims(2, 2, 2.5)
     with pytest.raises(DimensionError):
         ChannelDims(2, True, 2)
-    with pytest.raises(TrainingInfeasibleError):
-        ChannelDims(2, 2, 2).require_training()
-    ChannelDims(2, 2, 3).require_training()
 
 
 # Plain ints >= 1 skip the full check; everything else still takes it.

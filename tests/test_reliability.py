@@ -123,6 +123,26 @@ class TestTraining:
             training_f_star(ChannelDims(1, 1, 10**300), 1e10)
         assert str(err.value) == "block energy l snr_b overflows at l=1e+300, snr_b=1e+10"
 
+    def test_f_at_an_overflowing_block_energy_is_a_domain_error(self):
+        # the same domain check as training_f_star's, not a nan from inf / inf
+        with pytest.raises(DomainError) as err:
+            training_f(0.5, ChannelDims(1, 1, 10**300), 1e10)
+        assert str(err.value) == "block energy l snr_b overflows at l=1e+300, snr_b=1e+10"
+
+    def test_training_domain_errors_come_in_one_order(self):
+        # l > t first, then snr_b, then gamma, on every training entry point
+        short = ChannelDims(2, 1, 2)
+        for call in (
+            lambda: training_f(2.0, short, -1.0),
+            lambda: training_f_star(short, -1.0),
+            lambda: operating_point(2, 1, 0.01, l=2).training,
+        ):
+            with pytest.raises(TrainingInfeasibleError) as err:
+                call()
+            assert str(err.value) == "training needs l > t, got l=2, t=2"
+        with pytest.raises(DomainError, match="^snr_b must be > 0, got -1.0$"):
+            training_f(2.0, ChannelDims(1, 1, 100), -1.0)
+
     def test_f_star_monotone_in_coherence(self):
         values = [
             training_f_star(ChannelDims(1, 1, l), 0.1).f_star for l in (50, 100, 200)
