@@ -35,15 +35,21 @@ _MASK64 = (1 << 64) - 1
 _FLOAT_MAX = sys.float_info.max
 
 
+def _past_float_range(name, value: int) -> str:
+    """The error message for a count past float max (the closed forms take counts as floats).
+
+    It gives the bit length, since an int of more than 4300 digits cannot be formatted.
+    """
+    return f"{name} must be at most {_FLOAT_MAX:g}, got a {value.bit_length()}-bit integer"
+
+
 def _as_count(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DimensionError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise DimensionError(f"{name} must be >= 1, got {value}")
-    if value > _FLOAT_MAX:  # the closed forms take counts as floats
-        raise DimensionError(
-            f"{name} must be at most {_FLOAT_MAX:g}, got a {value.bit_length()}-bit integer"
-        )
+    if value > _FLOAT_MAX:
+        raise DimensionError(_past_float_range(name, value))
     return int(value)
 
 
@@ -51,6 +57,8 @@ def _positive_int(name, value) -> int:
     """A count argument such as r or k, as an int; numpy integers pass, bools do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    if value > _FLOAT_MAX:
+        raise DomainError(_past_float_range(name, value))
     return int(value)
 
 
@@ -59,7 +67,8 @@ class ChannelDims:
     """Antenna counts and coherence length: t transmit, r receive, l symbols per block.
 
     A plain int in [1, sys.float_info.max] is kept; any other count goes
-    through ``_as_count``, which rejects it or makes it an int.  Counts only:
+    through ``_as_count``, which rejects it or makes it an int.  r*t must
+    stay in the float range too, as the Gallager forms take it.  Counts only:
     the training scheme's l > t is checked by ``reliability._training_domain``.
     """
 
@@ -71,6 +80,8 @@ class ChannelDims:
         for name, value in (("t", self.t), ("r", self.r), ("l", self.l)):
             if type(value) is not int or not 1 <= value <= _FLOAT_MAX:
                 object.__setattr__(self, name, _as_count(name, value))
+        if self.r * self.t > _FLOAT_MAX:
+            raise DimensionError(_past_float_range("r*t", self.r * self.t))
 
 
 @dataclass(frozen=True)

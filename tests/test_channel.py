@@ -15,6 +15,7 @@ from widemimo import (
     energy_per_nat,
     gamma_lower_regularized,
     gamma_upper_regularized,
+    iid_capacity_bracket,
     mc_onoff_mi,
     onoff_building_blocks,
     sample_channel_matrix,
@@ -59,6 +60,14 @@ def test_dims_reject_counts_past_the_float_range():
         )
 
 
+def test_dims_reject_an_antenna_product_past_the_float_range():
+    # each count is in range, but the Gallager forms take r t as a float
+    assert ChannelDims(2**511, 2**512, 1).r == 2**512
+    with pytest.raises(DimensionError) as err:
+        ChannelDims(10**200, 10**200, 1)
+    assert str(err.value) == "r*t must be at most 1.79769e+308, got a 1329-bit integer"
+
+
 def test_dims_numpy_integer_becomes_int():
     dims = ChannelDims(np.int64(3), 2, np.int32(5))
     assert dims == ChannelDims(3, 2, 5)
@@ -73,6 +82,7 @@ COUNT_CALLS = {
     "mc_onoff_mi": lambda r: mc_onoff_mi(r, 0.01, 10.0, 10_000, RngStream(SEED, 140)),
     "empirical_tail_cdf": lambda k: empirical_tail_cdf(k, 1.0, 1000, RngStream(SEED, 141)),
     "gamma_lower_regularized": lambda k: gamma_lower_regularized(k, 1.0),
+    "iid_capacity_bracket": lambda r: iid_capacity_bracket(r, 0.01),
 }
 
 
@@ -83,6 +93,17 @@ def test_count_arguments_share_one_check(name):
     for bad in (True, 0):
         with pytest.raises(DomainError, match=f"must be a positive integer, got {bad!r}$"):
             call(bad)
+
+
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+@pytest.mark.parametrize("count", [10**400, 10**5000], ids=["1e400", "1e5000"])
+def test_count_arguments_past_the_float_range(name, count):
+    # a library error before any float conversion or draw, however long the int
+    with pytest.raises(DomainError) as err:
+        COUNT_CALLS[name](count)
+    assert str(err.value).endswith(
+        f" must be at most 1.79769e+308, got a {count.bit_length()}-bit integer"
+    )
 
 
 class TestSampler:
