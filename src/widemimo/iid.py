@@ -191,10 +191,10 @@ def onoff_mi_quadrature(
     r = _positive_int("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
-    if snr == 0.0:
-        return 0.0
     if not 1e-13 <= rel_tol < 1.0:
         raise DomainError(f"rel_tol must be in [1e-13, 1), got {rel_tol}")
+    if snr == 0.0:
+        return 0.0
     from scipy import integrate
 
     a = float(amplitude_sq)
@@ -298,6 +298,14 @@ def m_star(r: int, snr: float) -> MStarResult:
     surrogate's interior minimum, 0.2441 at A = 12.3, lies inside the
     sandwich but below the window.  Every measured cell at r <= 4 with snr
     from 1e-8 to 1e-2 converges onto L itself as well.
+
+    At r >= 8 the sandwich fails the other way: the surrogate's interior
+    minimum lies below the lower bound, and a ConsistencyError is raised.
+    On a half-decade snr grid from 10^-0.5 to 10^-20 this happens at r = 8
+    at snr 0.3 and 0.1, at r = 10 down to 0.01, at r = 12 down to 3e-3, at
+    r = 16 down to 1e-4 (m_star(16, 1e-4) finds 0.1991 at A = 19.37 below
+    0.2073), at r = 24 at 15 cells and at r = 64 at all 40; never at r = 4
+    or 6.  The conditions on the bound are the paper's.
     """
     r, big_l, lower, upper = _sandwich(r, snr)
     argmin, value = _golden_section_min(lambda a: surrogate_m(r, snr, a), big_l, big_l**3, 1e-10)
@@ -313,6 +321,10 @@ def iid_capacity_bracket(r: int, snr: float) -> CapacitySandwich:
 
     lower = r snr (1 - (loglog(r/snr)^2 + 1)/log(r/snr)),
     upper = r snr (1 - loglog(r/snr)/log(r/snr)), that is r snr (1 - the m_star bounds).
+    It is built from the bounds alone and raises nothing where ``m_star``'s
+    sandwich fails: below its window's range, and at r >= 8 where the
+    surrogate's minimum lies below the lower bound (at r = 16 for snr down
+    to 1e-4; see ``m_star`` for the measured domain).
     """
     r, big_l, m_lower, m_upper = _sandwich(r, snr)
     return CapacitySandwich(

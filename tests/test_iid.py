@@ -283,6 +283,16 @@ DOMAIN_CALLS = {
         lambda: onoff_mi_quadrature(1, 0.01, math.inf),
         "need amplitude_sq > snr >= 0, got A=inf, snr=0.01",
     ),
+    "onoff_mi_quadrature-rel_tol-at-snr-0": (
+        lambda: onoff_mi_quadrature(1, 0.0, 10.0, rel_tol=5.0),
+        "rel_tol must be in [1e-13, 1), got 5.0",
+    ),
+    "onoff_building_blocks-snr-0": (
+        lambda: onoff_building_blocks(1, 0.0, 10.0), "snr must be > 0, got 0.0"
+    ),
+    "onoff_building_blocks-snr-negative": (
+        lambda: onoff_building_blocks(1, -0.01, 10.0), "snr must be > 0, got -0.01"
+    ),
 }
 
 
@@ -354,6 +364,44 @@ class TestMStar:
     )
     def test_sandwich_below_the_window_range(self):
         res = m_star(1, 1e-15)
+        assert res.lower_bound <= res.m_star <= res.upper_bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConsistencyError,
+        reason=(
+            "at r >= 8 the surrogate's minimum lies below the proved lower bound "
+            "loglog(r/snr)/log(r/snr): at (16, 1e-4) it is 0.1991 at A = 19.37 "
+            "against 0.2073; the conditions on the bound are the paper's"
+        ),
+    )
+    def test_sandwich_at_many_receive_antennas(self):
+        res = m_star(16, 1e-4)
+        assert res.lower_bound <= res.m_star <= res.upper_bound
+
+    # The two cells where the minimum is interior to [L, L^3], so the search
+    # takes its upper branch; checked against criterion 8's oracle.
+    @pytest.mark.parametrize(
+        "r, snr, m, argmin",
+        [(6, 1e-2, 0.3510471546, 7.8199), (8, 1e-3, 0.2929327750, 10.6809)],
+        ids=["r=6", "r=8"],
+    )
+    def test_interior_minimum_against_dense_grid_oracle(self, r, snr, m, argmin):
+        res = m_star(r, snr)
+        big_l = math.log(r / snr)
+        grid = np.linspace(big_l, big_l**3, 400_001)
+        vals = np.log(grid) / grid + grid ** (-(r + 1.0) / grid) * snr ** (1.0 / grid)
+        best = grid[np.argmin(vals)]
+        refine = optimize.minimize_scalar(
+            lambda a: surrogate_m(r, snr, a),
+            bounds=(max(big_l, best - 0.01), best + 0.01),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        assert res.m_star == pytest.approx(float(refine.fun), abs=1e-6)
+        assert res.m_star == pytest.approx(m, abs=1e-10)
+        assert res.argmin_amplitude_sq == pytest.approx(argmin, abs=1e-4)
+        assert res.argmin_amplitude_sq > big_l + 1.0
         assert res.lower_bound <= res.m_star <= res.upper_bound
 
     def test_domain(self, monkeypatch):
