@@ -110,6 +110,16 @@ class TestRegime:
             regime_from_nu(0.0, 1.0)
 
 
+    def test_coherence_too_short_where_the_ratio_rounds_to_one(self):
+        # l (r+t)^2 / t^2 > 1 for every integer l, but at t = 1e17 it rounds
+        # to 1.0, where the log would give nu = 0
+        with pytest.raises(RegimeError) as err:
+            regime_from_coherence(ChannelDims(10**17, 1, 1), 0.01)
+        assert str(err.value) == (
+            "coherence too short for the parameterization: l (r+t)^2 / t^2 = 1 <= 1"
+        )
+
+
 class TestThresholds:
     def test_hand_values(self):
         th = coherence_thresholds(ChannelDims(2, 2, 1), 0.1, alpha=1.0, epsilon=0.5)

@@ -791,6 +791,36 @@ def test_threads_not_a_positive_integer_is_a_domain_error(name, threads, monkeyp
     assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
 
 
+# Values outside an oracle's range: a DomainError with its own message before
+# any chunk is drawn.
+RANGE_CALLS = {
+    "mc_e0_curve-rho-above-1": (
+        lambda rng: mc_e0_curve(DIMS11, 1.0, [0.5, 1.5], 1000, rng),
+        "rho must be in [0, 1], got 1.5",
+    ),
+    "mc_e0_curve-rho-negative": (
+        lambda rng: mc_e0_curve(DIMS11, 1.0, [-0.1], 1000, rng),
+        "rho must be in [0, 1], got -0.1",
+    ),
+    "mc_coherent_mi-n": (
+        lambda rng: mc_coherent_mi(DIMS11, 1.0, 999, rng), "n must be an integer >= 1000, got 999"
+    ),
+    "mc_onoff_mi-n": (
+        lambda rng: mc_onoff_mi(1, 0.01, 10.0, 9_999, rng),
+        "n must be an integer >= 10000, got 9999",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RANGE_CALLS))
+def test_out_of_range_is_a_domain_error_before_drawing(name, monkeypatch):
+    monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
+    call, message = RANGE_CALLS[name]
+    with pytest.raises(DomainError) as err:
+        call(RngStream(SEED, 294))
+    assert str(err.value) == message
+
+
 def test_empty_rho_grid_is_a_domain_error_before_drawing(monkeypatch):
     monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
     with pytest.raises(DomainError) as err:

@@ -109,6 +109,36 @@ class TestLoadConfig:
             load_config(write(tmp_path, "c.cfg", text))
         assert str(err.value) == f"line {line}: grid '{key}' expects finite values, got '{grid}'"
 
+    # Each refusal states its message and, where it has one, the line it was
+    # found on; the file is CAPACITY_CFG with one line replaced or added.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (CAPACITY_CFG.replace("r = 1, 2", "r = 1, , 2"),
+             "line 4: empty entry in grid 'r'"),
+            (CAPACITY_CFG + "seed 3\n", "line 7: expected 'key = value', got 'seed 3'"),
+            (CAPACITY_CFG + "= 3\n", "line 7: expected 'key = value', got '= 3'"),
+            (CAPACITY_CFG + "seed =\n", "line 7: expected 'key = value', got 'seed ='"),
+            (CAPACITY_CFG.replace("quantity = capacity\n", ""),
+             "missing required key 'quantity'"),
+            (CAPACITY_CFG.replace("= capacity", "= capacities"),
+             "line 2: unknown quantity 'capacities'; expected one of "
+             + ", ".join(_QUANTITIES)),
+            (CAPACITY_CFG + "seed = 1.5\n", "line 7: seed must be an integer, got '1.5'"),
+            (CAPACITY_CFG + "n_samples = many\n",
+             "line 7: n_samples must be an integer, got 'many'"),
+            (CAPACITY_CFG + "n_samples = 999\n", "n_samples must be >= 1000"),
+        ],
+        ids=[
+            "empty-entry", "no-equals", "empty-key", "empty-value", "no-quantity",
+            "unknown-quantity", "seed-not-int", "n_samples-not-int", "n_samples-below-1000",
+        ],
+    )
+    def test_refusal_messages(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, "c.cfg", text))
+        assert str(err.value) == message
+
     def test_row_cap_refusal(self, tmp_path):
         assert ROW_CAP == 10**6
         l_grid = ", ".join(str(l) for l in range(1, 1001))
