@@ -83,12 +83,6 @@ class TestTraining:
         for gamma in np.linspace(0.01, 0.99, 99):
             assert 0.0 < training_f(float(gamma), dims, 0.1) < 0.1
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.5])
-    def test_f_gamma_outside_the_open_unit_interval(self, gamma):
-        with pytest.raises(DomainError) as err:
-            training_f(gamma, ChannelDims(1, 1, 100), 0.1)
-        assert str(err.value) == f"gamma must be in (0, 1), got {gamma}"
-
     def test_requires_training_room(self):
         with pytest.raises(TrainingInfeasibleError):
             training_f(0.5, ChannelDims(2, 1, 2), 0.1)
@@ -494,12 +488,6 @@ class TestDiversity:
             diversity_low_snr(dims, 0.5, 0.5)
         with pytest.raises(DomainError):
             diversity_low_snr(dims, 0.5, 1.0)
-
-    @pytest.mark.parametrize("nu", [0.0, -1.0])
-    def test_nu_domain(self, nu):
-        with pytest.raises(DomainError) as err:
-            diversity_low_snr(ChannelDims(1, 1, 10), nu, 0.5)
-        assert str(err.value) == f"nu must be > 0, got {nu}"
 
     def test_empirical_slopes_match_frozen(self):
         grid = [1e-2, 10**-2.5, 1e-3]
