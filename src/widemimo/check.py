@@ -7,16 +7,19 @@ when gap <= slack, and its margin (slack - gap)/slack is the share of the
 slack left, so drift shows before a failure.  A check over a grid reports
 its worst verdict.  Every Monte Carlo check draws from ``RngStream``
 streams and its oracle merges chunks in a fixed order, so the printed table
-is byte-identical across runs and thread counts for a fixed seed.
+is byte-identical across runs and thread counts for a fixed seed.  At
+threads > 1 the Monte Carlo checks run side by side on the shared worker
+pool while the closed forms run on the caller.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from scipy import special
 
-from . import capacity, iid, reliability
+from . import capacity, iid, oracles, reliability
 from .channel import ChannelDims, RngStream, _positive_int, gamma_lower_regularized
 from .oracles import empirical_tail_cdf, mc_coherent_mi, mc_e0_curve, mc_e0_exact, mc_onoff_mi
 
@@ -74,9 +77,42 @@ def _worst(verdicts) -> Verdict:
     return min(verdicts, key=lambda v: (v.ok, v.margin))
 
 
+def _sampled(calls, threads: int):
+    """The results of ``calls``, an iterator in call order.
+
+    At threads > 1 every call is submitted at once to the shared worker pool
+    (``oracles._pool``), where they run side by side while the caller reads
+    them in order; at threads = 1 each runs on the caller when it is read.
+    """
+    if threads == 1:
+        return (call() for call in calls)
+    futures = [oracles._pool(threads).submit(call) for call in calls]
+    return (future.result() for future in futures)
+
+
 def _checks(seed: int, threads: int):
-    """(name, verdict) for each check, in table order."""
+    """(name, verdict) for each check, in table order.
+
+    The Monte Carlo calls run at threads = 1 each, through ``_sampled``, and
+    are all started before the first verdict; an estimate depends only on
+    (seed, stream_id, n), so the table does not depend on ``threads``.
+    """
     stream = lambda sid: RngStream(seed, sid)
+    expansion_point = ChannelDims(2, 2, 1), 0.02
+    curve_point = ChannelDims(2, 2, 10), 0.1, (0.25, 0.5, 0.75, 1.0)
+    onoff_point = 1, 0.01, 10.0
+    reproduced = ChannelDims(2, 2, 1), 0.1, 2000, stream(8)
+    sampled = _sampled((
+        partial(empirical_tail_cdf, 4, 1.0, _N_MC, stream(1)),
+        partial(mc_coherent_mi, ChannelDims(1, 1, 1), 1.0, _N_MC, stream(2)),
+        partial(mc_coherent_mi, *expansion_point, _N_MC, stream(3)),
+        partial(mc_e0_exact, ChannelDims(1, 1, 1), 2.0, 1.0, _N_MC, stream(4)),
+        partial(mc_e0_curve, *curve_point, 40_000, stream(5)),
+        partial(mc_onoff_mi, *onoff_point, _N_MC, stream(6)),
+        # stream-reproducibility's threads = 1 leg: on a pool thread at
+        # threads > 1, so its two legs run on different threads
+        partial(mc_coherent_mi, *reproduced),
+    ), threads)
 
     # lower incomplete gamma against its finite series at integer shape
     series = 1.0 - math.exp(-1.0) * (1.0 + 1.0 + 0.5 + 1.0 / 6.0)
@@ -88,38 +124,31 @@ def _checks(seed: int, threads: int):
     yield "gamma-tail-complement", Verdict(abs(gamma_lower_regularized(k, x) + upper - 1.0), 1e-12)
 
     # gamma CDF against the sampled Gamma(4, 1) tail
-    est = empirical_tail_cdf(4, 1.0, _N_MC, stream(1), threads)
-    yield "gamma-vs-empirical", contains(est, gamma_lower_regularized(4, 1.0))
+    yield "gamma-vs-empirical", contains(next(sampled), gamma_lower_regularized(4, 1.0))
 
     # coherent MI sampler against e E1(1) = int e^-u log(1+u) du at t=r=1, snr=1
     e_e1 = math.e * float(special.exp1(1.0))
-    est = mc_coherent_mi(ChannelDims(1, 1, 1), 1.0, _N_MC, stream(2), threads)
-    yield "coherent-mi-anchor", contains(est, e_e1)
+    yield "coherent-mi-anchor", contains(next(sampled), e_e1)
 
     # coherent expansion at t=r=2, snr=0.02
-    dims, snr = ChannelDims(2, 2, 1), 0.02
-    est = mc_coherent_mi(dims, snr, _N_MC, stream(3), threads)
-    closed = capacity.coherent_expansion(dims, snr).total
-    yield "coherent-expansion-gap", expansion_gap(est, closed, dims, snr)
+    closed = capacity.coherent_expansion(*expansion_point).total
+    yield "coherent-expansion-gap", expansion_gap(next(sampled), closed, *expansion_point)
 
     # exact Gallager sampler against -log(e E1(1)); by parts e E1(1) = int e^-u / (1+u) du too
-    est = mc_e0_exact(ChannelDims(1, 1, 1), 2.0, 1.0, _N_MC, stream(4), threads)
-    yield "e0-exact-anchor", contains(est, -math.log(e_e1))
+    yield "e0-exact-anchor", contains(next(sampled), -math.log(e_e1))
 
     # the closed-form Gallager bound lies above the sampled one, within 3 half-widths;
     # the gap is signed, negative while the sample sits below the bound
-    dims, snr_b, rhos = ChannelDims(2, 2, 10), 0.1, (0.25, 0.5, 0.75, 1.0)
-    ests = mc_e0_curve(dims, snr_b, rhos, 40_000, stream(5), threads)
+    dims, snr_b, rhos = curve_point
     yield "e0-bound-direction", _worst(
         Verdict(est.mean - reliability.e0_upper(dims, snr_b, rho), 3.0 * est.ci99_half)
-        for rho, est in zip(rhos, ests)
+        for rho, est in zip(rhos, next(sampled))
     )
 
     # on-off mutual information: sampler and expansion against quadrature at r=1, snr=0.01, A=10
-    r, snr, amp = 1, 0.01, 10.0
+    r, snr, amp = onoff_point
     quad = iid.onoff_mi_quadrature(r, snr, amp, rel_tol=1e-10)
-    est = mc_onoff_mi(r, snr, amp, _N_MC, stream(6), threads)
-    yield "onoff-mc-vs-quadrature", contains(est, quad)
+    yield "onoff-mc-vs-quadrature", contains(next(sampled), quad)
     expansion = iid.onoff_mi_asymptotic(r, snr, amp).value
     yield "onoff-quad-vs-asym", Verdict(abs(quad - expansion), 10.0 * snr**2)
 
@@ -172,8 +201,8 @@ def _checks(seed: int, threads: int):
     yield "threshold-order", _worst(verdicts)
 
     # stream reproducibility: the same (seed, stream) at two thread counts, bit-identical
-    est_a = mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, 2000, stream(8), threads)
-    est_b = mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, 2000, stream(8), 1)
+    est_a = mc_coherent_mi(*reproduced, threads)
+    est_b = next(sampled)
     diff = abs(est_a.mean - est_b.mean) + abs(est_a.std_error - est_b.std_error)
     yield "stream-reproducibility", Verdict(diff, 0.0)
 
@@ -189,7 +218,11 @@ def _line(name: str, v: Verdict) -> str:
 def run_check(seed: int = 0, threads: int = 1, out=None) -> int:
     """Run the battery; print one line per check; return a process exit code.
 
-    A ``threads`` other than a positive integer raises a DomainError first.
+    At threads > 1 the battery's Monte Carlo calls are submitted at once to
+    the process's worker pool of ``threads`` threads (``oracles._pool``),
+    each at threads = 1, and their verdicts are printed in table order; at
+    threads = 1 they run on the caller, in order.  A ``threads`` other than a
+    positive integer raises a DomainError first.
     """
     threads = _positive_int("threads", threads)
     out = out if out is not None else sys.stdout

@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for the Monte Carlo sample chunks (output-invariant)",
+        help="worker threads that run the Monte Carlo checks side by side "
+        "(output-invariant)",
     )
     return parser
 

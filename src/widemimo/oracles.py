@@ -17,12 +17,16 @@ is cut into fixed-size chunks, each drawn from its own block of the stream
 (``RngStream.generator``) and reduced where it is drawn: a mean-type estimate
 keeps only each chunk's (count, mean, M2) and merges them in chunk order
 (Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  The
-result is bit-identical whether chunks run on one thread or many.  Each
-worker draws and reduces its chunks inside one (width, chunk) float64
-workspace, a few rows wide, that it allocates once per oracle call and
-reuses for every chunk (``_collect``): draws and ufuncs write into its rows
-through ``out=``.  Memory is one workspace per worker whatever n is, and a
-worker's chunks after its first allocate nothing and touch no fresh pages.
+result is bit-identical whether chunks run on one thread or many.  At
+threads > 1 a call of more than one chunk runs its chunks on the process's
+one worker pool for that thread count (``_pool``), which the sweep's
+oracle-check rows and ``check``'s Monte Carlo calls share; a call of one
+chunk runs on the caller.  Each worker draws and reduces its chunks inside
+one (width, chunk) float64 workspace, a few rows wide, that it allocates
+once per oracle call and reuses for every chunk (``_collect``): draws and
+ufuncs write into its rows through ``out=``.  Memory is one workspace per
+worker whatever n is, and a worker's chunks after its first allocate
+nothing and touch no fresh pages.
 The Gallager function is a mean of importance weights under exponentially
 tilted Wishart draws, reduced the same way, one (count, mean, M2) per rho
 column (``mc_e0_curve``), which also gives the weights' effective sample
@@ -33,6 +37,7 @@ throughout; no probability that could underflow ever reaches a subtraction.
 """
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -101,16 +106,53 @@ def _check_n(n, minimum) -> int:
     return int(n)
 
 
+_pools = {}
+_pools_lock = threading.Lock()
+
+
+def _pool(threads):
+    """The process's one ``ThreadPoolExecutor(max_workers=threads)``, made on first use.
+
+    Every threaded caller shares it: ``_collect``'s chunks, the sweep's
+    oracle-check rows and ``check``'s Monte Carlo calls.  glibc keeps a malloc
+    arena per live worker thread, so one set of threads holds the least
+    memory.  No caller shuts it down or uses it as a context manager.
+
+    One rule keeps it free of deadlock: a task on the pool never waits on the
+    pool.  A chunk calls nothing threaded, and sweep rows and ``check``'s
+    tasks call the oracles at threads = 1, so nothing nests.  A forked child drops the parent's pools (``_drop_pools``), whose threads it
+    does not have.
+    """
+    pool = _pools.get(threads)
+    if pool is None:
+        with _pools_lock:
+            pool = _pools.get(threads)
+            if pool is None:
+                pool = _pools[threads] = ThreadPoolExecutor(max_workers=threads)
+    return pool
+
+
+def _drop_pools():
+    global _pools, _pools_lock
+    _pools, _pools_lock = {}, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # where processes can fork
+    os.register_at_fork(after_in_child=_drop_pools)
+
+
 def _collect(chunk_fn, n, rng, threads, width):
     """Per-chunk results of ``chunk_fn(gen, work)`` in chunk order; identical for any thread count.
 
     Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
     stream and reduces them on the worker that drew them, inside ``work``:
     the first m columns of that worker's (width, min(n, _CHUNK)) float64
-    workspace.  A worker allocates its workspace on its first chunk and
-    reuses it for every later chunk of this call; calls share none, even
-    when they run at once.  A chunk's result must not alias ``work``.
-    ``threads`` must be a positive integer.
+    workspace.  At threads > 1 the chunks of a call of more than one chunk
+    run on ``_pool(threads)``; a call of one chunk, or any call at
+    threads = 1, runs on the caller.  A worker allocates its workspace on its
+    first chunk and reuses it for every later chunk of this call; calls share
+    none, even when they run at once.  A chunk's result must not alias
+    ``work``.  ``threads`` must be a positive integer.
     """
     threads = _positive_int("threads", threads)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
@@ -122,9 +164,8 @@ def _collect(chunk_fn, n, rng, threads, width):
             work = workspaces.work = np.empty((width, sizes[0]))
         return chunk_fn(rng.generator(block=i), work[:, : sizes[i]])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(sizes))))
+    if threads > 1 and len(sizes) > 1:
+        return list(_pool(threads).map(run, range(len(sizes))))
     return [run(i) for i in range(len(sizes))]
 
 

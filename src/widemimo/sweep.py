@@ -44,7 +44,6 @@ import operator
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import capacity, iid, oracles, reliability
@@ -182,7 +181,8 @@ class _Quantity:
     rows would build first, and each row still shows the error it would show
     alone.
 
-    ``threaded`` rows run on worker threads when threads > 1.  Only
+    ``threaded`` rows run on the shared worker pool (``oracles._pool``) when
+    threads > 1.  Only
     oracle-check's are: their time goes to numpy sampling, which releases the
     interpreter lock, while the other rows hold it (pure Python, or the
     Python integrands of scipy's quad), so threads would only add hand-offs.
@@ -427,7 +427,9 @@ def run_sweep(
     innermost key.  Rows are evaluated and written one chunk at a time; Monte
     Carlo rows each get their own stream id, so the CSV bytes do not depend
     on ``threads``.  ``threads``, a positive integer (else a DomainError),
-    applies to the oracle-check quantity; the other quantities run serially.
+    applies to the oracle-check quantity, whose rows run on the process's
+    shared worker pool (``oracles._pool``), each row's oracle at threads = 1;
+    the other quantities run serially.
     The destination is opened before the first row is evaluated.  Per-row
     library errors land in the error column, and on ``err_stream`` as each
     chunk is written, and the run continues.
@@ -489,7 +491,7 @@ def run_sweep(
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
         evaluate = map
         if threads > 1 and quantity.threaded:
-            evaluate = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+            evaluate = oracles._pool(threads).map
         csv.writer(fh, lineterminator="\n").writerow(header)
         for chunk in chunks():
             n = sum(j1 - j0 for _, j0, j1 in chunk)

@@ -4,12 +4,15 @@ A verdict is a (gap, slack) pair that passes when gap <= slack; its margin is
 (slack - gap)/slack.  ``contains`` must give the same verdict as
 ``OracleEstimate.contains`` at and next to both interval ends, the expansion
 budget must cover the cubic remainder the expansion drops, and the
-oracle-check row must carry exactly the cells of ``expansion_gap``.
+oracle-check row must carry exactly the cells of ``expansion_gap``.  The
+check table and the oracle-check CSV do not depend on the thread count, also
+when both run at once on the shared worker pool.
 """
 
 import csv
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -129,3 +132,53 @@ def test_run_check_rejects_threads_before_printing(threads):
         run_check(threads=threads, out=out)
     assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
     assert out.getvalue() == ""
+
+
+def test_check_and_sweep_at_once_on_the_shared_pool(tmp_path):
+    cfg_path = tmp_path / "oc.cfg"
+    cfg_path.write_text(
+        "quantity = oracle-check\nt = 1, 2\nr = 1, 2\nl = 1\nsnr = 0.01, 0.02\n"
+        "n_samples = 200000\n",
+        encoding="utf-8",
+    )
+    cfg = load_config(cfg_path)
+
+    def table(threads):
+        out = io.StringIO()
+        run_check(seed=0, threads=threads, out=out)
+        return out.getvalue()
+
+    def sweep(threads):
+        out = tmp_path / f"oc-{threads}.csv"
+        run_sweep(cfg, out=str(out), threads=threads, err_stream=io.StringIO())
+        return out.read_bytes()
+
+    expected = {"check": table(1), "sweep": sweep(1)}
+    got = {}
+    users = [
+        threading.Thread(target=lambda: got.update(check=table(2))),
+        threading.Thread(target=lambda: got.update(sweep=sweep(2))),
+    ]
+    for user in users:
+        user.start()
+    for user in users:
+        user.join(timeout=120)
+    assert not any(user.is_alive() for user in users)
+    assert got == expected
+
+
+def test_stream_reproducibility_compares_two_threads(monkeypatch):
+    # its n = 2000 call is one chunk, which runs on whichever thread calls it:
+    # at threads > 1 the threads = 1 leg runs on a pool thread, the other on the caller
+    legs = []
+
+    def recording(*args):
+        if args[2] == 2000:
+            legs.append(threading.current_thread())
+        return mc_coherent_mi(*args)
+
+    monkeypatch.setattr("widemimo.check.mc_coherent_mi", recording)
+    out = io.StringIO()
+    assert run_check(seed=0, threads=2, out=out) == 0
+    assert len(legs) == 2 and legs[0] is not legs[1]
+    assert "stream-reproducibility     gap=0 slack=0 margin=exact" in out.getvalue()

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -25,6 +27,7 @@ from widemimo import (
     onoff_mi_quadrature,
     slope_fit,
 )
+from widemimo import oracles
 from widemimo.channel import _sample_cn
 from widemimo.iid import _mean_excess
 from widemimo.oracles import (
@@ -34,6 +37,7 @@ from widemimo.oracles import (
     _gamma_int,
     _merge_moments,
     _moments,
+    _pool,
     _tilt,
     _wishart_edges,
     _wishart_logdet,
@@ -407,6 +411,58 @@ class TestWorkspace:
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == serial + serial
+
+
+def _send_estimate(sender, args):
+    sender.send(mc_coherent_mi(*args, threads=2))
+    sender.close()
+
+
+class TestPool:
+    """Threaded oracle calls share one worker pool per thread count."""
+
+    def test_calls_share_one_pool(self):
+        pool = _pool(2)
+
+        def chunk(gen, work):
+            return threading.current_thread()
+
+        first = _collect(chunk, 3 * _CHUNK, RngStream(SEED, 295), 2, 1)
+        mc_coherent_mi(ChannelDims(2, 2, 1), 0.02, 200_000, RngStream(SEED, 296), threads=2)
+        second = _collect(chunk, 3 * _CHUNK, RngStream(SEED, 295), 2, 1)
+        assert _pool(2) is pool
+        # both calls' chunks ran on the same two pool threads
+        workers = set(first + second)
+        assert len(workers) <= 2 and threading.current_thread() not in workers
+
+    def test_one_chunk_call_runs_on_the_caller(self, monkeypatch):
+        dims, rng = ChannelDims(2, 2, 1), RngStream(SEED, 297)
+        expected = mc_coherent_mi(dims, 0.1, 2000, rng)
+        monkeypatch.setattr(oracles, "_pool", lambda threads: pytest.fail("used the pool"))
+        assert mc_coherent_mi(dims, 0.1, 2000, rng, threads=3) == expected
+        caller = _collect(lambda gen, work: threading.current_thread(), _CHUNK, rng, 3, 1)
+        assert caller == [threading.current_thread()]
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    def test_forked_child_gets_its_own_pool(self):
+        # the child inherits the parent's pool of 2 but not its threads; a
+        # threaded call there would wait on workers that do not exist
+        args = (ChannelDims(2, 2, 1), 0.02, 200_000, RngStream(1, 5))
+        expected = mc_coherent_mi(*args, threads=2)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_estimate, args=(sender, args))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(30), "the forked child gave no estimate within 30 s"
+            got = receiver.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == expected
 
 
 class TestCoverage:

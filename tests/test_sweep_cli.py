@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import pytest
 
 from conftest import cli_env
 import widemimo as wm
-from widemimo import capacity, cli
+from widemimo import capacity, cli, oracles
 from widemimo import (
     ChannelDims, ConfigError, DimensionError, DomainError, RngStream, SweepConfig, WidemimoError,
     load_config, outage_probability, run_sweep,
@@ -375,13 +374,13 @@ class TestStreaming:
 
     def test_threads_apply_only_to_oracle_check(self, tmp_path, monkeypatch):
         pools = []
+        shared_pool = oracles._pool
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording_pool(threads):
+            pools.append(threads)
+            return shared_pool(threads)
 
-        monkeypatch.setattr("widemimo.sweep.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(oracles, "_pool", recording_pool)
         cap = load_config(write(tmp_path, "cap.cfg", CAPACITY_CFG))
         run_sweep(cap, out=str(tmp_path / "cap.csv"), threads=3, err_stream=io.StringIO())
         assert pools == []
