@@ -7,9 +7,9 @@ when gap <= slack, and its margin (slack - gap)/slack is the share of the
 slack left, so drift shows before a failure.  A check over a grid reports
 its worst verdict.  Every Monte Carlo check draws from ``RngStream``
 streams and its oracle merges chunks in a fixed order, so the printed table
-is byte-identical across runs and thread counts for a fixed seed.  At
-threads > 1 the Monte Carlo checks run side by side on the shared worker
-pool while the closed forms run on the caller.
+is byte-identical across runs and thread counts for a fixed seed.  The
+Monte Carlo calls go through ``oracles._map``: at threads > 1 they run side
+by side on the shared worker pool while the closed forms run on the caller.
 """
 
 import math
@@ -77,32 +77,19 @@ def _worst(verdicts) -> Verdict:
     return min(verdicts, key=lambda v: (v.ok, v.margin))
 
 
-def _sampled(calls, threads: int):
-    """The results of ``calls``, an iterator in call order.
-
-    At threads > 1 every call is submitted at once to the shared worker pool
-    (``oracles._pool``), where they run side by side while the caller reads
-    them in order; at threads = 1 each runs on the caller when it is read.
-    """
-    if threads == 1:
-        return (call() for call in calls)
-    futures = [oracles._pool(threads).submit(call) for call in calls]
-    return (future.result() for future in futures)
-
-
 def _checks(seed: int, threads: int):
     """(name, verdict) for each check, in table order.
 
-    The Monte Carlo calls run at threads = 1 each, through ``_sampled``, and
-    are all started before the first verdict; an estimate depends only on
-    (seed, stream_id, n), so the table does not depend on ``threads``.
+    The Monte Carlo calls, at threads = 1 each, go through ``oracles._map``;
+    an estimate depends only on (seed, stream_id, n), so the table does not
+    depend on ``threads``.
     """
     stream = lambda sid: RngStream(seed, sid)
     expansion_point = ChannelDims(2, 2, 1), 0.02
     curve_point = ChannelDims(2, 2, 10), 0.1, (0.25, 0.5, 0.75, 1.0)
     onoff_point = 1, 0.01, 10.0
     reproduced = ChannelDims(2, 2, 1), 0.1, 2000, stream(8)
-    sampled = _sampled((
+    sampled = oracles._map(lambda call: call(), threads, (
         partial(empirical_tail_cdf, 4, 1.0, _N_MC, stream(1)),
         partial(mc_coherent_mi, ChannelDims(1, 1, 1), 1.0, _N_MC, stream(2)),
         partial(mc_coherent_mi, *expansion_point, _N_MC, stream(3)),
@@ -112,7 +99,7 @@ def _checks(seed: int, threads: int):
         # stream-reproducibility's threads = 1 leg: on a pool thread at
         # threads > 1, so its two legs run on different threads
         partial(mc_coherent_mi, *reproduced),
-    ), threads)
+    ))
 
     # lower incomplete gamma against its finite series at integer shape
     series = 1.0 - math.exp(-1.0) * (1.0 + 1.0 + 0.5 + 1.0 / 6.0)
@@ -218,11 +205,9 @@ def _line(name: str, v: Verdict) -> str:
 def run_check(seed: int = 0, threads: int = 1, out=None) -> int:
     """Run the battery; print one line per check; return a process exit code.
 
-    At threads > 1 the battery's Monte Carlo calls are submitted at once to
-    the process's worker pool of ``threads`` threads (``oracles._pool``),
-    each at threads = 1, and their verdicts are printed in table order; at
-    threads = 1 they run on the caller, in order.  A ``threads`` other than a
-    positive integer raises a DomainError first.
+    The battery's Monte Carlo calls, each at threads = 1, go through
+    ``oracles._map`` at ``threads``, and verdicts print in table order.  A
+    ``threads`` other than a positive integer raises a DomainError first.
     """
     threads = _positive_int("threads", threads)
     out = out if out is not None else sys.stdout

@@ -17,11 +17,11 @@ is cut into fixed-size chunks, each drawn from its own block of the stream
 (``RngStream.generator``) and reduced where it is drawn: a mean-type estimate
 keeps only each chunk's (count, mean, M2) and merges them in chunk order
 (Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  The
-result is bit-identical whether chunks run on one thread or many.  At
-threads > 1 a call of more than one chunk runs its chunks on the process's
-one worker pool for that thread count (``_pool``), which the sweep's
-oracle-check rows and ``check``'s Monte Carlo calls share; a call of one
-chunk runs on the caller.  Each worker draws and reduces its chunks inside
+result is bit-identical whether chunks run on one thread or many.  Chunks,
+the sweep's oracle-check rows and ``check``'s Monte Carlo calls all run
+where ``_map`` puts them: at threads > 1 on the process's one worker pool for
+that thread count (``_pool``), else on the caller, as a one-chunk call
+always does.  Each worker draws and reduces its chunks inside
 one (width, chunk) float64 workspace, a few rows wide, that it allocates
 once per oracle call and reuses for every chunk (``_collect``): draws and
 ufuncs write into its rows through ``out=``.  Memory is one workspace per
@@ -113,15 +113,15 @@ _pools_lock = threading.Lock()
 def _pool(threads):
     """The process's one ``ThreadPoolExecutor(max_workers=threads)``, made on first use.
 
-    Every threaded caller shares it: ``_collect``'s chunks, the sweep's
-    oracle-check rows and ``check``'s Monte Carlo calls.  glibc keeps a malloc
-    arena per live worker thread, so one set of threads holds the least
-    memory.  No caller shuts it down or uses it as a context manager.
+    Only ``_map`` reaches it, so every threaded caller shares it:
+    ``_collect``'s chunks, the sweep's oracle-check rows and ``check``'s
+    Monte Carlo calls.  glibc keeps a malloc arena per live worker thread, so
+    one set of threads holds the least memory.  Nothing shuts it down.
 
     One rule keeps it free of deadlock: a task on the pool never waits on the
     pool.  A chunk calls nothing threaded, and sweep rows and ``check``'s
-    tasks call the oracles at threads = 1, so nothing nests.  A forked child drops the parent's pools (``_drop_pools``), whose threads it
-    does not have.
+    tasks call the oracles at threads = 1, so nothing nests.  A forked child
+    drops the parent's pools, whose threads it does not have (``_drop_pools``).
     """
     pool = _pools.get(threads)
     if pool is None:
@@ -141,18 +141,29 @@ if hasattr(os, "register_at_fork"):  # where processes can fork
     os.register_at_fork(after_in_child=_drop_pools)
 
 
+def _map(fn, threads, *iterables):
+    """``fn`` over ``iterables`` like ``map``, results in input order.
+
+    At threads > 1 every task is submitted to ``_pool(threads)`` at once and
+    runs there; otherwise each runs on the caller when its result is read.
+    """
+    if threads > 1:
+        return _pool(threads).map(fn, *iterables)
+    return map(fn, *iterables)
+
+
 def _collect(chunk_fn, n, rng, threads, width):
     """Per-chunk results of ``chunk_fn(gen, work)`` in chunk order; identical for any thread count.
 
     Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
     stream and reduces them on the worker that drew them, inside ``work``:
     the first m columns of that worker's (width, min(n, _CHUNK)) float64
-    workspace.  At threads > 1 the chunks of a call of more than one chunk
-    run on ``_pool(threads)``; a call of one chunk, or any call at
-    threads = 1, runs on the caller.  A worker allocates its workspace on its
-    first chunk and reuses it for every later chunk of this call; calls share
-    none, even when they run at once.  A chunk's result must not alias
-    ``work``.  ``threads`` must be a positive integer.
+    workspace.  The chunks go through ``_map``, at ``threads`` when there is
+    more than one, so a call of one chunk runs on the caller.  A worker
+    allocates its workspace on its first chunk and reuses it for every later
+    chunk of this call; calls share none, even when they run at once.  A
+    chunk's result must not alias ``work``.  ``threads`` must be a positive
+    integer.
     """
     threads = _positive_int("threads", threads)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
@@ -164,9 +175,7 @@ def _collect(chunk_fn, n, rng, threads, width):
             work = workspaces.work = np.empty((width, sizes[0]))
         return chunk_fn(rng.generator(block=i), work[:, : sizes[i]])
 
-    if threads > 1 and len(sizes) > 1:
-        return list(_pool(threads).map(run, range(len(sizes))))
-    return [run(i) for i in range(len(sizes))]
+    return list(_map(run, threads if len(sizes) > 1 else 1, range(len(sizes))))
 
 
 def _moments(values: np.ndarray, dev: np.ndarray) -> tuple[int, float, float]:

@@ -181,11 +181,11 @@ class _Quantity:
     rows would build first, and each row still shows the error it would show
     alone.
 
-    ``threaded`` rows run on the shared worker pool (``oracles._pool``) when
-    threads > 1.  Only
-    oracle-check's are: their time goes to numpy sampling, which releases the
-    interpreter lock, while the other rows hold it (pure Python, or the
-    Python integrands of scipy's quad), so threads would only add hand-offs.
+    ``threaded`` rows go through ``oracles._map`` at the sweep's threads, the
+    others at threads = 1.  Only oracle-check's are threaded: their time goes
+    to numpy sampling, which releases the interpreter lock, while the other
+    rows hold it (pure Python, or the Python integrands of scipy's quad), so
+    threads would only add hand-offs.
     """
 
     slots: tuple
@@ -427,9 +427,9 @@ def run_sweep(
     innermost key.  Rows are evaluated and written one chunk at a time; Monte
     Carlo rows each get their own stream id, so the CSV bytes do not depend
     on ``threads``.  ``threads``, a positive integer (else a DomainError),
-    applies to the oracle-check quantity, whose rows run on the process's
-    shared worker pool (``oracles._pool``), each row's oracle at threads = 1;
-    the other quantities run serially.
+    applies to the oracle-check quantity, whose rows go through
+    ``oracles._map`` at ``threads``, each row's oracle at threads = 1; the
+    other quantities run on the caller.
     The destination is opened before the first row is evaluated.  Per-row
     library errors land in the error column, and on ``err_stream`` as each
     chunk is written, and the run continues.
@@ -448,6 +448,7 @@ def run_sweep(
     slot_kinds = dict(pair for slot in quantity.slots for pair in slot)
     outer_text = [_TEXT[slot_kinds[key]] for key in outer_keys]
     inner_text = _TEXT[slot_kinds[inner_key]]
+    row_threads = threads if quantity.threaded else 1
     names, kinds = zip(*quantity.columns, ("error", str))
     width = len(kinds)
     header = [*config.grids, *names]
@@ -489,15 +490,13 @@ def run_sweep(
             fh = sys.stdout
         else:
             fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-        evaluate = map
-        if threads > 1 and quantity.threaded:
-            evaluate = oracles._pool(threads).map
         csv.writer(fh, lineterminator="\n").writerow(header)
         for chunk in chunks():
             n = sum(j1 - j0 for _, j0, j1 in chunk)
             points = runs(itertools.repeat(point, j1 - j0) for point, j0, j1 in chunk)
             values = runs(inner_values[j0:j1] for _, j0, j1 in chunk)
-            rows = evaluate(eval_row, points, values, range(summary.rows, summary.rows + n))
+            indices = range(summary.rows, summary.rows + n)
+            rows = oracles._map(eval_row, row_threads, points, values, indices)
             # the chunk's cells in one list, each row's tuple freed as it goes
             # in: a chunk of live tuples would set the garbage collector off
             flat = list(runs(rows))

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -442,6 +443,34 @@ class TestPool:
         assert mc_coherent_mi(dims, 0.1, 2000, rng, threads=3) == expected
         caller = _collect(lambda gen, work: threading.current_thread(), _CHUNK, rng, 3, 1)
         assert caller == [threading.current_thread()]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_map_keeps_input_order(self, threads):
+        # earlier tasks sleep longer, so on the pool they finish last
+        def task(i, j):
+            time.sleep(0.002 * (5 - i))
+            return i, j
+
+        got = list(oracles._map(task, threads, range(6), "abcdef"))
+        assert got == list(zip(range(6), "abcdef"))
+
+    def test_map_at_one_thread_runs_each_task_when_read(self):
+        calls = []
+        results = oracles._map(calls.append, 1, range(3))
+        assert len(calls) == 0
+        next(results)
+        assert len(calls) == 1
+
+    def test_map_at_two_threads_runs_tasks_at_once(self):
+        # each task waits for the other at the barrier, which breaks after
+        # 30 s unless both are running
+        barrier = threading.Barrier(2, timeout=30)
+
+        def meet(i):
+            barrier.wait()
+            return i
+
+        assert list(oracles._map(meet, 2, range(2))) == [0, 1]
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
     def test_forked_child_gets_its_own_pool(self):
