@@ -147,10 +147,17 @@ def _second_order(t: int, r: int, snr: float, power: float) -> float:
 
 
 def _third_order(t: int, r: int) -> float:
-    """c3 = r (r^2 + t^2 + 3 r t + 1) / (3 t^2): the dropped cubic remainder is c3 snr^3.
+    """c3 = r (r^2 + t^2 + 3 r t + 1) / (3 t^2): 0 <= exact - expansion <= c3 snr^3.
 
-    That is the remainder's leading term; it is positive, so the expansion
-    lies below the coherent capacity by about c3 snr^3.
+    The bracket holds at every snr >= 0 and every (t, r).  For x >= 0,
+    x - x^2/2 <= log(1 + x) <= x - x^2/2 + x^3/3: both gaps vanish at 0 and
+    grow, at rates x^2/(1 + x) and x^3/(1 + x).  Apply it to each eigenvalue
+    of (snr/t) W, W ~ CW_p(q, I), p = min(t, r), q = max(t, r), and take
+    expectations with the complex Wishart moments E tr W = pq,
+    E tr W^2 = pq (p + q) and E tr W^3 = pq (p^2 + q^2 + 3 pq + 1) (Hanlon,
+    Stanley & Stembridge 1992).  With pq = rt the lower polynomial is
+    r snr - r (r+t)/(2t) snr^2, ``coherent_expansion``'s total, and the
+    cubic term is c3 snr^3.
     """
     return r * (r * r + t * t + 3 * r * t + 1) / (3.0 * t * t)
 
@@ -171,9 +178,9 @@ def _expansion(dims: ChannelDims, snr: float) -> tuple[float, float, float]:
 def coherent_expansion(dims: ChannelDims, snr: float) -> CapacityBreakdown:
     """Second-order expansion of the coherent capacity per channel use.
 
-    linear = r snr, sublinear = r (r+t) / (2 t) * snr^2; the cubic remainder
-    is dropped (it is positive and ``_third_order(t, r)`` snr^3 at leading
-    order, which the oracle checks budget for).
+    linear = r snr, sublinear = r (r+t) / (2 t) * snr^2; the remainder is
+    dropped.  It lies between 0 and ``_third_order(t, r)`` snr^3 at every
+    snr >= 0 (proved there), which the oracle checks budget for.
     """
     return CapacityBreakdown(*_expansion(dims, snr))
 
@@ -182,7 +189,13 @@ def gaussian_lower_bound(dims: ChannelDims, snr: float) -> float:
     """Achievable rate with plain i.i.d. Gaussian signaling, per channel use.
 
     Three terms: the coherent expansion minus the channel-uncertainty penalty
-    r (t/l) log(1 + l snr / t).  Cubic remainder dropped.  The value can be
+    r (t/l) log(1 + l snr / t).  At every point it lies below the
+    Gaussian-input bound I(X; Y | H) - I(H; Y | X) per channel use, which is
+    mi(t, r, snr) - (r/l) mi(t, l, snr), mi the coherent MI.  The expansion
+    lies below mi(t, r, snr) (``_third_order``).  The penalty is at least
+    (r/l) mi(t, l, snr) = (r/l) E log det(I + (snr/t) W_t(l)) by Jensen's
+    inequality on the concave log det, since the t x t Wishart matrix
+    W_t(l) of l CN(0,1) columns has E W_t(l) = l I.  The value can be
     negative for short blocks and is returned as-is; sweep output flags it.
     """
     total = _expansion(dims, snr)[2]  # checks 0 <= snr < inf

@@ -62,11 +62,11 @@ def expansion_gap(est, closed: float, dims: ChannelDims, snr: float) -> Verdict:
     """Coherent expansion ``closed`` at (dims, snr) against the sampled coherent MI ``est``.
 
     The budget is the interval's half-width plus max(10, c3) snr^3 for the
-    cubic remainder the expansion drops, c3 snr^3 at leading order
-    (``capacity._third_order``): 3.5 at (t, r) = (2, 2), but 20 at (1, 3) and
-    40 at (1, 4).  Where c3 is below 10 the flat 10 snr^3 stays, the budget
-    the benchmark's gate (``perfbench/gate.py``) recomputes for its
-    oracle-check rows.
+    remainder the expansion drops, proved to lie between 0 and c3 snr^3 at
+    every snr >= 0 (``capacity._third_order``): c3 is 3.5 at
+    (t, r) = (2, 2), but 20 at (1, 3) and 40 at (1, 4).  Where c3 is below
+    10 the flat 10 snr^3 stays, the budget the benchmark's gate
+    (``perfbench/gate.py``) recomputes for its oracle-check rows.
     """
     c3 = max(10.0, capacity._third_order(dims.t, dims.r))
     return Verdict(abs(est.mean - closed), est.ci99_half + c3 * snr**3)

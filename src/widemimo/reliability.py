@@ -401,10 +401,13 @@ def operating_point(
 def e0_upper(dims: ChannelDims, snr_b: float, rho: float) -> float:
     """Coherent-side upper bound on the Gallager function of one block.
 
-    rt log(1 + rho l snr_b / (t (1 + rho))).  The trace relaxation of the
-    log-determinant makes this an upper bound on the exact coherent Gallager
-    function, and receiver side information makes that in turn an upper bound
-    on every exponent achievable without it.
+    rt log(1 + rho l snr_b / (t (1 + rho))), an upper bound at every point on
+    the exact coherent Gallager function -log E det(I + c W)^(-rho l),
+    c = snr_b/(t (1 + rho)).  Proof: log det(I + c W) <= c tr W = c ||H||_F^2,
+    and E e^(-s |h|^2) = 1/(1 + s) for each of the rt CN(0,1) entries h, so
+    the expectation is at least (1 + rho l c)^(-rt).  Receiver side
+    information makes that in turn an upper bound on every exponent
+    achievable without it.
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must be in [0, 1], got {rho}")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ from widemimo import (
     e0_upper,
     empirical_tail_cdf,
     gamma_lower_regularized,
+    gaussian_lower_bound,
     mc_coherent_mi,
     mc_e0_curve,
     mc_e0_exact,
@@ -28,7 +30,7 @@ from widemimo import (
     onoff_mi_quadrature,
     slope_fit,
 )
-from widemimo import oracles
+from widemimo import capacity, oracles
 from widemimo.channel import _sample_cn
 from widemimo.iid import _mean_excess
 from widemimo.oracles import (
@@ -622,6 +624,43 @@ def _wishart_e0_exact(t, r, l, snr_b, rho):
     c = snr_b / (t * (1.0 + rho))
     a, b = _wishart_moments(t, r, lambda x: (1.0 + c * x) ** (-rho * l))
     return -math.log(np.linalg.det(b) / np.linalg.det(a))
+
+
+class TestProvedBrackets:
+    """The three proved bounds against the Andreief values, on grids fixed in advance."""
+
+    def test_expansion_remainder_within_zero_and_c3_snr_cubed(self):
+        # 0 <= exact - expansion <= c3 snr^3 (capacity._third_order)
+        outside = {}
+        for t, r in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (1, 4), (3, 2), (3, 3), (4, 4)]:
+            c3 = capacity._third_order(t, r)
+            for snr in [1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 3.0]:
+                expansion = coherent_expansion(ChannelDims(t, r, 1), snr).total
+                ratio = (_wishart_mi_exact(t, r, snr) - expansion) / (c3 * snr**3)
+                if not 0.0 <= ratio <= 1.0:
+                    outside[t, r, snr] = ratio
+        assert not outside
+
+    def test_e0_upper_above_exact_e0(self):
+        cells = itertools.product(
+            range(1, 4), range(1, 4), [1, 10, 100], [0.01, 0.1, 1.0, 5.0], [0.25, 0.5, 1.0]
+        )
+        below = [
+            cell for cell in cells
+            if e0_upper(ChannelDims(*cell[:3]), *cell[3:]) < _wishart_e0_exact(*cell)
+        ]
+        assert not below
+
+    def test_gaussian_lower_bound_below_its_gaussian_input_bound(self):
+        # mi(t, r, s) - (r/l) mi(t, l, s); the Hankel helper overflows at l = 100
+        above = []
+        for t, r in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)]:
+            for l in [t + 1, 5, 10, 20]:
+                for s in [1e-3, 1e-2, 0.1, 0.5, 1.0]:
+                    exact = _wishart_mi_exact(t, r, s) - r / l * _wishart_mi_exact(t, l, s)
+                    if gaussian_lower_bound(ChannelDims(t, r, l), s) > exact:
+                        above.append((t, r, l, s))
+        assert not above
 
 
 def _two_sample_z(a, b):
