@@ -930,9 +930,26 @@ def run_main(monkeypatch, capsys):
 class TestCli:
     def test_import_leaves_quadrature_and_root_finding_unloaded(self, tmp_path):
         # scipy.integrate and scipy.optimize are imported where they are used,
-        # so a CLI process that runs neither pays nothing for them at startup
+        # so a CLI process that runs neither pays nothing for them, at startup
+        # or in sweeps of the quantities that need neither
+        configs = {
+            "capacity": CAPACITY_CFG,
+            "sublinear": "quantity = sublinear\nt = 1\nr = 1\nsnr = 0.01\nl = 10, 100\n",
+            "exponent": "quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nl = 2500\nrate = 0.5, 1\n",
+            "outage": "quantity = outage\nt = 1\nr = 1\nsnr = 0.01\nl = 2500\nrate = 0.5, 1\n",
+            "oracle-check": (
+                "quantity = oracle-check\nt = 1, 2\nr = 2\nl = 1\nsnr = 0.05\nn_samples = 20000\n"
+            ),
+        }
+        argvs = []
+        for quantity, text in configs.items():
+            write(tmp_path, f"{quantity}.cfg", text)
+            argvs.append(["sweep", f"{quantity}.cfg", "--out", f"{quantity}.csv"])
+        argvs[-1] += ["--threads", "2"]
         code = (
-            "import sys, widemimo; "
+            "import sys, widemimo; from widemimo import cli; "
+            f"codes = [cli.main(argv) for argv in {argvs!r}]; "
+            "assert codes == [0] * len(codes), codes; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
         )
         proc = subprocess.run(
