@@ -21,12 +21,15 @@ result is bit-identical whether chunks run on one thread or many.  Chunks,
 the sweep's oracle-check rows and ``check``'s Monte Carlo calls all run
 where ``_map`` puts them: at threads > 1 on the process's one worker pool for
 that thread count (``_pool``), else on the caller, as a one-chunk call
-always does.  Each worker draws and reduces its chunks inside
-one (width, chunk) float64 workspace, a few rows wide, that it allocates
-once per oracle call and reuses for every chunk (``_collect``): draws and
-ufuncs write into its rows through ``out=``.  Memory is one workspace per
-worker whatever n is, and a worker's chunks after its first allocate
-nothing and touch no fresh pages.
+always does.  Each thread draws and reduces its chunks inside
+one float64 workspace, a few chunk-length rows, that it keeps across
+calls (``_collect``): draws and ufuncs write into its rows through
+``out=``.  Every thread that has run a chunk keeps one, the largest
+rows x columns it has needed, at most (2p + 3) x 2^16 float64 per oracle
+(3.5 MiB at p = 2, 17.5 MiB at p = 16); with threads = N up to N + 1
+threads hold one, and nothing frees them, as nothing shuts the pool down.
+Memory is one workspace per thread whatever n is, and a chunk that needs
+no larger one allocates nothing and touches no fresh pages.
 The Gallager function is a mean of importance weights under exponentially
 tilted Wishart draws, reduced the same way, one (count, mean, M2) per rho
 column (``mc_e0_curve``), which also gives the weights' effective sample
@@ -152,28 +155,44 @@ def _map(fn, threads, *iterables):
     return map(fn, *iterables)
 
 
+# Each thread's oracle workspace, kept across calls (``_collect``).
+_workspace = threading.local()
+_NO_WORK = np.empty((0, 0))
+
+
 def _collect(chunk_fn, n, rng, threads, width):
     """Per-chunk results of ``chunk_fn(gen, work)`` in chunk order; identical for any thread count.
 
     Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
-    stream and reduces them on the worker that drew them, inside ``work``:
-    the first m columns of that worker's (width, min(n, _CHUNK)) float64
-    workspace.  The chunks go through ``_map``, at ``threads`` when there is
-    more than one, so a call of one chunk runs on the caller.  A worker
-    allocates its workspace on its first chunk and reuses it for every later
-    chunk of this call; calls share none, even when they run at once.  A
-    chunk's result must not alias ``work``.  ``threads`` must be a positive
+    stream and reduces them on the thread that drew them, inside ``work``:
+    the view ``[:width, :m]`` of that thread's float64 workspace.  The chunks
+    go through ``_map``, at ``threads`` when there is more than one, so a
+    call of one chunk runs on the caller.
+
+    Every thread that has run a chunk keeps one workspace across calls, the
+    largest rows x columns it has needed: a chunk that needs more rows or
+    columns frees the old buffer, then allocates one of the larger shape in
+    each dimension.  Per oracle that is at most (2p + 3) x _CHUNK float64,
+    3.5 MiB at p = 2 and 17.5 MiB at p = 16, and with ``threads`` = N up to
+    N + 1 threads (the pool's and the caller) can each hold one.  Nothing
+    frees them, just as nothing shuts the pool down.  Keeping them stops
+    each call's freed workspaces from piling up in glibc's per-thread malloc
+    arenas.  Concurrent calls still share no buffer: a buffer belongs to one
+    thread, a thread runs one chunk at a time, and no chunk calls an oracle.
+    A chunk's result must not alias ``work``.  ``threads`` must be a positive
     integer.
     """
     threads = _positive_int("threads", threads)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
-    workspaces = threading.local()
 
     def run(i):
-        work = getattr(workspaces, "work", None)
-        if work is None:
-            work = workspaces.work = np.empty((width, sizes[0]))
-        return chunk_fn(rng.generator(block=i), work[:, : sizes[i]])
+        work = getattr(_workspace, "work", _NO_WORK)
+        rows, cols = work.shape
+        if rows < width or cols < sizes[0]:
+            # free the old buffer before allocating the larger one
+            _workspace.work = work = None
+            work = _workspace.work = np.empty((max(rows, width), max(cols, sizes[0])))
+        return chunk_fn(rng.generator(block=i), work[:width, : sizes[i]])
 
     return list(_map(run, threads if len(sizes) > 1 else 1, range(len(sizes))))
 

@@ -315,6 +315,12 @@ class TestTailCdf:
 CURVE_RHOS = (0.25, 0.5, 0.75, 1.0)
 
 
+def _on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which holds no oracle workspace yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=120)
+
+
 class TestStreamingMoments:
     """Chunks reduced to (count, mean, M2) where they are drawn, merged in order."""
 
@@ -339,38 +345,42 @@ class TestStreamingMoments:
         assert m2 / (n - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, width",
         [
-            lambda n, rng: mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, n, rng),
+            (lambda n, rng: mc_coherent_mi(ChannelDims(2, 2, 1), 0.1, n, rng), 6),
             # 2p - 1 = 5 Gamma variates per sample
-            lambda n, rng: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, rng),
-            lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng),
+            (lambda n, rng: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, rng), 8),
+            (lambda n, rng: empirical_tail_cdf(2, 1.0, n, rng), 2),
             # one chunk function over on-branch Gamma(2) draws
-            lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng),
-            lambda n, rng: mc_e0_exact(ChannelDims(2, 2, 10), 0.1, 1.0, n, rng),
+            (lambda n, rng: mc_onoff_mi(2, 1e-3, 20.0, n, rng), 2),
+            (lambda n, rng: mc_e0_exact(ChannelDims(2, 2, 10), 0.1, 1.0, n, rng), 7),
             # four tilted weight columns from one set of unit draws
-            lambda n, rng: mc_e0_curve(ChannelDims(2, 2, 10), 0.1, CURVE_RHOS, n, rng)[-1],
+            (lambda n, rng: mc_e0_curve(ChannelDims(2, 2, 10), 0.1, CURVE_RHOS, n, rng)[-1], 7),
         ],
         ids=[
             "mc_coherent_mi", "mc_coherent_mi-p3", "empirical_tail_cdf", "mc_onoff_mi",
             "mc_e0_exact", "mc_e0_curve",
         ],
     )
-    def test_traced_peak_is_a_few_chunks(self, call):
+    def test_traced_peak_is_a_few_chunks(self, call, width):
         # an n-length float64 array alone would be 30.5 MiB; the widest
-        # workspace here, mc_coherent_mi at p = 3, is 8 rows of 2^16, 4 MiB
-        tracemalloc.start()
-        try:
-            est = call(4_000_000, RngStream(SEED, 271))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # workspace here, mc_coherent_mi at p = 3, is 8 rows of 2^16, 4 MiB.
+        # The call runs on a fresh thread, so its workspace is allocated, and
+        # traced, inside the call rather than kept from an earlier one.
+        def traced(n, rng):
+            tracemalloc.start()
+            try:
+                return call(n, rng), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        est, peak = _on_fresh_thread(traced, 4_000_000, RngStream(SEED, 271))
         assert est.n_samples == 4_000_000
-        assert peak < 8 * 2**20
+        assert width * _CHUNK * 8 <= peak < 8 * 2**20
 
 
 class TestWorkspace:
-    """Each worker draws and reduces every chunk of a call in one workspace."""
+    """Each thread draws and reduces every chunk in one workspace, kept across calls."""
 
     @pytest.mark.parametrize("threads, most", [(1, 1), (3, 3)])
     def test_one_workspace_per_worker(self, threads, most):
@@ -388,8 +398,63 @@ class TestWorkspace:
         pairs = {(ident, work.ctypes.data) for ident, work in seen}
         assert len(pairs) == len({ident for ident, _ in pairs}) <= most
         assert len({pointer for _, pointer in pairs}) <= most
-        # a call shorter than a chunk allocates only what it draws
+        # a call shorter than a chunk is handed only the columns it draws,
+        # and a thread that has not yet needed more allocates only those
         assert _collect(chunk, 1000, RngStream(SEED, 275), threads, 3) == [(3, 1000)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kept_across_calls(self, threads):
+        # every chunk's view is held, so a freed buffer's address cannot come
+        # back by chance and pass for a kept one
+        held = []
+
+        def buffers(width, n):
+            """{thread: (base pointer, buffer shape)} over one call's chunks."""
+            count, barrier = itertools.count(), threading.Barrier(threads, timeout=30)
+            views = []
+
+            def chunk(gen, work):
+                # the first chunk on each pool thread waits for the others,
+                # so every pool thread draws in every multi-chunk call
+                if n > _CHUNK and next(count) < threads:
+                    barrier.wait()
+                views.append((threading.get_ident(), work))
+                return work.shape
+
+            shapes = _collect(chunk, n, RngStream(SEED, 298), threads, width)
+            assert shapes[0] == (width, min(n, _CHUNK))
+            held.extend(views)
+            found = {}
+            for ident, work in views:
+                found.setdefault(ident, set()).add((work.ctypes.data, work.base.shape))
+            # each thread drew all its chunks of the call into one buffer
+            assert all(len(kept) == 1 for kept in found.values())
+            return {ident: kept.pop() for ident, kept in found.items()}
+
+        def scenario():
+            caller, n = threading.get_ident(), 3 * _CHUNK + 7
+            # a one-chunk call runs on the caller, which starts with no buffer
+            short = buffers(3, 1000)
+            assert short == {caller: (short[caller][0], (3, 1000))}
+            assert buffers(3, 1000) == short
+            first = buffers(3, n)
+            assert len(first) == threads and (caller in first) == (threads == 1)
+            if threads == 1:
+                # a longer call replaces the caller's buffer with a longer one
+                assert first[caller][1] == (3, _CHUNK)
+                assert first[caller][0] != short[caller][0]
+            # a second call of the same width draws into the first call's buffers
+            assert buffers(3, n) == first
+            # a wider call replaces each one with a buffer of the larger shape
+            wide = 1 + max(shape[0] for _, shape in first.values())
+            wider = buffers(wide, n)
+            assert wider.keys() == first.keys()
+            for ident, (pointer, shape) in wider.items():
+                assert shape == (wide, _CHUNK) and pointer != first[ident][0]
+            # and a narrower call after it draws into the larger buffers
+            assert buffers(2, n) == wider
+
+        _on_fresh_thread(scenario)
 
     def test_concurrent_calls_match_serial(self):
         # eight calls at once, more than the cores: four oracles each run in
