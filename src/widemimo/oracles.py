@@ -16,19 +16,18 @@ Determinism contract: an estimate depends only on (seed, stream_id, n).  Work
 is cut into fixed-size chunks, each drawn from its own block of the stream
 (``RngStream.generator``) and reduced where it is drawn: a mean-type estimate
 keeps only each chunk's (count, mean, M2) and merges them in chunk order
-(Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  The
-result is bit-identical whether chunks run on one thread or many.  Chunks,
-the sweep's oracle-check rows and ``check``'s Monte Carlo calls all run
-where ``_map`` puts them: at threads > 1 on the process's one worker pool for
-that thread count (``_pool``), else on the caller, as a one-chunk call
-always does.  Each thread draws and reduces its chunks inside
-one float64 workspace, a few chunk-length rows, that it keeps across
+(Chan, Golub & LeVeque 1983), and the tail CDF keeps a hit count.  A call
+runs its chunks in order on the thread that calls it.  The sweep's
+oracle-check rows and ``check``'s Monte Carlo calls run where ``_map`` puts
+them: at threads > 1 on the process's one worker pool for that thread count
+(``_pool``), else on the caller.  Each thread draws and reduces its chunks
+inside one float64 workspace, a few chunk-length rows, that it keeps across
 calls (``_collect``): draws and ufuncs write into its rows through
-``out=``.  Every thread that has run a chunk keeps one, the largest
+``out=``.  Every thread that has run an oracle keeps one, the largest
 rows x columns it has needed, at most (2p + 3) x 2^16 float64 per oracle
 (3.5 MiB at p = 2, 17.5 MiB at p = 16); with threads = N up to N + 1
 threads hold one, and nothing frees them, as nothing shuts the pool down.
-Memory is one workspace per thread whatever n is, and a chunk that needs
+Memory is one workspace per thread whatever n is, and a call that needs
 no larger one allocates nothing and touches no fresh pages.
 The Gallager function is a mean of importance weights under exponentially
 tilted Wishart draws, reduced the same way, one (count, mean, M2) per rho
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import ChannelDims, RngStream, _positive_int
+from .channel import _FLOAT_MAX, ChannelDims, RngStream, _past_float_range, _positive_int
 from .errors import DomainError
 from .iid import _onoff_hinges
 
@@ -106,6 +105,8 @@ class OracleEstimate:
 def _check_n(n, minimum) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
         raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
+    if n > _FLOAT_MAX:  # its chunk list could never be built
+        raise DomainError(_past_float_range("n", n))
     return int(n)
 
 
@@ -116,15 +117,14 @@ _pools_lock = threading.Lock()
 def _pool(threads):
     """The process's one ``ThreadPoolExecutor(max_workers=threads)``, made on first use.
 
-    Only ``_map`` reaches it, so every threaded caller shares it:
-    ``_collect``'s chunks, the sweep's oracle-check rows and ``check``'s
-    Monte Carlo calls.  glibc keeps a malloc arena per live worker thread, so
-    one set of threads holds the least memory.  Nothing shuts it down.
+    Only ``_map`` reaches it, so every threaded caller shares it: the
+    sweep's oracle-check rows and ``check``'s Monte Carlo calls.  glibc keeps
+    a malloc arena per live worker thread, so one set of threads holds the
+    least memory.  Nothing shuts it down.
 
-    One rule keeps it free of deadlock: a task on the pool never waits on the
-    pool.  A chunk calls nothing threaded, and sweep rows and ``check``'s
-    tasks call the oracles at threads = 1, so nothing nests.  A forked child
-    drops the parent's pools, whose threads it does not have (``_drop_pools``).
+    A task on the pool never waits on the pool: its tasks are whole oracle
+    calls and sweep rows, and no oracle uses the pool.  A forked child drops
+    the parent's pools, whose threads it does not have (``_drop_pools``).
     """
     pool = _pools.get(threads)
     if pool is None:
@@ -160,41 +160,32 @@ _workspace = threading.local()
 _NO_WORK = np.empty((0, 0))
 
 
-def _collect(chunk_fn, n, rng, threads, width):
-    """Per-chunk results of ``chunk_fn(gen, work)`` in chunk order; identical for any thread count.
+def _collect(chunk_fn, n, rng, width):
+    """Per-chunk results of ``chunk_fn(gen, work)``, run in chunk order on the calling thread.
 
     Chunk i draws m = min(_CHUNK, n - i _CHUNK) samples from block i of the
-    stream and reduces them on the thread that drew them, inside ``work``:
-    the view ``[:width, :m]`` of that thread's float64 workspace.  The chunks
-    go through ``_map``, at ``threads`` when there is more than one, so a
-    call of one chunk runs on the caller.
+    stream and reduces them inside ``work``: the view ``[:width, :m]`` of the
+    calling thread's float64 workspace.
 
-    Every thread that has run a chunk keeps one workspace across calls, the
-    largest rows x columns it has needed: a chunk that needs more rows or
-    columns frees the old buffer, then allocates one of the larger shape in
-    each dimension.  Per oracle that is at most (2p + 3) x _CHUNK float64,
-    3.5 MiB at p = 2 and 17.5 MiB at p = 16, and with ``threads`` = N up to
-    N + 1 threads (the pool's and the caller) can each hold one.  Nothing
-    frees them, just as nothing shuts the pool down.  Keeping them stops
-    each call's freed workspaces from piling up in glibc's per-thread malloc
-    arenas.  Concurrent calls still share no buffer: a buffer belongs to one
-    thread, a thread runs one chunk at a time, and no chunk calls an oracle.
-    A chunk's result must not alias ``work``.  ``threads`` must be a positive
-    integer.
+    Every thread that has run an oracle keeps one workspace across calls,
+    the largest rows x columns it has needed: a call that needs more rows
+    or columns frees the old buffer, then allocates one of the larger shape
+    in each dimension.  Per oracle that is at most (2p + 3) x _CHUNK float64,
+    3.5 MiB at p = 2 and 17.5 MiB at p = 16.  Nothing frees them, just as
+    nothing shuts the pool down.  Keeping them stops each call's freed
+    workspaces from piling up in glibc's per-thread malloc arenas.
+    Concurrent calls still share no buffer: a buffer belongs to one thread,
+    and a thread runs one call at a time.  A chunk's result must not alias
+    ``work``.
     """
-    threads = _positive_int("threads", threads)
     sizes = [min(_CHUNK, n - start) for start in range(0, n, _CHUNK)]
-
-    def run(i):
-        work = getattr(_workspace, "work", _NO_WORK)
-        rows, cols = work.shape
-        if rows < width or cols < sizes[0]:
-            # free the old buffer before allocating the larger one
-            _workspace.work = work = None
-            work = _workspace.work = np.empty((max(rows, width), max(cols, sizes[0])))
-        return chunk_fn(rng.generator(block=i), work[:width, : sizes[i]])
-
-    return list(_map(run, threads if len(sizes) > 1 else 1, range(len(sizes))))
+    work = getattr(_workspace, "work", _NO_WORK)
+    rows, cols = work.shape
+    if rows < width or cols < sizes[0]:
+        # free the old buffer before allocating the larger one
+        _workspace.work = work = None
+        work = _workspace.work = np.empty((max(rows, width), max(cols, sizes[0])))
+    return [chunk_fn(rng.generator(block=i), work[:width, :m]) for i, m in enumerate(sizes)]
 
 
 def _moments(values: np.ndarray, dev: np.ndarray) -> tuple[int, float, float]:
@@ -312,9 +303,7 @@ def _wishart_logdet(edges, c, rows):
     return np.log1p(g, out=rows[0])
 
 
-def mc_coherent_mi(
-    dims: ChannelDims, snr: float, n: int, rng: RngStream, threads: int = 1
-) -> OracleEstimate:
+def mc_coherent_mi(dims: ChannelDims, snr: float, n: int, rng: RngStream) -> OracleEstimate:
     """Sample mean of log det(I + (snr/t) H^dagger H) over channel draws.
 
     Samples the equal-in-law log det(I + (snr/t) W) with W the min(t, r) Gram
@@ -333,7 +322,7 @@ def mc_coherent_mi(
         _wishart_edges(gen, t, r, edges, rows[0])
         return _moments(_wishart_logdet(edges, c, rows), rows[1])
 
-    return _mean_estimate(_merge_moments(_collect(chunk, n, rng, threads, edge_count + 3)))
+    return _mean_estimate(_merge_moments(_collect(chunk, n, rng, edge_count + 3)))
 
 
 def _tilt(pq, c, a):
@@ -370,7 +359,7 @@ def _log_of_mean_estimate(moments, shift: float) -> OracleEstimate:
 
 
 def mc_e0_exact(
-    dims: ChannelDims, snr_b: float, rho: float, n: int, rng: RngStream, threads: int = 1
+    dims: ChannelDims, snr_b: float, rho: float, n: int, rng: RngStream
 ) -> OracleEstimate:
     """Exact coherent Gallager function by sampling:
     -log E[det(I + snr_b/(t(1+rho)) H^dagger H)^(-rho l)].
@@ -379,11 +368,11 @@ def mc_e0_exact(
     min(t, r) Gram matrix, under exponentially tilted draws (see
     ``mc_e0_curve``).
     """
-    return mc_e0_curve(dims, snr_b, [rho], n, rng, threads)[0]
+    return mc_e0_curve(dims, snr_b, [rho], n, rng)[0]
 
 
 def mc_e0_curve(
-    dims: ChannelDims, snr_b: float, rhos, n: int, rng: RngStream, threads: int = 1
+    dims: ChannelDims, snr_b: float, rhos, n: int, rng: RngStream
 ) -> list[OracleEstimate]:
     """The sampled Gallager function of ``mc_e0_exact`` on a rho grid, one set of draws.
 
@@ -447,7 +436,7 @@ def mc_e0_curve(
             parts.append(_moments(np.exp(log_w, out=log_w), rows[1]))
         return parts
 
-    chunks = _collect(chunk, n, rng, threads, edge_count + 4)
+    chunks = _collect(chunk, n, rng, edge_count + 4)
     return [
         _log_of_mean_estimate(_merge_moments(parts[k] for parts in chunks), column[-1])
         for k, column in enumerate(columns)
@@ -455,7 +444,7 @@ def mc_e0_curve(
 
 
 def mc_onoff_mi(
-    r: int, snr: float, amplitude_sq: float, n: int, rng: RngStream, threads: int = 1
+    r: int, snr: float, amplitude_sq: float, n: int, rng: RngStream
 ) -> OracleEstimate:
     """Mutual information of on-off signaling, sampled on the on branch alone.
 
@@ -501,15 +490,13 @@ def mc_onoff_mi(
         e *= remainder
         return _moments(e, inv)
 
-    moments = _merge_moments(_collect(chunk, n, rng, threads, 2))
+    moments = _merge_moments(_collect(chunk, n, rng, 2))
     value = exact - omega * moments[1]
     se = omega * math.sqrt(_sample_variance(moments) / n)
     return _normal_estimate(value, se, n)
 
 
-def empirical_tail_cdf(
-    k: int, x: float, n: int, rng: RngStream, threads: int = 1
-) -> OracleEstimate:
+def empirical_tail_cdf(k: int, x: float, n: int, rng: RngStream) -> OracleEstimate:
     """Fraction of draws of sum_{i<=k} |CN(0,1)|^2 falling below x, with binomial CI.
 
     The sum is drawn directly as its equal-in-law Gamma(k, 1) variate.  Up to
@@ -534,7 +521,7 @@ def empirical_tail_cdf(
             return int(np.count_nonzero(_uniform_product(gen, k, *work) > floor))
         return int(np.count_nonzero(_gamma_int(gen, k, *work) < x))
 
-    hits = sum(_collect(chunk, n, rng, threads, 2))
+    hits = sum(_collect(chunk, n, rng, 2))
     p = hits / n
     lo = float(special.betaincinv(hits, n - hits + 1, 0.005)) if hits > 0 else 0.0
     hi = float(special.betaincinv(hits + 1, n - hits, 0.995)) if hits < n else 1.0

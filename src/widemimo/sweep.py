@@ -47,7 +47,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import capacity, iid, oracles, reliability
-from .channel import ChannelDims, RngStream, _positive_int
+from .channel import ChannelDims, RngStream, _past_float_range, _positive_int
 from .check import expansion_gap
 from .errors import ConfigError, WidemimoError
 
@@ -136,6 +136,8 @@ def load_config(path) -> SweepConfig:
                 options[key] = int(raw)
             except ValueError as exc:
                 raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from exc
+            if key == "n_samples" and options[key] > sys.float_info.max:
+                raise ConfigError(f"line {line_no}: {_past_float_range(key, options[key])}")
     if "out" in raw_entries:
         options["output_path"] = raw_entries["out"][0]
 
@@ -181,11 +183,11 @@ class _Quantity:
     rows would build first, and each row still shows the error it would show
     alone.
 
-    ``threaded`` rows go through ``oracles._map`` at the sweep's threads, the
-    others at threads = 1.  Only oracle-check's are threaded: their time goes
-    to numpy sampling, which releases the interpreter lock, while the other
-    rows hold it (pure Python, or the Python integrands of scipy's quad), so
-    threads would only add hand-offs.
+    ``threaded`` rows go through ``oracles._map`` at the sweep's threads, one
+    row per task, the others at threads = 1.  Only oracle-check's are
+    threaded: their time goes to numpy sampling, which releases the
+    interpreter lock, while the other rows hold it (pure Python, or the
+    Python integrands of scipy's quad), so threads would only add hand-offs.
     """
 
     slots: tuple
@@ -428,8 +430,8 @@ def run_sweep(
     Carlo rows each get their own stream id, so the CSV bytes do not depend
     on ``threads``.  ``threads``, a positive integer (else a DomainError),
     applies to the oracle-check quantity, whose rows go through
-    ``oracles._map`` at ``threads``, each row's oracle at threads = 1; the
-    other quantities run on the caller.
+    ``oracles._map`` at ``threads``, each row's oracle call on one thread;
+    the other quantities run on the caller.
     The destination is opened before the first row is evaluated.  Per-row
     library errors land in the error column, and on ``err_stream`` as each
     chunk is written, and the run continues.

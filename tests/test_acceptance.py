@@ -46,9 +46,6 @@ from widemimo import (
 )
 from widemimo.reliability import rho_one_rate
 
-THREADS = 4
-
-
 def _report(num, name, ok, detail):
     print(f"\nACCEPTANCE {num:>2} [{name}]: {'PASS' if ok else 'FAIL'} -- {detail}")
     return ok
@@ -61,8 +58,7 @@ def test_criterion_01_coherent_expansion_vs_oracle():
         ratios = []
         for jdx, snr in enumerate((0.05, 0.02, 0.01)):
             est = mc_coherent_mi(
-                ChannelDims(t, r, 1), snr, 10**6,
-                RngStream(SEED, 1000 + 10 * idx + jdx), threads=THREADS,
+                ChannelDims(t, r, 1), snr, 10**6, RngStream(SEED, 1000 + 10 * idx + jdx)
             )
             closed = coherent_expansion(ChannelDims(t, r, 1), snr).total
             gap = abs(est.mean - closed)
@@ -92,17 +88,13 @@ def test_criterion_02_closed_form_anchors():
     # oracle values recomputed by 1-D quadrature, then frozen
     ref_mi, _ = integrate.quad(lambda u: math.exp(-u) * math.log1p(u), 0, np.inf)
     assert ref_mi == pytest.approx(0.5963473623231939, rel=1e-10)
-    est_mi = mc_coherent_mi(
-        ChannelDims(1, 1, 1), 1.0, 10**6, RngStream(SEED, 1100), threads=THREADS
-    )
+    est_mi = mc_coherent_mi(ChannelDims(1, 1, 1), 1.0, 10**6, RngStream(SEED, 1100))
     ok_mi = est_mi.contains(ref_mi)
 
     ref_mean, _ = integrate.quad(lambda u: math.exp(-u) / (1 + u), 0, np.inf)
     ref_e0 = -math.log(ref_mean)
     assert ref_e0 == pytest.approx(0.516931959002046, rel=1e-10)
-    est_e0 = mc_e0_exact(
-        ChannelDims(1, 1, 1), 2.0, 1.0, 10**6, RngStream(SEED, 1101), threads=THREADS
-    )
+    est_e0 = mc_e0_exact(ChannelDims(1, 1, 1), 2.0, 1.0, 10**6, RngStream(SEED, 1101))
     ok_e0 = est_e0.contains(ref_e0)
 
     detail = (
@@ -121,7 +113,7 @@ def test_criterion_03_gallager_bound_direction():
         for l in (1, 10):
             for snr_b in (0.1, 2.0):
                 dims = ChannelDims(t, r, l)
-                ests = mc_e0_curve(dims, snr_b, rhos, 20_000, RngStream(SEED, sid), threads=THREADS)
+                ests = mc_e0_curve(dims, snr_b, rhos, 20_000, RngStream(SEED, sid))
                 sid += 1
                 for rho, est in zip(rhos, ests):
                     bound = e0_upper(dims, snr_b, float(rho))
@@ -184,7 +176,7 @@ def test_criterion_05_outage_oracle():
     sid = 1350
     for k in (1, 2, 4, 9):
         for x in (0.1, 1.0, float(k)):
-            est = empirical_tail_cdf(k, x, 10**6, RngStream(SEED, sid), threads=THREADS)
+            est = empirical_tail_cdf(k, x, 10**6, RngStream(SEED, sid))
             sid += 1
             closed = gamma_lower_regularized(k, x)
             if not est.contains(closed):
@@ -230,7 +222,7 @@ def test_criterion_07_onoff_triple_agreement():
         for snr in (1e-2, 1e-3):
             for amp in (10.0, 20.0, 50.0):
                 quad = onoff_mi_quadrature(r, snr, amp, rel_tol=1e-10)
-                est = mc_onoff_mi(r, snr, amp, 10**6, RngStream(SEED, sid), threads=THREADS)
+                est = mc_onoff_mi(r, snr, amp, 10**6, RngStream(SEED, sid))
                 sid += 1
                 mc_ok.append(((r, snr, amp), est.contains(quad)))
                 gap = abs(quad - onoff_mi_asymptotic(r, snr, amp).value)

@@ -12,6 +12,7 @@ when both run at once on the shared worker pool.
 import csv
 import io
 import math
+import sys
 import threading
 
 import numpy as np
@@ -27,6 +28,7 @@ from widemimo import (
     mc_e0_exact,
     run_sweep,
 )
+from widemimo import oracles
 from widemimo.check import Verdict, _line, _worst, contains, expansion_gap, run_check
 from widemimo.oracles import OracleEstimate
 
@@ -168,8 +170,8 @@ def test_check_and_sweep_at_once_on_the_shared_pool(tmp_path):
 
 
 def test_stream_reproducibility_compares_two_threads(monkeypatch):
-    # its n = 2000 call is one chunk, which runs on whichever thread calls it:
-    # at threads > 1 the threads = 1 leg runs on a pool thread, the other on the caller
+    # an oracle call runs on whichever thread calls it: at threads > 1 the
+    # mapped leg runs on a pool thread, the other on the caller
     legs = []
 
     def recording(*args):
@@ -182,3 +184,26 @@ def test_stream_reproducibility_compares_two_threads(monkeypatch):
     assert run_check(seed=0, threads=2, out=out) == 0
     assert len(legs) == 2 and legs[0] is not legs[1]
     assert "stream-reproducibility     gap=0 slack=0 margin=exact" in out.getvalue()
+
+
+def test_only_check_and_sweep_reach_the_pool(tmp_path, monkeypatch):
+    # an oracle call runs its chunks on the caller, so ``_map``, the one way
+    # onto the pool, is called only where whole oracle calls and sweep rows
+    # become tasks
+    callers = []
+    mapped = oracles._map
+
+    def recording(fn, threads, *iterables):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mapped(fn, threads, *iterables)
+
+    monkeypatch.setattr(oracles, "_map", recording)
+    run_check(seed=0, threads=2, out=io.StringIO())
+    # 200,000 samples are four chunks per row
+    cfg_path = tmp_path / "oc.cfg"
+    cfg_path.write_text(
+        "quantity = oracle-check\nt = 1, 2\nr = 1\nl = 1\nsnr = 0.01\nn_samples = 200000\n",
+        encoding="utf-8",
+    )
+    run_sweep(load_config(cfg_path), out=str(tmp_path / "oc.csv"), threads=2)
+    assert set(callers) == {"_checks", "run_sweep"}

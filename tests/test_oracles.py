@@ -72,11 +72,6 @@ class TestCoherentMi:
             closed = coherent_expansion(dims, 0.01).total
             assert abs(est.mean - closed) <= est.ci99_half + 10 * 0.01**3, (t, r)
 
-    def test_thread_invariance(self):
-        a = mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, 70_000, RngStream(SEED, 203), threads=1)
-        b = mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, 70_000, RngStream(SEED, 203), threads=4)
-        assert a == b
-
     def test_std_error_scaling(self):
         a = mc_coherent_mi(DIMS11, 0.5, 100_000, RngStream(SEED, 204))
         b = mc_coherent_mi(DIMS11, 0.5, 200_000, RngStream(SEED, 204))
@@ -154,12 +149,6 @@ class TestE0Exact:
         assert all(map(math.isfinite, (est.mean, est.std_error, est.ci99_low, est.ci99_high)))
         assert 745.0 < est.mean <= e0_upper(dims, 1.0, 1.0) + 3 * est.ci99_half
 
-    def test_thread_invariance(self):
-        dims = ChannelDims(2, 2, 10)
-        a = mc_e0_curve(dims, 0.1, [0.5, 1.0], 200_000, RngStream(SEED, 262), threads=1)
-        b = mc_e0_curve(dims, 0.1, [0.5, 1.0], 200_000, RngStream(SEED, 262), threads=3)
-        assert a == b
-
     def test_point_estimate_from_weights(self):
         # the tilted weights by hand from the same unit draws: the explicit
         # bidiagonal Gram matrix at (t, r) = (2, 3), two chunks of the stream
@@ -215,12 +204,6 @@ class TestOnOffMi:
         a = mc_onoff_mi(1, 0.1, 2.0, 100_000, RngStream(SEED, 223))
         b = mc_onoff_mi(1, 0.1, 2.0, 200_000, RngStream(SEED, 223))
         assert b.std_error == pytest.approx(a.std_error / math.sqrt(2), rel=0.1)
-
-    def test_thread_invariance(self):
-        # 1.1e6 on-branch draws are 17 chunks, the last one short, over 3 threads
-        a = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=1)
-        b = mc_onoff_mi(2, 1e-3, 20.0, 1_100_000, RngStream(SEED, 224), threads=3)
-        assert a == b
 
     def test_point_estimate_from_draws(self):
         # the same Gamma(2) draws, two chunks of the stream, against the MI
@@ -305,12 +288,6 @@ class TestTailCdf:
         assert est.ci99_half > 0.0
         assert est.std_error == est.ci99_half / _Z99
 
-    def test_thread_invariance(self):
-        # 200k draws are four chunks, the last one short
-        a = empirical_tail_cdf(3, 2.5, 200_000, RngStream(SEED, 233), threads=1)
-        b = empirical_tail_cdf(3, 2.5, 200_000, RngStream(SEED, 233), threads=3)
-        assert a == b
-
 
 CURVE_RHOS = (0.25, 0.5, 0.75, 1.0)
 
@@ -335,11 +312,9 @@ class TestStreamingMoments:
             return _moments(draw(gen, work), work[1])
 
         rng = RngStream(SEED, 270)
-        count, mean, m2 = _merge_moments(_collect(chunk, n, rng, 1, 2))
-        # chunks merge in chunk order whichever thread finished first
-        assert _merge_moments(_collect(chunk, n, rng, 3, 2)) == (count, mean, m2)
+        count, mean, m2 = _merge_moments(_collect(chunk, n, rng, 2))
         # the next chunk overwrites the workspace, so each draw is copied out of it
-        values = np.concatenate(_collect(lambda gen, work: draw(gen, work).copy(), n, rng, 1, 2))
+        values = np.concatenate(_collect(lambda gen, work: draw(gen, work).copy(), n, rng, 2))
         assert count == n
         assert mean == pytest.approx(values.mean(), rel=1e-12)
         assert m2 / (n - 1) == pytest.approx(values.var(ddof=1), rel=1e-12)
@@ -384,23 +359,26 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("threads, most", [(1, 1), (3, 3)])
     def test_one_workspace_per_worker(self, threads, most):
-        # each chunk's view is held, so a fresh buffer per chunk could not
-        # reuse a freed address and pass for the same workspace
+        # whole calls go through ``_map``, as check and the sweep run them.
+        # Each chunk's view is held, so a fresh buffer per chunk could not
+        # reuse a freed address and pass for the same workspace.
         seen = []
 
         def chunk(gen, work):
             seen.append((threading.get_ident(), work))
             return work.shape
 
-        shapes = _collect(chunk, 5 * _CHUNK + 7, RngStream(SEED, 275), threads, 3)
-        assert shapes == [(3, _CHUNK)] * 5 + [(3, 7)]
-        # every worker thread drew all its chunks into one buffer
+        def call(n):
+            return _collect(chunk, n, RngStream(SEED, 275), 3)
+
+        shapes = list(oracles._map(call, threads, [2 * _CHUNK + 7] * 6))
+        assert shapes == [[(3, _CHUNK)] * 2 + [(3, 7)]] * 6
+        # every thread drew all the chunks of all its calls into one buffer
         pairs = {(ident, work.ctypes.data) for ident, work in seen}
         assert len(pairs) == len({ident for ident, _ in pairs}) <= most
         assert len({pointer for _, pointer in pairs}) <= most
-        # a call shorter than a chunk is handed only the columns it draws,
-        # and a thread that has not yet needed more allocates only those
-        assert _collect(chunk, 1000, RngStream(SEED, 275), threads, 3) == [(3, 1000)]
+        # a call shorter than a chunk is handed only the columns it draws
+        assert _collect(chunk, 1000, RngStream(SEED, 275), 3) == [(3, 1000)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kept_across_calls(self, threads):
@@ -408,21 +386,22 @@ class TestWorkspace:
         # back by chance and pass for a kept one
         held = []
 
-        def buffers(width, n):
-            """{thread: (base pointer, buffer shape)} over one call's chunks."""
-            count, barrier = itertools.count(), threading.Barrier(threads, timeout=30)
+        def buffers(width, n, workers):
+            """{thread: (base pointer, buffer shape)} over ``workers`` calls mapped at once."""
+            barrier = threading.Barrier(workers, timeout=30)
             views = []
 
             def chunk(gen, work):
-                # the first chunk on each pool thread waits for the others,
-                # so every pool thread draws in every multi-chunk call
-                if n > _CHUNK and next(count) < threads:
-                    barrier.wait()
                 views.append((threading.get_ident(), work))
                 return work.shape
 
-            shapes = _collect(chunk, n, RngStream(SEED, 298), threads, width)
-            assert shapes[0] == (width, min(n, _CHUNK))
+            def call(_):
+                # each call waits for the others, so every pool thread runs one
+                barrier.wait()
+                return _collect(chunk, n, RngStream(SEED, 298), width)
+
+            for shapes in oracles._map(call, workers, range(workers)):
+                assert shapes[0] == (width, min(n, _CHUNK))
             held.extend(views)
             found = {}
             for ident, work in views:
@@ -433,83 +412,87 @@ class TestWorkspace:
 
         def scenario():
             caller, n = threading.get_ident(), 3 * _CHUNK + 7
-            # a one-chunk call runs on the caller, which starts with no buffer
-            short = buffers(3, 1000)
+            # a one-chunk call on the caller, which starts with no buffer
+            short = buffers(3, 1000, 1)
             assert short == {caller: (short[caller][0], (3, 1000))}
-            assert buffers(3, 1000) == short
-            first = buffers(3, n)
+            assert buffers(3, 1000, 1) == short
+            first = buffers(3, n, threads)
             assert len(first) == threads and (caller in first) == (threads == 1)
             if threads == 1:
                 # a longer call replaces the caller's buffer with a longer one
                 assert first[caller][1] == (3, _CHUNK)
                 assert first[caller][0] != short[caller][0]
             # a second call of the same width draws into the first call's buffers
-            assert buffers(3, n) == first
+            assert buffers(3, n, threads) == first
             # a wider call replaces each one with a buffer of the larger shape
             wide = 1 + max(shape[0] for _, shape in first.values())
-            wider = buffers(wide, n)
+            wider = buffers(wide, n, threads)
             assert wider.keys() == first.keys()
             for ident, (pointer, shape) in wider.items():
                 assert shape == (wide, _CHUNK) and pointer != first[ident][0]
             # and a narrower call after it draws into the larger buffers
-            assert buffers(2, n) == wider
+            assert buffers(2, n, threads) == wider
 
         _on_fresh_thread(scenario)
 
     def test_concurrent_calls_match_serial(self):
-        # eight calls at once, more than the cores: four oracles each run in
-        # the calling thread and on a pool of two workers.  A workspace shared
-        # between calls would mix their draws.
+        # eight calls at once, more than the cores: four oracles, each twice.
+        # A workspace shared between calls would mix their draws.
         n = 3 * _CHUNK + 11
         calls = [
-            lambda th: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, RngStream(SEED, 276), th),
-            lambda th: mc_onoff_mi(2, 1e-3, 20.0, n, RngStream(SEED, 277), th),
-            lambda th: mc_e0_curve(
-                ChannelDims(2, 3, 10), 0.1, CURVE_RHOS, n, RngStream(SEED, 278), th
-            ),
-            lambda th: empirical_tail_cdf(3, 2.5, n, RngStream(SEED, 279), th),
+            lambda: mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, n, RngStream(SEED, 276)),
+            lambda: mc_onoff_mi(2, 1e-3, 20.0, n, RngStream(SEED, 277)),
+            lambda: mc_e0_curve(ChannelDims(2, 3, 10), 0.1, CURVE_RHOS, n, RngStream(SEED, 278)),
+            lambda: empirical_tail_cdf(3, 2.5, n, RngStream(SEED, 279)),
         ]
-        serial = [call(1) for call in calls]
+        serial = [call() for call in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2 * len(calls)) as pool:
-                futures = [pool.submit(call, th) for th in (1, 2) for call in calls]
+                futures = [pool.submit(call) for _ in range(2) for call in calls]
                 concurrent = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
         assert concurrent == serial + serial
 
 
+def _mapped_estimate(args):
+    """``mc_coherent_mi(*args)`` run as a task of the pool of two."""
+    return next(oracles._map(lambda a: mc_coherent_mi(*a), 2, [args]))
+
+
 def _send_estimate(sender, args):
-    sender.send(mc_coherent_mi(*args, threads=2))
+    sender.send(_mapped_estimate(args))
     sender.close()
 
 
 class TestPool:
-    """Threaded oracle calls share one worker pool per thread count."""
+    """Mapped oracle calls share one worker pool per thread count."""
 
     def test_calls_share_one_pool(self):
         pool = _pool(2)
 
-        def chunk(gen, work):
-            return threading.current_thread()
+        def call(sid):
+            rng = RngStream(SEED, sid)
+            return _collect(lambda gen, work: threading.current_thread(), 3 * _CHUNK, rng, 1)
 
-        first = _collect(chunk, 3 * _CHUNK, RngStream(SEED, 295), 2, 1)
-        mc_coherent_mi(ChannelDims(2, 2, 1), 0.02, 200_000, RngStream(SEED, 296), threads=2)
-        second = _collect(chunk, 3 * _CHUNK, RngStream(SEED, 295), 2, 1)
+        first = list(oracles._map(call, 2, (295, 296)))
+        _mapped_estimate((ChannelDims(2, 2, 1), 0.02, 200_000, RngStream(SEED, 296)))
+        second = list(oracles._map(call, 2, (295, 296)))
         assert _pool(2) is pool
-        # both calls' chunks ran on the same two pool threads
-        workers = set(first + second)
+        # each call ran all its chunks on one thread, and every call on the same two pool threads
+        assert all(len(set(ran)) == 1 for ran in first + second)
+        workers = {thread for ran in first + second for thread in ran}
         assert len(workers) <= 2 and threading.current_thread() not in workers
 
     def test_one_chunk_call_runs_on_the_caller(self, monkeypatch):
-        dims, rng = ChannelDims(2, 2, 1), RngStream(SEED, 297)
-        expected = mc_coherent_mi(dims, 0.1, 2000, rng)
+        # and so does a call of many chunks: no oracle reaches the pool
         monkeypatch.setattr(oracles, "_pool", lambda threads: pytest.fail("used the pool"))
-        assert mc_coherent_mi(dims, 0.1, 2000, rng, threads=3) == expected
-        caller = _collect(lambda gen, work: threading.current_thread(), _CHUNK, rng, 3, 1)
-        assert caller == [threading.current_thread()]
+        rng = RngStream(SEED, 297)
+        for n in (_CHUNK, 3 * _CHUNK + 5):
+            ran = _collect(lambda gen, work: threading.current_thread(), n, rng, 1)
+            assert set(ran) == {threading.current_thread()}
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_map_keeps_input_order(self, threads):
@@ -544,7 +527,7 @@ class TestPool:
         # the child inherits the parent's pool of 2 but not its threads; a
         # threaded call there would wait on workers that do not exist
         args = (ChannelDims(2, 2, 1), 0.02, 200_000, RngStream(1, 5))
-        expected = mc_coherent_mi(*args, threads=2)
+        expected = _mapped_estimate(args)
         ctx = multiprocessing.get_context("fork")
         receiver, sender = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_send_estimate, args=(sender, args))
@@ -808,27 +791,23 @@ PINNED_RHOS = (0.25, 0.5, 1.0)
 PINNED = {
     # p = 1 with Gamma(3) by uniform product; p = 4 draws Gamma(5) by standard_gamma
     "mc_coherent_mi-1x3": (
-        lambda th: [mc_coherent_mi(ChannelDims(1, 3, 1), 0.5, PINNED_N, RngStream(SEED, 3900), th)],
+        lambda: [mc_coherent_mi(ChannelDims(1, 3, 1), 0.5, PINNED_N, RngStream(SEED, 3900))],
         [(0.8619459664881326, 0.0009006338331387254, 0.8596260874689663, 0.8642658455072989)],
     ),
     "mc_coherent_mi-2x3": (
-        lambda th: [mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3901), th)],
+        lambda: [mc_coherent_mi(ChannelDims(2, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3901))],
         [(0.2683406783501738, 0.0002725717162434009, 0.26763858013615544, 0.2690427765641921)],
     ),
     "mc_coherent_mi-3x3": (
-        lambda th: [mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3902), th)],
+        lambda: [mc_coherent_mi(ChannelDims(3, 3, 1), 0.1, PINNED_N, RngStream(SEED, 3902))],
         [(0.27404423926726085, 0.00023131371109623604, 0.2734484146319065, 0.2746400639026152)],
     ),
     "mc_coherent_mi-4x5": (
-        lambda th: [
-            mc_coherent_mi(ChannelDims(4, 5, 1), 0.05, PINNED_N, RngStream(SEED, 3903), th)
-        ],
+        lambda: [mc_coherent_mi(ChannelDims(4, 5, 1), 0.05, PINNED_N, RngStream(SEED, 3903))],
         [(0.23695534944145005, 0.00013881542967984046, 0.236597784589896, 0.2373129142930041)],
     ),
     "mc_e0_curve-2x2": (
-        lambda th: mc_e0_curve(
-            ChannelDims(2, 2, 10), 0.1, PINNED_RHOS, PINNED_N, RngStream(SEED, 3910), th
-        ),
+        lambda: mc_e0_curve(ChannelDims(2, 2, 10), 0.1, PINNED_RHOS, PINNED_N, RngStream(SEED, 3910)),
         [
             (0.3573894646228109, 2.1990602821022488e-05, 0.35733282058366184, 0.35744610866195997),
             (0.5863573336374671, 2.905499500298537e-05, 0.586282492929924, 0.5864321743450103),
@@ -836,9 +815,7 @@ PINNED = {
         ],
     ),
     "mc_e0_curve-3x4": (
-        lambda th: mc_e0_curve(
-            ChannelDims(3, 4, 10), 1.0, PINNED_RHOS, PINNED_N, RngStream(SEED, 3911), th
-        ),
+        lambda: mc_e0_curve(ChannelDims(3, 4, 10), 1.0, PINNED_RHOS, PINNED_N, RngStream(SEED, 3911)),
         [
             (4.334432660378619, 0.0010955221369071833, 4.331610782355687, 4.337254538401551),
             (7.084712781622672, 0.0016453855341240931, 7.0804745493482395, 7.088951013897105),
@@ -846,14 +823,14 @@ PINNED = {
         ],
     ),
     "mc_onoff_mi-r1": (
-        lambda th: [mc_onoff_mi(1, 0.01, 10.0, PINNED_N, RngStream(SEED, 3920), th)],
+        lambda: [mc_onoff_mi(1, 0.01, 10.0, PINNED_N, RngStream(SEED, 3920))],
         [
             (0.003958264177870262, 1.3243060590021617e-06, 0.003954852991516617,
              0.0039616753642239076),
         ],
     ),
     "mc_onoff_mi-r2": (
-        lambda th: [mc_onoff_mi(2, 1e-3, 20.0, PINNED_N, RngStream(SEED, 3921), th)],
+        lambda: [mc_onoff_mi(2, 1e-3, 20.0, PINNED_N, RngStream(SEED, 3921))],
         [
             (0.00047531229054994725, 5.7138394208068566e-08, 0.0004751651117997884,
              0.0004754594693001061),
@@ -861,30 +838,31 @@ PINNED = {
     ),
     # k = 2 and 4 test a uniform product against e^-x, k = 5 a standard_gamma draw against x
     "empirical_tail_cdf-k1": (
-        lambda th: [empirical_tail_cdf(1, 1.0, PINNED_N, RngStream(SEED, 3930), th)],
+        lambda: [empirical_tail_cdf(1, 1.0, PINNED_N, RngStream(SEED, 3930))],
         [(0.6327457750318009, 0.001326455393856323, 0.6293205260154753, 0.6361614477245263)],
     ),
     "empirical_tail_cdf-k2": (
-        lambda th: [empirical_tail_cdf(2, 2.0, PINNED_N, RngStream(SEED, 3931), th)],
+        lambda: [empirical_tail_cdf(2, 2.0, PINNED_N, RngStream(SEED, 3931))],
         [(0.5964398207038585, 0.0013499947867353446, 0.5929552496668775, 0.5999174347271905)],
     ),
     "empirical_tail_cdf-k4": (
-        lambda th: [empirical_tail_cdf(4, 4.0, PINNED_N, RngStream(SEED, 3932), th)],
+        lambda: [empirical_tail_cdf(4, 4.0, PINNED_N, RngStream(SEED, 3932))],
         [(0.5645708401477981, 0.0013643085447054618, 0.561050549914972, 0.5680864724178496)],
     ),
     "empirical_tail_cdf-k5": (
-        lambda th: [empirical_tail_cdf(5, 5.0, PINNED_N, RngStream(SEED, 3933), th)],
+        lambda: [empirical_tail_cdf(5, 5.0, PINNED_N, RngStream(SEED, 3933))],
         [(0.558566539463323, 0.0013663586341774669, 0.5550411852751955, 0.5620876688318875)],
     ),
 }
 
 
+# on the caller at threads = 1 and on a pool thread at 3, as check and the sweep run calls
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", list(PINNED))
 def test_pinned_bits(name, threads):
     call, pinned = PINNED[name]
-    got = [(e.mean, e.std_error, e.ci99_low, e.ci99_high) for e in call(threads)]
-    assert got == pinned
+    estimates = next(oracles._map(lambda _: call(), threads, [None]))
+    assert [(e.mean, e.std_error, e.ci99_low, e.ci99_high) for e in estimates] == pinned
 
 
 class TestDeterminism:
@@ -960,28 +938,10 @@ def test_inf_is_a_domain_error(name):
     assert str(err.value) == message
 
 
-# Every oracle takes its thread count through ``_collect``, which rejects a
-# count below 1 (or not an integer) before any chunk is drawn.
-THREADS_CALLS = {
-    "mc_coherent_mi": lambda rng, threads: mc_coherent_mi(DIMS11, 1.0, 1000, rng, threads),
-    "mc_e0_exact": lambda rng, threads: mc_e0_exact(DIMS11, 1.0, 0.5, 1000, rng, threads),
-    "mc_e0_curve": lambda rng, threads: mc_e0_curve(DIMS11, 1.0, [0.5], 1000, rng, threads),
-    "mc_onoff_mi": lambda rng, threads: mc_onoff_mi(1, 0.01, 10.0, 10_000, rng, threads),
-    "empirical_tail_cdf": lambda rng, threads: empirical_tail_cdf(1, 1.0, 1000, rng, threads),
-}
-
-
-@pytest.mark.parametrize("threads", [0, -3, 1.0, True])
-@pytest.mark.parametrize("name", list(THREADS_CALLS))
-def test_threads_not_a_positive_integer_is_a_domain_error(name, threads, monkeypatch):
-    monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
-    with pytest.raises(DomainError) as err:
-        THREADS_CALLS[name](RngStream(SEED, 292), threads)
-    assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
-
-
 # Values outside an oracle's range: a DomainError with its own message before
-# any chunk is drawn.
+# ``_collect`` cuts n into chunks, whose list could never be built past float max.
+HUGE_N = 10**400
+HUGE_N_MESSAGE = f"n must be at most {sys.float_info.max:g}, got a 1329-bit integer"
 RANGE_CALLS = {
     "mc_e0_curve-rho-above-1": (
         lambda rng: mc_e0_curve(DIMS11, 1.0, [0.5, 1.5], 1000, rng),
@@ -998,12 +958,19 @@ RANGE_CALLS = {
         lambda rng: mc_onoff_mi(1, 0.01, 10.0, 9_999, rng),
         "n must be an integer >= 10000, got 9999",
     ),
+    "mc_coherent_mi-huge-n": (lambda rng: mc_coherent_mi(DIMS11, 1.0, HUGE_N, rng), HUGE_N_MESSAGE),
+    "mc_e0_exact-huge-n": (lambda rng: mc_e0_exact(DIMS11, 1.0, 0.5, HUGE_N, rng), HUGE_N_MESSAGE),
+    "mc_e0_curve-huge-n": (lambda rng: mc_e0_curve(DIMS11, 1.0, [1], HUGE_N, rng), HUGE_N_MESSAGE),
+    "mc_onoff_mi-huge-n": (lambda rng: mc_onoff_mi(1, 0.01, 10.0, HUGE_N, rng), HUGE_N_MESSAGE),
+    "empirical_tail_cdf-huge-n": (
+        lambda rng: empirical_tail_cdf(1, 1.0, HUGE_N, rng), HUGE_N_MESSAGE
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(RANGE_CALLS))
 def test_out_of_range_is_a_domain_error_before_drawing(name, monkeypatch):
-    monkeypatch.setattr(RngStream, "generator", lambda *a, **k: pytest.fail("drew a chunk"))
+    monkeypatch.setattr(oracles, "_collect", lambda *args: pytest.fail("cut n into chunks"))
     call, message = RANGE_CALLS[name]
     with pytest.raises(DomainError) as err:
         call(RngStream(SEED, 294))

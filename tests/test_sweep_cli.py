@@ -127,10 +127,13 @@ class TestLoadConfig:
             (CAPACITY_CFG + "n_samples = many\n",
              "line 7: n_samples must be an integer, got 'many'"),
             (CAPACITY_CFG + "n_samples = 999\n", "n_samples must be >= 1000"),
+            (CAPACITY_CFG + "n_samples = 1" + "0" * 400 + "\n",
+             "line 7: n_samples must be at most 1.79769e+308, got a 1329-bit integer"),
         ],
         ids=[
             "empty-entry", "no-equals", "empty-key", "empty-value", "no-quantity",
             "unknown-quantity", "seed-not-int", "n_samples-not-int", "n_samples-below-1000",
+            "n_samples-past-float-range",
         ],
     )
     def test_refusal_messages(self, tmp_path, text, message):
