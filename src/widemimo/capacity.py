@@ -8,7 +8,7 @@ rather than hiding them in loose tolerances.
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelDims, _positive_int
+from .channel import ChannelDims, _count
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -289,7 +289,7 @@ def energy_per_nat(r: int, snr: float, delta_term: float) -> EnergyPerNat:
     log_approx = delta_term / (r snr) - log r is the first-order form whose
     error the tests bound against log_ratio.
     """
-    r = _positive_int("r", r)
+    r = _count("r", r)
     if not 0.0 < snr < math.inf:
         raise DomainError(f"snr must be > 0, got {snr}")
     if not 0.0 <= delta_term < math.inf:

@@ -35,30 +35,23 @@ _MASK64 = (1 << 64) - 1
 _FLOAT_MAX = sys.float_info.max
 
 
-def _past_float_range(name, value: int) -> str:
-    """The error message for a count past float max (the closed forms take counts as floats).
+def _count(name, value, minimum=1, error=DomainError) -> int:
+    """A count argument such as t, r, k or n, as an int; numpy integers pass, bools do not.
 
-    It gives the bit length, since an int of more than 4300 digits cannot be formatted.
+    Counts stay within float max, since the closed forms take them as
+    floats.  The refusal text is built only on failure, and never formats
+    the digits of a value past the float range: an int of more than 4300
+    digits cannot be formatted, so it is shown by its bit length.
     """
-    return f"{name} must be at most {_FLOAT_MAX:g}, got a {value.bit_length()}-bit integer"
-
-
-def _as_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DimensionError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DimensionError(f"{name} must be >= 1, got {value}")
-    if value > _FLOAT_MAX:
-        raise DimensionError(_past_float_range(name, value))
-    return int(value)
-
-
-def _positive_int(name, value) -> int:
-    """A count argument such as r or k, as an int; numpy integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    if value > _FLOAT_MAX:
-        raise DomainError(_past_float_range(name, value))
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and minimum <= value <= _FLOAT_MAX):
+        if not integer:
+            raise error(f"{name} must be an integer, got {value!r}")
+        bits = int(value).bit_length()
+        if value > _FLOAT_MAX:
+            raise error(f"{name} must be at most {_FLOAT_MAX:g}, got a {bits}-bit integer")
+        shown = value if value >= -_FLOAT_MAX else f"a negative {bits}-bit integer"
+        raise error(f"{name} must be >= {minimum}, got {shown}")
     return int(value)
 
 
@@ -67,7 +60,7 @@ class ChannelDims:
     """Antenna counts and coherence length: t transmit, r receive, l symbols per block.
 
     A plain int in [1, sys.float_info.max] is kept; any other count goes
-    through ``_as_count``, which rejects it or makes it an int.  r*t must
+    through ``_count``, which rejects it or makes it an int.  r*t must
     stay in the float range too, as the Gallager forms take it.  Counts only:
     the training scheme's l > t is checked by ``reliability._training_domain``.
     """
@@ -79,9 +72,8 @@ class ChannelDims:
     def __post_init__(self):
         for name, value in (("t", self.t), ("r", self.r), ("l", self.l)):
             if type(value) is not int or not 1 <= value <= _FLOAT_MAX:
-                object.__setattr__(self, name, _as_count(name, value))
-        if self.r * self.t > _FLOAT_MAX:
-            raise DimensionError(_past_float_range("r*t", self.r * self.t))
+                object.__setattr__(self, name, _count(name, value, error=DimensionError))
+        _count("r*t", self.r * self.t, error=DimensionError)
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ def sample_channel_matrix(dims: ChannelDims, rng: RngStream, count: int | None =
     gen = rng.generator()
     if count is None:
         return _sample_cn(gen, (dims.r, dims.t))
-    count = _as_count("count", count)
+    count = _count("count", count, error=DimensionError)
     return _sample_cn(gen, (count, dims.r, dims.t))
 
 
@@ -131,7 +123,7 @@ def sample_channel_matrix(dims: ChannelDims, rng: RngStream, count: int | None =
 # ---------------------------------------------------------------------------
 
 def _check_gamma_args(k, x):
-    k = _positive_int("k", k)
+    k = _count("k", k)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     return k, float(x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import capacity, iid, oracles, reliability
-from .channel import ChannelDims, RngStream, _positive_int, gamma_lower_regularized
+from .channel import ChannelDims, RngStream, _count, gamma_lower_regularized
 from .oracles import empirical_tail_cdf, mc_coherent_mi, mc_e0_curve, mc_e0_exact, mc_onoff_mi
 
 __all__ = ["run_check"]
@@ -209,7 +209,7 @@ def run_check(seed: int = 0, threads: int = 1, out=None) -> int:
     ``threads``, one call per task, and verdicts print in table order.  A
     ``threads`` other than a positive integer raises a DomainError first.
     """
-    threads = _positive_int("threads", threads)
+    threads = _count("threads", threads)
     out = out if out is not None else sys.stdout
     failures = 0
     for name, verdict in _checks(seed, threads):

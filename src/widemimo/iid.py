@@ -11,7 +11,7 @@ minimum governs the capacity gap, and the resulting capacity sandwich.
 import math
 from dataclasses import dataclass
 
-from .channel import _positive_int, gamma_lower_regularized, gamma_upper_regularized
+from .channel import _count, gamma_lower_regularized, gamma_upper_regularized
 from .errors import ConsistencyError, DomainError, QuadratureError
 
 __all__ = [
@@ -96,7 +96,7 @@ def zeta_star(r: int, snr: float, amplitude_sq: float) -> float:
 
 def onoff_building_blocks(r: int, snr: float, amplitude_sq: float) -> OnOffSpec:
     """Assemble (omega, divergence, zeta_star) for on-off signaling at peak A."""
-    r = _positive_int("r", r)
+    r = _count("r", r)
     if not snr > 0.0:
         raise DomainError(f"snr must be > 0, got {snr}")
     if not snr <= amplitude_sq < math.inf:
@@ -118,7 +118,7 @@ def onoff_mi_asymptotic(r: int, snr: float, amplitude_sq: float) -> MiExpansion:
     value = r snr - r snr log(1+A)/A - r A^(-(r+1)/A) snr^(1 + 1/A); the
     remainder (nominally o(snr^2) as A grows with 1/snr) is dropped.
     """
-    r = _positive_int("r", r)
+    r = _count("r", r)
     a = float(amplitude_sq)
     if not 1.0 <= a < math.inf:
         raise DomainError(f"amplitude_sq must be >= 1 for the expansion, got {a}")
@@ -188,7 +188,7 @@ def onoff_mi_quadrature(
     QuadratureError carrying the value as its ``estimate`` is raised when
     that reported error exceeds 10 rel_tol |I|.
     """
-    r = _positive_int("r", r)
+    r = _count("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if not 1e-13 <= rel_tol < 1.0:
@@ -236,7 +236,7 @@ def onoff_mi_quadrature(
 
 def surrogate_m(r: int, snr: float, amplitude_sq: float) -> float:
     """Surrogate gap objective M(A, snr) = log(A)/A + A^(-(r+1)/A) snr^(1/A)."""
-    r = _positive_int("r", r)
+    r = _count("r", r)
     if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     a = float(amplitude_sq)
@@ -247,7 +247,7 @@ def surrogate_m(r: int, snr: float, amplitude_sq: float) -> float:
 
 def _sandwich(r: int, snr: float) -> tuple[int, float, float, float]:
     """(r, L, lower, upper) with L = log(r/snr) and the proved bounds on m_star."""
-    r = _positive_int("r", r)
+    r = _count("r", r)
     if not 0.0 < snr < r / math.e**2:
         raise DomainError(f"need snr < r/e^2 so that loglog(r/snr) > 0, got snr={snr}")
     big_l = math.log(r / snr)

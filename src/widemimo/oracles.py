@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import _FLOAT_MAX, ChannelDims, RngStream, _past_float_range, _positive_int
+from .channel import ChannelDims, RngStream, _count
 from .errors import DomainError
 from .iid import _onoff_hinges
 
@@ -100,14 +100,6 @@ class OracleEstimate:
 
     def contains(self, value: float) -> bool:
         return self.ci99_low <= value <= self.ci99_high
-
-
-def _check_n(n, minimum) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
-        raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
-    if n > _FLOAT_MAX:  # its chunk list could never be built
-        raise DomainError(_past_float_range("n", n))
-    return int(n)
 
 
 _pools = {}
@@ -310,7 +302,7 @@ def mc_coherent_mi(dims: ChannelDims, snr: float, n: int, rng: RngStream) -> Ora
     matrix, drawn through its bidiagonal model and taken by one recurrence for
     every p (see ``_wishart_logdet``).
     """
-    n = _check_n(n, minimum=1000)
+    n = _count("n", n, minimum=1000)
     if not 0.0 <= snr < math.inf:
         raise DomainError(f"snr must be >= 0, got {snr}")
     t, r = dims.t, dims.r
@@ -403,7 +395,7 @@ def mc_e0_curve(
     estimates across the grid are positively correlated, which is harmless
     for one-sided bound checks.
     """
-    n = _check_n(n, minimum=1000)
+    n = _count("n", n, minimum=1000)
     if not 0.0 < snr_b < math.inf:
         raise DomainError(f"snr_b must be > 0, got {snr_b}")
     rho_list = [float(rho) for rho in rhos]
@@ -468,8 +460,8 @@ def mc_onoff_mi(
     [-700, 700], so e^(+-u) stay finite; past the clip the integrand is
     within e^-700 of its limits 0 (u -> inf) and 1 (u -> -inf).
     """
-    n = _check_n(n, minimum=10_000)
-    r = _positive_int("r", r)
+    n = _count("n", n, minimum=10_000)
+    r = _count("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
         raise DomainError(f"need amplitude_sq > snr >= 0, got A={amplitude_sq}, snr={snr}")
     if snr == 0.0:
@@ -508,8 +500,8 @@ def empirical_tail_cdf(k: int, x: float, n: int, rng: RngStream) -> OracleEstima
     std_error is the plug-in sqrt(p (1 - p) / n), or at h = 0 and h = n, where
     that is 0, the interval's half-width over the 99% normal quantile.
     """
-    n = _check_n(n, minimum=1000)
-    k = _positive_int("k", k)
+    n = _count("n", n, minimum=1000)
+    k = _count("k", k)
     if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
 

@@ -47,7 +47,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import capacity, iid, oracles, reliability
-from .channel import ChannelDims, RngStream, _past_float_range, _positive_int
+from .channel import ChannelDims, RngStream, _count
 from .check import expansion_gap
 from .errors import ConfigError, WidemimoError
 
@@ -136,8 +136,11 @@ def load_config(path) -> SweepConfig:
                 options[key] = int(raw)
             except ValueError as exc:
                 raise ConfigError(f"line {line_no}: {key} must be an integer, got {raw!r}") from exc
-            if key == "n_samples" and options[key] > sys.float_info.max:
-                raise ConfigError(f"line {line_no}: {_past_float_range(key, options[key])}")
+            if key == "n_samples":
+                try:
+                    _count(key, options[key], minimum=1000)
+                except WidemimoError as exc:
+                    raise ConfigError(f"line {line_no}: {exc}") from exc
     if "out" in raw_entries:
         options["output_path"] = raw_entries["out"][0]
 
@@ -155,8 +158,6 @@ def load_config(path) -> SweepConfig:
         grids[key] = _parse_grid(key, kinds[key], *raw_entries[key])
 
     config = SweepConfig(name, grids, **options)
-    if config.n_samples < 1000:
-        raise ConfigError("n_samples must be >= 1000")
     total = math.prod(len(v) for v in grids.values())
     if total > ROW_CAP:
         raise ConfigError(f"grid cross-product has {total} rows, above the cap of {ROW_CAP}")
@@ -436,7 +437,7 @@ def run_sweep(
     library errors land in the error column, and on ``err_stream`` as each
     chunk is written, and the run continues.
     """
-    threads = _positive_int("threads", threads)
+    threads = _count("threads", threads)
     err_stream = err_stream if err_stream is not None else sys.stderr
     if seed is not None:
         config = replace(config, seed=seed)

@@ -1,4 +1,6 @@
+import io
 import math
+import os
 import sys
 
 import numpy as np
@@ -16,10 +18,13 @@ from widemimo import (
     gamma_lower_regularized,
     gamma_upper_regularized,
     iid_capacity_bracket,
+    mc_coherent_mi,
     mc_onoff_mi,
     onoff_building_blocks,
     sample_channel_matrix,
 )
+from widemimo.check import run_check
+from widemimo.sweep import SweepConfig, run_sweep
 
 
 def test_dims_validation():
@@ -90,20 +95,72 @@ COUNT_CALLS = {
 def test_count_arguments_share_one_check(name):
     call = COUNT_CALLS[name]
     assert call(np.int64(2)) == call(2)
-    for bad in (True, 0):
-        with pytest.raises(DomainError, match=f"must be a positive integer, got {bad!r}$"):
+    for bad, message in ((True, "must be an integer, got True"), (0, "must be >= 1, got 0")):
+        with pytest.raises(DomainError, match=f"{message}$"):
             call(bad)
 
 
+# A count past the float range either way is shown by its bit length: an int
+# of more than 4300 digits cannot be formatted.
+FAR_COUNTS = {
+    "1e400": (10**400, "must be at most 1.79769e+308, got a 1329-bit integer"),
+    "1e5000": (10**5000, "must be at most 1.79769e+308, got a 16610-bit integer"),
+    "-1e5000": (-(10**5000), "must be >= 1, got a negative 16610-bit integer"),
+}
+
+
 @pytest.mark.parametrize("name", list(COUNT_CALLS))
-@pytest.mark.parametrize("count", [10**400, 10**5000], ids=["1e400", "1e5000"])
-def test_count_arguments_past_the_float_range(name, count):
+@pytest.mark.parametrize("far", list(FAR_COUNTS))
+def test_count_arguments_past_the_float_range(name, far):
     # a library error before any float conversion or draw, however long the int
+    count, message = FAR_COUNTS[far]
     with pytest.raises(DomainError) as err:
         COUNT_CALLS[name](count)
-    assert str(err.value).endswith(
-        f" must be at most 1.79769e+308, got a {count.bit_length()}-bit integer"
-    )
+    assert str(err.value).endswith(f" {message}")
+
+
+# The other counts take the same check with their own error and minimum:
+# (call, the count's name, error, minimum).
+OTHER_COUNT_CALLS = {
+    "ChannelDims": (lambda l: ChannelDims(1, 1, l), "l", DimensionError, 1),
+    "sample_channel_matrix": (
+        lambda count: sample_channel_matrix(ChannelDims(1, 1, 1), RngStream(SEED, 142), count),
+        "count", DimensionError, 1,
+    ),
+    "mc_coherent_mi": (
+        lambda n: mc_coherent_mi(ChannelDims(1, 1, 1), 0.01, n, RngStream(SEED, 143)),
+        "n", DomainError, 1000,
+    ),
+    "mc_onoff_mi": (
+        lambda n: mc_onoff_mi(1, 0.01, 10.0, n, RngStream(SEED, 144)), "n", DomainError, 10_000
+    ),
+    "run_check": (lambda threads: run_check(threads=threads, out=io.StringIO()),
+                  "threads", DomainError, 1),
+    "run_sweep": (
+        lambda threads: run_sweep(
+            SweepConfig("capacity", {"t": [1], "r": [1], "l": [10], "snr": [0.01]}),
+            out=os.devnull, threads=threads, err_stream=io.StringIO(),
+        ),
+        "threads", DomainError, 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OTHER_COUNT_CALLS))
+def test_other_counts_share_the_check(name):
+    call, count, error, minimum = OTHER_COUNT_CALLS[name]
+    refusals = [
+        (True, "must be an integer, got True"),
+        (2.0, "must be an integer, got 2.0"),
+        (minimum - 1, f"must be >= {minimum}, got {minimum - 1}"),
+        (np.int64(minimum - 1), f"must be >= {minimum}, got {minimum - 1}"),
+        (10**5000, "must be at most 1.79769e+308, got a 16610-bit integer"),
+        (-(10**5000), f"must be >= {minimum}, got a negative 16610-bit integer"),
+    ]
+    for bad, message in refusals:
+        with pytest.raises(error) as err:
+            call(bad)
+        assert str(err.value) == f"{count} {message}"
 
 
 class TestSampler:

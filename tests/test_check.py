@@ -127,12 +127,21 @@ def test_oracle_check_cells_are_the_expansion_verdict(tmp_path):
         assert row["agree"] == ("true" if verdict.ok else "false")
 
 
-@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
-def test_run_check_rejects_threads_before_printing(threads):
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        (0, "threads must be >= 1, got 0"),
+        (-1, "threads must be >= 1, got -1"),
+        (1.5, "threads must be an integer, got 1.5"),
+        (True, "threads must be an integer, got True"),
+    ],
+    ids=["0", "-1", "1.5", "True"],
+)
+def test_run_check_rejects_threads_before_printing(threads, message):
     out = io.StringIO()
     with pytest.raises(DomainError) as err:
         run_check(threads=threads, out=out)
-    assert str(err.value) == f"threads must be a positive integer, got {threads!r}"
+    assert str(err.value) == message
     assert out.getvalue() == ""
 
 

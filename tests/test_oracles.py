@@ -952,11 +952,11 @@ RANGE_CALLS = {
         "rho must be in [0, 1], got -0.1",
     ),
     "mc_coherent_mi-n": (
-        lambda rng: mc_coherent_mi(DIMS11, 1.0, 999, rng), "n must be an integer >= 1000, got 999"
+        lambda rng: mc_coherent_mi(DIMS11, 1.0, 999, rng), "n must be >= 1000, got 999"
     ),
     "mc_onoff_mi-n": (
         lambda rng: mc_onoff_mi(1, 0.01, 10.0, 9_999, rng),
-        "n must be an integer >= 10000, got 9999",
+        "n must be >= 10000, got 9999",
     ),
     "mc_coherent_mi-huge-n": (lambda rng: mc_coherent_mi(DIMS11, 1.0, HUGE_N, rng), HUGE_N_MESSAGE),
     "mc_e0_exact-huge-n": (lambda rng: mc_e0_exact(DIMS11, 1.0, 0.5, HUGE_N, rng), HUGE_N_MESSAGE),

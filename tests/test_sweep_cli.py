@@ -126,7 +126,7 @@ class TestLoadConfig:
             (CAPACITY_CFG + "seed = 1.5\n", "line 7: seed must be an integer, got '1.5'"),
             (CAPACITY_CFG + "n_samples = many\n",
              "line 7: n_samples must be an integer, got 'many'"),
-            (CAPACITY_CFG + "n_samples = 999\n", "n_samples must be >= 1000"),
+            (CAPACITY_CFG + "n_samples = 999\n", "line 7: n_samples must be >= 1000, got 999"),
             (CAPACITY_CFG + "n_samples = 1" + "0" * 400 + "\n",
              "line 7: n_samples must be at most 1.79769e+308, got a 1329-bit integer"),
         ],
@@ -403,7 +403,7 @@ class TestStreaming:
         cap = load_config(write(tmp_path, "cap.cfg", CAPACITY_CFG))
         with pytest.raises(DomainError) as err:
             run_sweep(cap, out=str(out), threads=threads, err_stream=io.StringIO())
-        assert str(err.value) == f"threads must be a positive integer, got {threads}"
+        assert str(err.value) == f"threads must be >= 1, got {threads}"
         assert not out.exists()
 
     def test_memory_bounded_by_a_chunk(self, tmp_path):
@@ -1012,7 +1012,7 @@ class TestCli:
             args.append(str(write(tmp_path, "c.cfg", CAPACITY_CFG)))
         proc = run_main([*args, "--threads", "0"], tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr == "error: threads must be a positive integer, got 0\n"
+        assert proc.stderr == "error: threads must be >= 1, got 0\n"
         assert proc.stdout == ""
 
     def test_check_library_error_is_an_error_line(self, tmp_path, run_main, monkeypatch):
