@@ -34,6 +34,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _WINDOW = 40.0
 # Half-width, in u, of the quadrature's shoulders: beyond them h <= 2 e^-5.
 _SHOULDER = 5.0
+# onoff_mi_quadrature's least omega: sys.float_info.min, the smallest normal float.
+_OMEGA_MIN = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,9 @@ class CapacitySandwich:
 def zeta_star(r: int, snr: float, amplitude_sq: float) -> float:
     """Density-crossing radius from its log-domain identity."""
     a = amplitude_sq
-    return (1.0 + a) * (math.log(a) + r * math.log1p(a) + math.log(1.0 / snr)) / a
+    inv = 1.0 / snr
+    log_inv = math.log(inv) if inv < math.inf else -math.log(snr)
+    return (1.0 + a) * (math.log(a) + r * math.log1p(a) + log_inv) / a
 
 
 def onoff_building_blocks(r: int, snr: float, amplitude_sq: float) -> OnOffSpec:
@@ -151,6 +155,8 @@ def _onoff_hinges(r: int, snr: float, a: float) -> tuple[float, float, float, fl
     -omega E[(1 + e^-u) log(1 + e^-|u|)] (see ``oracles.mc_onoff_mi``).
     """
     omega = snr / a
+    if omega == 0.0:
+        raise DomainError(f"omega = snr/A underflows to 0 at snr={snr:g}, A={a:g}")
     slope = a / (1.0 + a)
     lam = r * math.log1p(a) + math.log1p(-omega) - math.log(omega)
     z_x, g_x = lam / slope, lam / a
@@ -186,7 +192,8 @@ def onoff_mi_quadrature(
     relative to J.  The part outside the window is at most 2 omega e^-40;
     it is added to omega times the quadrature's abserr, and a
     QuadratureError carrying the value as its ``estimate`` is raised when
-    that reported error exceeds 10 rel_tol |I|.
+    that reported error exceeds 10 rel_tol |I|.  An omega below the smallest
+    normal float is a DomainError: a subnormal omega cannot hold rel_tol.
     """
     r = _count("r", r)
     if not 0.0 <= snr < amplitude_sq < math.inf:
@@ -198,6 +205,11 @@ def onoff_mi_quadrature(
     from scipy import integrate
 
     a = float(amplitude_sq)
+    if not snr / a >= _OMEGA_MIN:
+        raise DomainError(
+            f"omega = snr/A must be at least {_OMEGA_MIN:g} for rel_tol to hold, "
+            f"got snr={snr:g}, A={a:g}"
+        )
     omega, lam, g_x, exact = _onoff_hinges(r, snr, a)
     lg = math.lgamma(r)
 
@@ -250,7 +262,8 @@ def _sandwich(r: int, snr: float) -> tuple[int, float, float, float]:
     r = _count("r", r)
     if not 0.0 < snr < r / math.e**2:
         raise DomainError(f"need snr < r/e^2 so that loglog(r/snr) > 0, got snr={snr}")
-    big_l = math.log(r / snr)
+    quotient = r / snr
+    big_l = math.log(quotient) if quotient < math.inf else math.log(r) - math.log(snr)
     loglog = math.log(big_l)
     return r, big_l, loglog / big_l, (loglog**2 + 1.0) / big_l
 

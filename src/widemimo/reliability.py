@@ -150,7 +150,12 @@ class DiversityEstimate:
 
 
 def _kappa(t: int, coherence: float, snr_b: float) -> float:
-    return coherence * snr_b / t
+    kappa = coherence * snr_b / t
+    if kappa == math.inf:
+        raise DomainError(
+            f"block SNR l snr_b / t overflows at l={coherence:g}, snr_b={snr_b:g}, t={t}"
+        )
+    return kappa
 
 
 def _e0(rt: int, kappa: float, rho: float) -> float:
@@ -339,7 +344,11 @@ class OperatingPoint:
         return ExponentPoint(rate, *self._exponent(rate), self.landmarks.asymptotics_binding)
 
     def block_error_bound(self, rate: float) -> float:
-        """delta exp(-E_r(rate)); see ``block_error_bound``."""
+        """delta exp(-E_r(rate)); see ``block_error_bound``.
+
+        In regions A and B it is at most delta times the exact coherent
+        Gaussian-input random-coding bound, not an upper bound on the error.
+        """
         return self.regime.delta * math.exp(-self._exponent(rate)[0])
 
     def outage(self, rate: float) -> OutageEstimate:
@@ -465,10 +474,18 @@ def exponent_curve(dims: ChannelDims, snr: float, rates) -> ExponentCurve:
 
 
 def block_error_bound(dims: ChannelDims, snr: float, rate: float) -> float:
-    """Upper bound on the block error probability: delta(snr) exp(-E_r(rate)).
+    """delta(snr) exp(-E_r(rate)), the block error expression with its o(1) dropped.
 
+    This is not proved to bound the block error probability from above; the
+    proved direction is the other one.  In regions A and B, E_r maximizes
+    E0(rho) - rho R with E0 = ``e0_upper``, which is at least the exact
+    coherent Gaussian-input Gallager function E0_x at every rho (see its
+    docstring).  So E_r is at least the exact coherent Gaussian-input
+    exponent max_rho [E0_x(rho) - rho R], and the value lies at or below
+    delta times that exponent's random-coding bound.  In region C and past
+    c_block the exponent is reported as 0, and the value is delta.
     The duty-cycle prefactor counts the chance the block carries signal at
-    all.  Since the exponent is nonnegative and delta <= 1, the bound always
+    all.  Since the exponent is nonnegative and delta <= 1, the value always
     lands in [0, 1].
     """
     return _point_at(dims, snr).block_error_bound(rate)

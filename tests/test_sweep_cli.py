@@ -1027,6 +1027,23 @@ class TestCli:
         assert proc.stdout.startswith("PASS  first ")
         assert proc.stderr == "error: x must be finite and >= 0, got nan\n"
 
+    def test_iid_sweep_at_the_least_snr_has_error_rows(self, tmp_path, run_main):
+        # omega = 5e-324/7 underflows to 0: an error row each, the other rows
+        # as a sweep without that snr writes them, and no traceback
+        grid = "quantity = iid\nr = 1, 2\nsnr = {}\namplitude_sq = 7.0\n"
+        proc = run_cli(["sweep", str(write(tmp_path, "tiny.cfg", grid.format("5e-324, 0.01")))],
+                       tmp_path)
+        alone = run_main(["sweep", str(write(tmp_path, "alone.cfg", grid.format("0.01")))],
+                         tmp_path)
+        assert proc.returncode == 1 and alone.returncode == 0
+        assert "Traceback" not in proc.stderr
+        *row_lines, summary = proc.stderr.splitlines()
+        assert [line.split(":")[0] for line in row_lines] == ["row 0", "row 2"]
+        assert summary.startswith("sweep quantity=iid rows=4 errors=2 ")
+        header, *rows = proc.stdout.splitlines()
+        assert all(row.endswith('"') and "DomainError: omega" in row for row in rows[::2])
+        assert [header, *rows[1::2]] == alone.stdout.splitlines()
+
     def test_count_past_the_float_range_is_one_error_line(self, tmp_path, run_main):
         grid = "1" + "0" * 400
         text = f"quantity = exponent\nt = 1\nr = 1\nsnr = 0.01\nl = {grid}\nrate = 1\n"
