@@ -134,8 +134,9 @@ OTHER_COUNT_CALLS = {
     "mc_onoff_mi": (
         lambda n: mc_onoff_mi(1, 0.01, 10.0, n, RngStream(SEED, 144)), "n", DomainError, 10_000
     ),
-    "run_check": (lambda threads: run_check(threads=threads, out=io.StringIO()),
-                  "threads", DomainError, 1),
+    "run_check": (
+        lambda threads: run_check(threads=threads, out=io.StringIO()), "threads", DomainError, 1
+    ),
     "run_sweep": (
         lambda threads: run_sweep(
             SweepConfig("capacity", {"t": [1], "r": [1], "l": [10], "snr": [0.01]}),
